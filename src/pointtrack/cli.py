@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 input/usage error, 2 internal error.
 """
 
 import argparse
+import math
 import sys
 import traceback
 from dataclasses import replace
@@ -12,7 +13,7 @@ from pathlib import Path
 from . import __version__
 from .assignment import dynamic_threshold
 from .config import ToolkitConfig, load_toolkit_config
-from .errors import TrackingError
+from .errors import ParseError, TrackingError
 from .formats import (
     DETECTIONS_HEADER_SCORED, SequenceBundlePaths, TrackRow,
     format_float, parse_detections, parse_gt, parse_kv_text, parse_metadata,
@@ -21,7 +22,7 @@ from .formats import (
 from .gog import build_graph, solve
 from .lifecycle import ScoreColumnValidator
 from .metrics import T_MAP_THRESHOLDS, TrajectorySet, compute_sequence_metrics
-from .pipeline import PointTracker, frame_inputs_from_bundle
+from .pipeline import frame_inputs_from_bundle, run_sequence
 from .render import render_overlay
 from .simulate import generate, scenario_from_kv, write_bundle
 
@@ -74,17 +75,8 @@ def _build_parser() -> _Parser:
 
 def _tracker_config(args) -> ToolkitConfig:
     cfg = load_toolkit_config(args.config)
-    disabled = set(getattr(args, "disable", []))
-    if disabled:
-        tracker = replace(
-            cfg.tracker,
-            use_cmc=cfg.tracker.use_cmc and "cmc" not in disabled,
-            use_alt=cfg.tracker.use_alt and "alt" not in disabled,
-            use_cls=cfg.tracker.use_cls and "cls" not in disabled,
-            use_ddcf=cfg.tracker.use_ddcf and "ddcf" not in disabled,
-        )
-        cfg = ToolkitConfig(tracker=tracker, gog=cfg.gog, idsw_gate=cfg.idsw_gate)
-    return cfg
+    disabled = {f"use_{name}": False for name in getattr(args, "disable", [])}
+    return replace(cfg, tracker=replace(cfg.tracker, **disabled))
 
 
 def _cmd_simulate(args) -> int:
@@ -110,18 +102,12 @@ def _cmd_track(args) -> int:
     cfg = _tracker_config(args)
     paths = SequenceBundlePaths.from_dir(args.bundle)
     validator = ScoreColumnValidator() if _detections_have_scores(paths) else None
-    tracker = PointTracker(cfg.tracker, validator)
-    rows: list[TrackRow] = []
-    n_frames = 0
-    for frame_input in frame_inputs_from_bundle(paths):
-        out = tracker.process_frame(frame_input)
-        n_frames += 1
-        for r in out.records:
-            rows.append(TrackRow(out.frame, r.track_id, r.x, r.y, r.conf, r.source))
+    result = run_sequence(frame_inputs_from_bundle(paths), cfg.tracker, validator)
+    rows = [TrackRow(out.frame, r.track_id, r.x, r.y, r.conf, r.source)
+            for out in result.outputs for r in out.records]
     Path(args.out).write_text(write_tracks(rows))
-    ids = {r.track_id for r in rows}
-    print(f"tracked {n_frames} frames: {len(ids)} confirmed trajectories, "
-          f"{len(rows)} records -> {args.out}")
+    print(f"tracked {len(result.outputs)} frames: {result.summary.trajectory_count} "
+          f"confirmed trajectories, {len(rows)} records -> {args.out}")
     return 0
 
 
@@ -197,8 +183,13 @@ def _cmd_render(args) -> int:
     if paths.manifest is not None:
         manifest = parse_kv_text(paths.manifest.read_text())
         if "arena_width" in manifest and "arena_height" in manifest:
-            width = float(manifest["arena_width"])
-            height = float(manifest["arena_height"])
+            try:
+                width = float(manifest["arena_width"])
+                height = float(manifest["arena_height"])
+            except ValueError:
+                width = height = math.nan
+            if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+                raise ParseError(f"{paths.manifest}: arena size must be a positive number")
     Path(args.out).write_text(render_overlay(gt, pred, width, height))
     print(f"wrote overlay -> {args.out}")
     return 0
@@ -224,7 +215,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (TrackingError, FileNotFoundError, NotADirectoryError, PermissionError) as exc:
+    except (TrackingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

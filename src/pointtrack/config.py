@@ -1,32 +1,12 @@
 """Global flat key=value configuration covering every tunable default."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from pathlib import Path
 
-from .assignment import GatingPolicy
-from .cmc import RansacConfig
-from .ddcf import DcfConfig
-from .errors import ConfigError, TrackingError
+from .errors import ConfigError
 from .formats import parse_kv_text
 from .gog import GogConfig
-from .lifecycle import LifecycleConfig
-from .motion import MotionConfig
 from .pipeline import TrackerConfig
-
-_INT_KEYS = {
-    "min_hits", "max_age", "cls_lead", "tentative_miss_tolerance",
-    "pending_fail_patience", "dcf_patch_cells", "ransac_iters",
-    "ransac_min_inliers", "gog_max_gap",
-}
-_FLOAT_KEYS = {
-    "base_radius_px", "reference_altitude_m", "cls_confirm_threshold",
-    "dcf_lambda", "dcf_learning_rate", "dcf_label_sigma", "dcf_psr_min",
-    "ransac_inlier_px", "gog_entry_cost", "gog_exit_cost", "gog_gap_penalty",
-    "idsw_gate_px", "process_noise_pos", "process_noise_vel",
-    "measurement_noise", "initial_pos_var", "initial_vel_var",
-}
-_BOOL_KEYS = {"emit_coasted"}
-
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS
 
 
 @dataclass(frozen=True)
@@ -38,92 +18,101 @@ class ToolkitConfig:
     idsw_gate: float = 10.0
 
 
-def _typed(key: str, raw: str):
-    if key in _INT_KEYS:
+# config key -> dotted path(s) of the ToolkitConfig field(s) it sets
+KEYS = {
+    "min_hits": "tracker.lifecycle.min_hits",
+    "max_age": "tracker.lifecycle.max_age",
+    "base_radius_px": "tracker.gating.base_radius gog.gate",
+    "reference_altitude_m": "tracker.gating.reference_altitude",
+    "cls_lead": "tracker.lifecycle.cls_lead",
+    "cls_confirm_threshold": "tracker.lifecycle.cls_confirm_threshold",
+    "tentative_miss_tolerance": "tracker.lifecycle.tentative_miss_tolerance",
+    "pending_fail_patience": "tracker.lifecycle.pending_fail_patience",
+    "dcf_patch_cells": "tracker.dcf.patch_cells",
+    "dcf_lambda": "tracker.dcf.regularization",
+    "dcf_learning_rate": "tracker.dcf.learning_rate",
+    "dcf_label_sigma": "tracker.dcf.label_sigma",
+    "dcf_psr_min": "tracker.dcf.psr_min",
+    "ransac_iters": "tracker.ransac.iterations",
+    "ransac_inlier_px": "tracker.ransac.inlier_threshold",
+    "ransac_min_inliers": "tracker.ransac.min_inliers",
+    "gog_entry_cost": "gog.entry_cost",
+    "gog_exit_cost": "gog.exit_cost",
+    "gog_gap_penalty": "gog.gap_penalty",
+    "gog_max_gap": "gog.max_gap",
+    "idsw_gate_px": "idsw_gate",
+    "emit_coasted": "tracker.emit_coasted",
+    "process_noise_pos": "tracker.motion.process_noise_pos",
+    "process_noise_vel": "tracker.motion.process_noise_vel",
+    "measurement_noise": "tracker.motion.measurement_noise",
+    "initial_pos_var": "tracker.motion.initial_pos_var",
+    "initial_vel_var": "tracker.motion.initial_vel_var",
+}
+
+_NOUNS = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def decode_value(key: str, raw: str, kind):
+    """Convert one raw value to kind: int, float, bool, str, or a parser
+    function that raises ConfigError itself."""
+    if kind is bool:
+        lowered = raw.lower()
+        if lowered in ("true", "1", "yes"):
+            return True
+        if lowered in ("false", "0", "no"):
+            return False
+    else:
         try:
-            return int(raw)
+            return kind(raw)
         except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {raw!r}")
+            pass
+    raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {raw!r}")
+
+
+def decode_kv(values: dict[str, str], kinds: dict[str, object], what: str) -> dict[str, object]:
+    """Type parsed key=value text; kinds maps every known key to the kind
+    of its value (see decode_value), and any other key is an error."""
+    typed = {}
+    for key, raw in values.items():
+        if key not in kinds:
+            raise ConfigError(f"unknown {what} key {key!r}")
+        typed[key] = decode_value(key, raw, kinds[key])
+    return typed
+
+
+def _field_type(path: str):
+    cls = ToolkitConfig
+    for name in path.split("."):
+        cls = next(f.type for f in fields(cls) if f.name == name)
+    return cls
+
+
+_KINDS = {key: _field_type(paths.split()[0]) for key, paths in KEYS.items()}
+
+
+def _build(cls, prefix: str, values: dict[str, object]):
+    """Construct cls and its nested config dataclasses from {dotted path:
+    value}; fields without a value keep their defaults."""
+    kwargs = {}
+    for f in fields(cls):
+        path = prefix + f.name
+        if is_dataclass(f.type):
+            kwargs[f.name] = _build(f.type, path + ".", values)
+        elif path in values:
+            kwargs[f.name] = values[path]
+    return cls(**kwargs)
 
 
 def toolkit_config_from_kv(values: dict[str, str]) -> ToolkitConfig:
-    typed = {}
-    for key, raw in values.items():
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        typed[key] = _typed(key, raw)
-
-    def pick(cls, mapping: dict[str, str]):
-        kwargs = {attr: typed[key] for key, attr in mapping.items() if key in typed}
-        try:
-            return cls(**kwargs)
-        except TrackingError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-
-    motion = pick(MotionConfig, {
-        "process_noise_pos": "process_noise_pos",
-        "process_noise_vel": "process_noise_vel",
-        "measurement_noise": "measurement_noise",
-        "initial_pos_var": "initial_pos_var",
-        "initial_vel_var": "initial_vel_var",
-    })
-    gating = pick(GatingPolicy, {
-        "base_radius_px": "base_radius",
-        "reference_altitude_m": "reference_altitude",
-    })
-    lifecycle = pick(LifecycleConfig, {
-        "min_hits": "min_hits",
-        "max_age": "max_age",
-        "cls_lead": "cls_lead",
-        "cls_confirm_threshold": "cls_confirm_threshold",
-        "tentative_miss_tolerance": "tentative_miss_tolerance",
-        "pending_fail_patience": "pending_fail_patience",
-    })
-    dcf = pick(DcfConfig, {
-        "dcf_patch_cells": "patch_cells",
-        "dcf_lambda": "regularization",
-        "dcf_learning_rate": "learning_rate",
-        "dcf_label_sigma": "label_sigma",
-        "dcf_psr_min": "psr_min",
-    })
-    ransac = pick(RansacConfig, {
-        "ransac_iters": "iterations",
-        "ransac_inlier_px": "inlier_threshold",
-        "ransac_min_inliers": "min_inliers",
-    })
-    gog = pick(GogConfig, {
-        "gog_entry_cost": "entry_cost",
-        "gog_exit_cost": "exit_cost",
-        "gog_gap_penalty": "gap_penalty",
-        "gog_max_gap": "max_gap",
-        "base_radius_px": "gate",
-    })
-    tracker = TrackerConfig(
-        motion=motion, gating=gating, lifecycle=lifecycle, dcf=dcf, ransac=ransac,
-        emit_coasted=typed.get("emit_coasted", False),
-    )
-    return ToolkitConfig(tracker=tracker, gog=gog,
-                         idsw_gate=typed.get("idsw_gate_px", 10.0))
+    typed = decode_kv(values, _KINDS, "configuration")
+    return _build(ToolkitConfig, "", {path: value for key, value in typed.items()
+                                      for path in KEYS[key].split()})
 
 
 def load_toolkit_config(path=None) -> ToolkitConfig:
     """Read the config file; None gives all defaults."""
     if path is None:
         return ToolkitConfig()
-    from pathlib import Path
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")

@@ -24,7 +24,6 @@ class DcfConfig:
     learning_rate: float = 0.02  # exponential model blend per update
     label_sigma: float = 2.0     # Gaussian target width, cells
     psr_min: float = 5.0         # acceptance gate for recoveries
-    init_on_miss: bool = False   # train only at the first miss instead of warm updates
 
     def __post_init__(self):
         if self.patch_cells < MIN_PATCH_CELLS:

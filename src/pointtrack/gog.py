@@ -149,32 +149,25 @@ def _cheapest_path(graph: FlowGraph, alive: np.ndarray) -> tuple[float, list[int
     return float(totals[end]), path
 
 
-def solve(graph: FlowGraph) -> TrajectorySet:
-    """Extract negative-cost paths greedily until none remains."""
+def _extract(graph: FlowGraph):
+    """Yield (cost, path) of each negative-cost path, removing its
+    detections before the next search, until none remains."""
     alive = np.ones(len(graph), dtype=bool)
-    rows = []
-    next_id = 1
     while alive.any():
         cost, path = _cheapest_path(graph, alive)
         if cost >= 0.0 or not path:
-            break
-        for i in path:
-            rows.append((int(graph.frames[i]), next_id,
-                         float(graph.xs[i]), float(graph.ys[i]), float(graph.confs[i])))
-            alive[i] = False
-        next_id += 1
-    return TrajectorySet.from_rows(rows)
+            return
+        alive[path] = False
+        yield cost, path
+
+
+def solve(graph: FlowGraph) -> TrajectorySet:
+    """Extract negative-cost paths greedily until none remains."""
+    return TrajectorySet.from_rows(
+        (graph.frames[i], track_id, graph.xs[i], graph.ys[i], graph.confs[i])
+        for track_id, (_, path) in enumerate(_extract(graph), start=1) for i in path)
 
 
 def solve_total_cost(graph: FlowGraph) -> float:
     """Total cost of the greedy solution (0.0 when nothing is extracted)."""
-    alive = np.ones(len(graph), dtype=bool)
-    total = 0.0
-    while alive.any():
-        cost, path = _cheapest_path(graph, alive)
-        if cost >= 0.0 or not path:
-            break
-        total += cost
-        for i in path:
-            alive[i] = False
-    return total
+    return sum((cost for cost, _ in _extract(graph)), 0.0)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import motion
 from .ddcf import CorrelationFilter, FeatureMap, MIN_PATCH_CELLS, extract_patch
-from .errors import ConfigError, InvalidInputError, TrackingError, ValidationUnavailableError
+from .errors import ConfigError, InvalidInputError, ValidationUnavailableError
 
 
 class TrackState(enum.Enum):
@@ -22,17 +22,6 @@ class TrackState(enum.Enum):
     PENDING_CLASSIFICATION = "pending"
     CONFIRMED = "confirmed"
     DELETED = "deleted"
-
-
-class Decision(enum.Enum):
-    CONFIRM = "confirm"
-    KEEP_PENDING = "keep_pending"
-    TERMINATE = "terminate"
-
-
-class MissOutcome(enum.Enum):
-    KEEP = "keep"
-    DELETE = "delete"
 
 
 SOURCE_DETECTION = "detection"
@@ -73,7 +62,6 @@ class Track:
     cls_scores: list[float] = field(default_factory=list)
     pending_failures: int = 0          # consecutive failed confirmations past min_hits
     last_position: np.ndarray = None   # px, last measured or recovered point
-    last_source: str = SOURCE_DETECTION
     last_confidence: float = 0.0
     filter: CorrelationFilter | None = None
 
@@ -173,20 +161,6 @@ def classification_gate_active(hits: int, config: LifecycleConfig) -> bool:
     return hits >= config.min_hits - config.cls_lead
 
 
-def confirm_decision(track: Track, config: LifecycleConfig) -> Decision:
-    """Evaluate a pending track: confirm, keep waiting, or give up."""
-    if track.state is not TrackState.PENDING_CLASSIFICATION:
-        raise TrackingError(f"confirm_decision on {track.state} track")
-    if not track.cls_scores:
-        raise TrackingError("pending track with no classification scores")
-    if track.hits >= config.min_hits:
-        if float(np.mean(track.cls_scores)) > config.cls_confirm_threshold:
-            return Decision.CONFIRM
-        if track.pending_failures >= config.pending_fail_patience:
-            return Decision.TERMINATE
-    return Decision.KEEP_PENDING
-
-
 def on_match(track: Track, measurement, confidence: float,
              validator_prob: float | None, config: LifecycleConfig,
              motion_config: motion.MotionConfig,
@@ -202,7 +176,6 @@ def on_match(track: Track, measurement, confidence: float,
     track.consecutive_misses = 0
     track.kalman = motion.update(track.kalman, measurement, motion_config)
     track.last_position = np.asarray(measurement, dtype=float).reshape(2)
-    track.last_source = SOURCE_DETECTION
     track.last_confidence = float(confidence)
 
     if track.state is TrackState.CONFIRMED:
@@ -219,23 +192,19 @@ def on_match(track: Track, measurement, confidence: float,
     if track.state is TrackState.PENDING_CLASSIFICATION:
         if validator_prob is not None:
             track.cls_scores.append(float(validator_prob))
-        decision = _evaluate_pending(track, config)
-        if decision is Decision.CONFIRM:
-            track.state = TrackState.CONFIRMED
-        elif decision is Decision.TERMINATE:
-            track.state = TrackState.DELETED
+        # once old enough, each matched frame confirms the track or counts
+        # one failure toward the patience budget
+        if track.hits >= config.min_hits:
+            if float(np.mean(track.cls_scores)) > config.cls_confirm_threshold:
+                track.state = TrackState.CONFIRMED
+            else:
+                track.pending_failures += 1
+                if track.pending_failures >= config.pending_fail_patience:
+                    track.state = TrackState.DELETED
     return track
 
 
-def _evaluate_pending(track: Track, config: LifecycleConfig) -> Decision:
-    # count this matched-frame evaluation toward the patience budget first
-    if (track.hits >= config.min_hits
-            and float(np.mean(track.cls_scores)) <= config.cls_confirm_threshold):
-        track.pending_failures += 1
-    return confirm_decision(track, config)
-
-
-def on_miss(track: Track, config: LifecycleConfig) -> MissOutcome:
+def on_miss(track: Track, config: LifecycleConfig) -> None:
     """Register a frame without a gated detection; maybe delete the track."""
     track.consecutive_misses += 1
     over_tentative = (track.state is not TrackState.CONFIRMED
@@ -243,5 +212,3 @@ def on_miss(track: Track, config: LifecycleConfig) -> MissOutcome:
     over_age = track.consecutive_misses > config.max_age
     if over_tentative or over_age:
         track.state = TrackState.DELETED
-        return MissOutcome.DELETE
-    return MissOutcome.KEEP

@@ -71,8 +71,7 @@ class FrameOutput:
 
 @dataclass
 class SequenceSummary:
-    confirmed_ids: list[int] = field(default_factory=list)   # first-emission order
-    lifespans: dict[int, tuple[int, int]] = field(default_factory=dict)
+    lifespans: dict[int, tuple[int, int]] = field(default_factory=dict)  # first-emission order
     births: int = 0
     deaths: int = 0
     recoveries: int = 0
@@ -80,8 +79,12 @@ class SequenceSummary:
     match_distance_sum: float = 0.0
 
     @property
+    def confirmed_ids(self) -> list[int]:
+        return list(self.lifespans)
+
+    @property
     def trajectory_count(self) -> int:
-        return len(self.confirmed_ids)
+        return len(self.lifespans)
 
     @property
     def mean_match_distance(self) -> float:
@@ -127,9 +130,15 @@ class PointTracker:
         deaths = self._handle_misses(result)
 
         records = self._emit(matched_ids, recovered_ids)
-        self.tracks = [t for t in self.tracks if not t.is_deleted]
         self._prev_features = frame_input.features
         self._last_frame = frame
+        summary = self.summary
+        summary.births += births
+        summary.deaths += deaths
+        summary.recoveries += len(recovered_ids)
+        for r in records:
+            first, _ = summary.lifespans.get(r.track_id, (frame, frame))
+            summary.lifespans[r.track_id] = (first, frame)
         return FrameOutput(frame=frame, records=records, gate=gate, affine=affine,
                            births=births, deaths=deaths, recoveries=len(recovered_ids))
 
@@ -185,8 +194,8 @@ class PointTracker:
             return None
 
     def _handle_matches(self, result: AssignmentResult, detections: list[Detection],
-                        frame_input: FrameInput) -> dict[int, float]:
-        matched: dict[int, float] = {}
+                        frame_input: FrameInput) -> set[int]:
+        matched: set[int] = set()
         for ti, dj, dist in result.matches:
             track = self.tracks[ti]
             det = detections[dj]
@@ -197,7 +206,7 @@ class PointTracker:
             self.summary.match_count += 1
             self.summary.match_distance_sum += dist
             if track.is_confirmed:
-                matched[track.track_id] = det.conf
+                matched.add(track.track_id)
                 self._maintain_filter(track, det, frame_input)
         return matched
 
@@ -209,7 +218,7 @@ class PointTracker:
 
     def _maintain_filter(self, track: Track, det: Detection, frame_input: FrameInput):
         cfg = self.config
-        if not cfg.use_ddcf or cfg.dcf.init_on_miss or frame_input.features is None:
+        if not cfg.use_ddcf or frame_input.features is None:
             return
         if not self._in_coverage(frame_input.features, (det.x, det.y)):
             return
@@ -223,8 +232,8 @@ class PointTracker:
             pass  # degenerate patch; keep whatever model we had
 
     def _recover(self, result: AssignmentResult, frame_input: FrameInput,
-                 claimed: np.ndarray, gate: float) -> dict[int, float]:
-        recovered: dict[int, float] = {}
+                 claimed: np.ndarray, gate: float) -> set[int]:
+        recovered: set[int] = set()
         cfg = self.config
         if not cfg.use_ddcf or frame_input.features is None:
             return recovered
@@ -233,7 +242,7 @@ class PointTracker:
             if not track.is_confirmed:
                 continue
             if track.filter is None and self._prev_features is not None:
-                # first miss: build the model from the last measured position
+                # no model yet: build it from the last measured position
                 try:
                     patch = extract_patch(self._prev_features, track.last_position,
                                           cfg.dcf.patch_cells)
@@ -256,8 +265,7 @@ class PointTracker:
                 continue
             track.kalman = motion.update(track.kalman, point, cfg.motion)
             track.last_position = np.asarray(point)
-            track.last_source = lifecycle.SOURCE_DDCF
-            recovered[track.track_id] = track.last_confidence
+            recovered.add(track.track_id)
         return recovered
 
     def _spawn(self, result: AssignmentResult, detections: list[Detection]) -> int:
@@ -271,31 +279,33 @@ class PointTracker:
         return len(result.unmatched_detections)
 
     def _handle_misses(self, result: AssignmentResult) -> int:
-        deaths = 0
+        """Age the unmatched tracks, then drop every track deleted this frame
+        (by a miss or by the classification decision); returns their count.
+        A frame starts with no deleted track and spawned tracks are tentative,
+        so the dropped tracks are exactly this frame's deaths."""
         for ti in result.unmatched_tracks:
-            outcome = lifecycle.on_miss(self.tracks[ti], self.config.lifecycle)
-            if outcome is lifecycle.MissOutcome.DELETE:
-                deaths += 1
-        # tracks terminated by the classification decision also die this frame
-        deaths += sum(1 for i, t in enumerate(self.tracks)
-                      if t.is_deleted and i not in set(result.unmatched_tracks))
+            lifecycle.on_miss(self.tracks[ti], self.config.lifecycle)
+        live = [t for t in self.tracks if not t.is_deleted]
+        deaths = len(self.tracks) - len(live)
+        self.tracks = live
         return deaths
 
-    def _emit(self, matched: dict[int, float], recovered: dict[int, float]) -> list[TrackRecord]:
+    def _emit(self, matched: set[int], recovered: set[int]) -> list[TrackRecord]:
         records = []
         for track in self.tracks:
-            if track.is_deleted or not track.is_confirmed:
+            if not track.is_confirmed:
+                continue
+            if track.track_id in matched:
+                source = lifecycle.SOURCE_DETECTION
+            elif track.track_id in recovered:
+                source = lifecycle.SOURCE_DDCF
+            elif self.config.emit_coasted:
+                source = SOURCE_COASTED
+            else:
                 continue
             pos = track.kalman.position
-            if track.track_id in matched:
-                records.append(TrackRecord(track.track_id, float(pos[0]), float(pos[1]),
-                                           matched[track.track_id], lifecycle.SOURCE_DETECTION))
-            elif track.track_id in recovered:
-                records.append(TrackRecord(track.track_id, float(pos[0]), float(pos[1]),
-                                           recovered[track.track_id], lifecycle.SOURCE_DDCF))
-            elif self.config.emit_coasted:
-                records.append(TrackRecord(track.track_id, float(pos[0]), float(pos[1]),
-                                           track.last_confidence, SOURCE_COASTED))
+            records.append(TrackRecord(track.track_id, float(pos[0]), float(pos[1]),
+                                       track.last_confidence, source))
         return records
 
 
@@ -316,24 +326,10 @@ def run_sequence(frame_inputs, config: TrackerConfig | None = None,
                  validator: TrajectoryValidator | None = None) -> SequenceResult:
     """Stream a whole ordered sequence through a fresh tracker."""
     tracker = PointTracker(config, validator)
-    outputs = []
-    summary = tracker.summary
-    for frame_input in frame_inputs:
-        out = tracker.process_frame(frame_input)
-        outputs.append(out)
-        summary.births += out.births
-        summary.deaths += out.deaths
-        summary.recoveries += out.recoveries
-        for r in out.records:
-            if r.track_id not in summary.lifespans:
-                summary.confirmed_ids.append(r.track_id)
-                summary.lifespans[r.track_id] = (out.frame, out.frame)
-            else:
-                first, _ = summary.lifespans[r.track_id]
-                summary.lifespans[r.track_id] = (first, out.frame)
+    outputs = [tracker.process_frame(frame_input) for frame_input in frame_inputs]
     if not outputs:
         raise InvalidInputError("empty frame sequence")
-    return SequenceResult(outputs=outputs, summary=summary)
+    return SequenceResult(outputs=outputs, summary=tracker.summary)
 
 
 def frame_inputs_from_bundle(paths: SequenceBundlePaths):

@@ -8,12 +8,13 @@ PCG64 generator seeded from the config, so a bundle is bit-reproducible.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .cmc import AffineTransform, Correspondence
+from .config import decode_kv
 from .ddcf import FeatureMap
 from .errors import ConfigError
 from .formats import (
@@ -338,33 +339,11 @@ def write_bundle(bundle: ScenarioBundle, out_dir) -> Path:
 
 
 def scenario_from_kv(values: dict[str, str]) -> ScenarioConfig:
-    """Build a ScenarioConfig from flat key=value text (the simulate CLI)."""
-    defaults = ScenarioConfig()
-    known_int = {"n_agents", "frames", "persistent_fp_count", "feature_channels", "seed"}
-    known_float = {"arena_width", "arena_height", "agent_speed_sigma", "turn_sigma",
-                   "altitude_start", "altitude_end", "camera_rotation_deg",
-                   "camera_translation_x", "camera_translation_y", "fn_rate",
-                   "fp_clutter_rate", "jitter_sigma", "feature_stride"}
-    known_str = {"altitude_shape"}
-    kwargs = {}
-    for key, raw in values.items():
-        if key in known_int:
-            try:
-                kwargs[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-        elif key in known_float:
-            try:
-                kwargs[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-        elif key in known_str:
-            kwargs[key] = raw
-        elif key == "occlusion_windows":
-            kwargs[key] = _parse_windows(raw)
-        else:
-            raise ConfigError(f"unknown scenario key {key!r}")
-    return replace(defaults, **kwargs)
+    """Build a ScenarioConfig from flat key=value text (the simulate CLI);
+    the keys are its field names."""
+    kinds = {f.name: f.type for f in fields(ScenarioConfig)}
+    kinds["occlusion_windows"] = _parse_windows
+    return ScenarioConfig(**decode_kv(values, kinds, "scenario"))
 
 
 def _parse_windows(raw: str) -> tuple[tuple[int, int, int], ...]:

@@ -1,8 +1,10 @@
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from pointtrack.cli import main
-from pointtrack.formats import parse_kv_text, parse_tracks
+from pointtrack.formats import parse_kv_text, parse_tracks, write_tracks
 
 SCENARIO = """
 n_agents = 6
@@ -141,6 +143,54 @@ class TestEndToEnd:
                            "--config", str(cfg), "--out", str(tmp_path / "t.csv"))
         assert code == 1
         assert "warp_factor" in err
+
+
+def _bad_arena(width: str):
+    def corrupt(bundle: Path) -> list[str]:
+        manifest = bundle / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("arena_width = 300.0",
+                                                         f"arena_width = {width}"))
+        (bundle / "tracks.csv").write_text(write_tracks([]))
+        return ["render", "--bundle", str(bundle), "--pred", str(bundle / "tracks.csv"),
+                "--out", str(bundle / "overlay.svg")]
+    return corrupt
+
+
+def _non_utf8_detections(bundle: Path) -> list[str]:
+    with open(bundle / "detections.csv", "ab") as fh:
+        fh.write(b"\xff\xfe,1,2,0.9\n")
+    return ["track", "--bundle", str(bundle), "--out", str(bundle / "t.csv")]
+
+
+def _non_utf8_config(bundle: Path) -> list[str]:
+    config = bundle / "config.txt"
+    config.write_bytes(b"min_hits = 5\n# \xff\xfe\n")
+    return ["track", "--bundle", str(bundle), "--config", str(config),
+            "--out", str(bundle / "t.csv")]
+
+
+def _metadata_is_directory(bundle: Path) -> list[str]:
+    (bundle / "metadata.csv").unlink()
+    (bundle / "metadata.csv").mkdir()
+    return ["track", "--bundle", str(bundle), "--out", str(bundle / "t.csv")]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(_bad_arena("abc"), id="arena_abc"),
+        pytest.param(_bad_arena("nan"), id="arena_nan"),
+        pytest.param(_bad_arena("-5"), id="arena_negative"),
+        pytest.param(_non_utf8_detections, id="non_utf8_detections"),
+        pytest.param(_non_utf8_config, id="non_utf8_config"),
+        pytest.param(_metadata_is_directory, id="metadata_is_directory"),
+    ])
+    def test_exits_one(self, capsys, tmp_path, corrupt):
+        scen = write_scenario(tmp_path, SCENARIO.replace("frames = 90", "frames = 5"))
+        bundle = tmp_path / "bundle"
+        assert run(capsys, "simulate", "--config", str(scen), "--out", str(bundle))[0] == 0
+        code, _, err = run(capsys, *corrupt(bundle))
+        assert code == 1
+        assert err.startswith("error:")
 
 
 class TestDeterminism:

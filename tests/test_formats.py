@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,14 @@ class TestGlobalConfig:
         from pointtrack.config import toolkit_config_from_kv
         with pytest.raises(ConfigError):
             toolkit_config_from_kv({"min_hits": "2", "cls_lead": "3"})
+
+    def test_readme_table_matches_decoder(self):
+        from pointtrack.config import KEYS, toolkit_config_from_kv
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| key | default | meaning |")[1].split("\n\n")[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+        documented = {key.strip().strip("`"): default.strip() for key, default in rows}
+        assert set(documented) == set(KEYS)
+        empty = toolkit_config_from_kv({})
+        for key, default in documented.items():
+            assert toolkit_config_from_kv({key: default}) == empty, key

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from pointtrack.ddcf import FeatureMap
-from pointtrack.errors import ConfigError, InvalidInputError, TrackingError, ValidationUnavailableError
+from pointtrack.errors import ConfigError, InvalidInputError, ValidationUnavailableError
 from pointtrack.lifecycle import (
-    Decision, FeatureEnergyValidator, LifecycleConfig, MissOutcome, OracleValidator,
+    FeatureEnergyValidator, LifecycleConfig, OracleValidator,
     ScoreColumnValidator, Track, TrackState, ValidationContext,
-    classification_gate_active, confirm_decision, on_match, on_miss, validate,
+    classification_gate_active, on_match, on_miss, validate,
 )
 from pointtrack.motion import MotionConfig, init_state
 
@@ -36,27 +36,33 @@ class TestClassificationGate:
 
 
 class TestConfirmDecision:
+    """The pending branch of on_match: each matched frame past min_hits
+    confirms the track or counts one failure toward the patience budget."""
+
     def test_confirm(self):
-        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=30, cls_scores=[0.9, 0.9])
-        assert confirm_decision(t, CFG) is Decision.CONFIRM
+        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=29, cls_scores=[0.9])
+        match(t, prob=0.9)
+        assert t.hits == 30
+        assert t.state is TrackState.CONFIRMED
 
     def test_keep_pending_before_min_hits(self):
-        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=28, cls_scores=[0.95])
-        assert confirm_decision(t, CFG) is Decision.KEEP_PENDING
+        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=27, cls_scores=[0.95])
+        match(t, prob=0.95)
+        assert t.state is TrackState.PENDING_CLASSIFICATION
+        assert t.pending_failures == 0
 
     def test_terminate_after_patience(self):
-        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=30,
-                       cls_scores=[0.5], pending_failures=10)
-        assert confirm_decision(t, CFG) is Decision.TERMINATE
-
-    def test_empty_scores_is_internal_error(self):
-        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=30)
-        with pytest.raises(TrackingError):
-            confirm_decision(t, CFG)
+        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=29,
+                       cls_scores=[0.5], pending_failures=9)
+        match(t, prob=0.5)
+        assert t.pending_failures == 10
+        assert t.is_deleted
 
     def test_threshold_is_strict(self):
-        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=30, cls_scores=[0.8])
-        assert confirm_decision(t, CFG) is Decision.KEEP_PENDING
+        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=29, cls_scores=[0.8])
+        match(t, prob=0.8)
+        assert t.state is TrackState.PENDING_CLASSIFICATION
+        assert t.pending_failures == 1
 
 
 class TestOnMatch:
@@ -115,22 +121,25 @@ class TestOnMatch:
 class TestOnMiss:
     def test_confirmed_deleted_past_max_age(self):
         t = make_track(state=TrackState.CONFIRMED, hits=100, consecutive_misses=60)
-        assert on_miss(t, CFG) is MissOutcome.DELETE
+        on_miss(t, CFG)
         assert t.consecutive_misses == 61
         assert t.is_deleted
 
     def test_tentative_tolerance(self):
         t = make_track(hits=2, consecutive_misses=3)
-        assert on_miss(t, CFG) is MissOutcome.DELETE
+        on_miss(t, CFG)
+        assert t.is_deleted
 
     def test_confirmed_kept_below_max_age(self):
         t = make_track(state=TrackState.CONFIRMED, hits=100, consecutive_misses=10)
-        assert on_miss(t, CFG) is MissOutcome.KEEP
+        on_miss(t, CFG)
+        assert not t.is_deleted
 
     def test_pending_uses_tentative_tolerance(self):
         t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=28,
                        cls_scores=[0.9], consecutive_misses=3)
-        assert on_miss(t, CFG) is MissOutcome.DELETE
+        on_miss(t, CFG)
+        assert t.is_deleted
 
 
 class TestValidators:

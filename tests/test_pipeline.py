@@ -229,17 +229,6 @@ class TestDdcfRecovery:
                               validator=ScoreColumnValidator())
         assert result.summary.trajectory_count <= 10
 
-    def test_init_on_miss_mode_bridges_too(self):
-        from pointtrack.ddcf import DcfConfig
-        bundle = self._occlusion_bundle()
-        cfg = replace(TrackerConfig(), dcf=DcfConfig(init_on_miss=True))
-        result = run_sequence(bundle.frames, cfg, validator=ScoreColumnValidator())
-        # the filter is trained at the first miss from the previous frame's
-        # features; recovery still carries the track through the gap
-        sources = {r.source for out in result.outputs for r in out.records}
-        assert "ddcf" in sources
-        assert result.summary.trajectory_count == 2
-
     def test_recovery_never_outlives_max_age(self):
         frames = 200
         bundle = self._occlusion_bundle(start=50, end=frames - 1, frames=frames, seed=3)
@@ -277,6 +266,10 @@ class TestDeterminism:
         stepped = [tracker.process_frame(fi) for fi in inputs]
         assert [(o.frame, tuple(o.records)) for o in whole.outputs] == \
                [(o.frame, tuple(o.records)) for o in stepped]
+        # a hand-driven loop gets the same bookkeeping as run_sequence
+        assert tracker.summary == whole.summary
+        assert tracker.summary.births == 1
+        assert tracker.summary.lifespans == {1: (29, 49)}
 
 
 class TestGateAndCmcWiring:
