@@ -15,7 +15,7 @@ from .assignment import dynamic_threshold
 from .config import ToolkitConfig, load_toolkit_config
 from .errors import ParseError, TrackingError
 from .formats import (
-    DETECTIONS_HEADER_SCORED, SequenceBundlePaths, TrackRow,
+    DETECTIONS, SOURCE_DETECTION, SequenceBundlePaths, TrackRow,
     format_float, parse_detections, parse_gt, parse_kv_text, parse_metadata,
     parse_tracks, write_kv_text, write_tracks,
 )
@@ -95,7 +95,7 @@ def _cmd_simulate(args) -> int:
 
 def _detections_have_scores(paths: SequenceBundlePaths) -> bool:
     with open(paths.detections, "r", encoding="utf-8") as fh:
-        return fh.readline().strip() == DETECTIONS_HEADER_SCORED
+        return fh.readline().strip() == DETECTIONS.header
 
 
 def _cmd_track(args) -> int:
@@ -103,8 +103,7 @@ def _cmd_track(args) -> int:
     paths = SequenceBundlePaths.from_dir(args.bundle)
     validator = ScoreColumnValidator() if _detections_have_scores(paths) else None
     result = run_sequence(frame_inputs_from_bundle(paths), cfg.tracker, validator)
-    rows = [TrackRow(out.frame, r.track_id, r.x, r.y, r.conf, r.source)
-            for out in result.outputs for r in out.records]
+    rows = [r for out in result.outputs for r in out.records]
     Path(args.out).write_text(write_tracks(rows))
     print(f"tracked {len(result.outputs)} frames: {result.summary.trajectory_count} "
           f"confirmed trajectories, {len(rows)} records -> {args.out}")
@@ -123,7 +122,7 @@ def _cmd_gog(args) -> int:
     rows = []
     for tid in trajectories.ids:
         for p in trajectories.tracks[tid]:
-            rows.append(TrackRow(p.frame, tid, p.x, p.y, p.conf, "detection"))
+            rows.append(TrackRow(p.frame, tid, p.x, p.y, p.conf, SOURCE_DETECTION))
     rows.sort(key=lambda r: (r.frame, r.track_id))
     Path(args.out).write_text(write_tracks(rows))
     print(f"gog extracted {len(trajectories)} trajectories, {len(rows)} records -> {args.out}")

@@ -6,8 +6,11 @@ floats are serialized with up to 6 significant decimals and parsing is the
 exact inverse of writing at that precision.
 """
 
+import dataclasses
+import math
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +18,10 @@ import numpy as np
 from .ddcf import FeatureMap
 from .errors import FormatError, ParseError
 
-DETECTIONS_HEADER = "frame,x,y,conf"
-DETECTIONS_HEADER_SCORED = "frame,x,y,conf,score"
-METADATA_HEADER = "frame,altitude"
-CORRESPONDENCES_HEADER = "frame,prev_x,prev_y,cur_x,cur_y"
-GT_HEADER = "frame,id,x,y"
-TRACKS_HEADER = "frame,id,x,y,conf,source"
-
-TRACK_SOURCES = ("detection", "ddcf", "coasted")
+SOURCE_DETECTION = "detection"  # matched to a detection this frame
+SOURCE_DDCF = "ddcf"            # recovered by the correlation filter
+SOURCE_COASTED = "coasted"      # predicted only (emit_coasted)
+TRACK_SOURCES = (SOURCE_DETECTION, SOURCE_DDCF, SOURCE_COASTED)
 
 FMAP_MAGIC = b"FMAP"
 FMAP_VERSION = 1
@@ -81,8 +80,11 @@ class GtRow:
     y: float
 
 
+FLOAT_CELL = "{:.6g}"  # up to six significant decimals
+
+
 def format_float(v: float) -> str:
-    return f"{float(v):.6g}"
+    return FLOAT_CELL.format(float(v))
 
 
 def _split_lines(text: str) -> list[str]:
@@ -92,175 +94,127 @@ def _split_lines(text: str) -> list[str]:
     return [line.rstrip("\r") for line in lines]
 
 
-def _check_header(lines: list[str], expected: str | tuple[str, ...]) -> str:
-    variants = (expected,) if isinstance(expected, str) else expected
-    if not lines:
-        raise ParseError(f"empty file, expected header {variants[0]!r}", line=1)
-    if lines[0] not in variants:
-        raise ParseError(f"bad header {lines[0]!r}, expected {' or '.join(map(repr, variants))}", line=1)
-    return lines[0]
+# --- CSV tables ---
+
+# The checks of a column, by its header name. Every other float column only
+# has to be finite.
+_INT_MINIMUM = {"frame": 0, "id": 1}
+_UNIT_INTERVAL = ("conf", "score")
+_VOCABULARY = {"source": TRACK_SOURCES}
 
 
-def _int_field(raw: str, name: str, lineno: int, minimum: int = 0) -> int:
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ParseError(f"non-numeric {name} {raw!r}", line=lineno) from None
-    if v < minimum:
-        raise ParseError(f"{name} must be >= {minimum}, got {v}", line=lineno)
-    return v
+def _converter(name: str, kind: type):
+    """The parser of one column: cell text to a checked value, or a
+    ValueError naming the column."""
+    if kind is str:
+        vocabulary = _VOCABULARY[name]
+
+        def convert(raw):
+            if raw in vocabulary:
+                return raw
+            raise ValueError(f"unknown {name} {raw!r}")
+        return convert
+
+    if kind is int:
+        minimum = _INT_MINIMUM[name]
+
+        def convert(raw):
+            try:
+                v = int(raw)
+            except ValueError:
+                raise ValueError(f"non-numeric {name} {raw!r}") from None
+            if v < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {v}")
+            return v
+        return convert
+
+    lo, hi = (0.0, 1.0) if name in _UNIT_INTERVAL else (-math.inf, math.inf)
+
+    def convert(raw):
+        try:
+            v = float(raw)
+        except ValueError:
+            raise ValueError(f"non-numeric {name} {raw!r}") from None
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite {name} {raw!r}")
+        if not lo <= v <= hi:
+            raise ValueError(f"{name} {v} outside [{lo}, {hi}]")
+        return v
+    return convert
 
 
-def _float_field(raw: str, name: str, lineno: int,
-                 lo: float | None = None, hi: float | None = None) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ParseError(f"non-numeric {name} {raw!r}", line=lineno) from None
-    if not np.isfinite(v):
-        raise ParseError(f"non-finite {name} {raw!r}", line=lineno)
-    if (lo is not None and v < lo) or (hi is not None and v > hi):
-        raise ParseError(f"{name} {v} outside [{lo}, {hi}]", line=lineno)
-    return v
+class Table:
+    """One CSV format: an exact header line and a row dataclass whose fields
+    are the columns in header order. Trailing fields that default to None are
+    optional columns: the header without them is accepted too, and its rows
+    leave those fields None."""
+
+    def __init__(self, header: str, row: type):
+        fields = dataclasses.fields(row)
+        kinds = [f.type if f.type in (int, str) else float for f in fields]
+        self.row = row
+        self.header = header
+        self.columns = header.split(",")
+        self.names = [f.name for f in fields]
+        self.required = sum(f.default is not None for f in fields)
+        self.headers = tuple(",".join(self.columns[:n]) for n in sorted({self.required, len(fields)}))
+        self._converters = [_converter(c, k) for c, k in zip(self.columns, kinds)]
+        self._cells = [FLOAT_CELL if k is float else "{}" for k in kinds]
+
+    def parse(self, text: str) -> list:
+        return self.parse_lines(_split_lines(text))
+
+    def parse_lines(self, lines: list[str]) -> list:
+        """Rows of a header line plus one line per row; the first bad line
+        raises a ParseError carrying its number."""
+        if not lines:
+            raise ParseError(f"empty file, expected header {self.headers[0]!r}", line=1)
+        if lines[0] not in self.headers:
+            expected = " or ".join(map(repr, self.headers))
+            raise ParseError(f"bad header {lines[0]!r}, expected {expected}", line=1)
+        n = lines[0].count(",") + 1
+        converters, row, out = self._converters[:n], self.row, []
+        try:
+            for lineno, line in enumerate(lines[1:], start=2):
+                cells = line.split(",")
+                if len(cells) != n:
+                    raise ValueError(f"expected {n} fields, got {len(cells)}")
+                out.append(row(*[convert(cell) for convert, cell in zip(converters, cells)]))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        return out
+
+    def write(self, rows: list) -> str:
+        return "\n".join(self.format_lines(rows)) + "\n"
+
+    def format_lines(self, rows: list) -> list[str]:
+        """The header line and one line per row. The optional columns are
+        written when any row sets one, as 0 where a row leaves it None."""
+        k = self.required
+        n = len(self.names) if any(getattr(r, name) is not None
+                                   for name in self.names[k:] for r in rows) else k
+        get = attrgetter(*self.names[:n])
+        line = ",".join(self._cells[:n]).format
+        lines = [",".join(self.columns[:n])]
+        for r in rows:
+            cells = get(r)
+            if n > k and None in cells[k:]:
+                cells = cells[:k] + tuple(0 if v is None else v for v in cells[k:])
+            lines.append(line(*cells))
+        return lines
 
 
-def _fields(line: str, n: int, lineno: int) -> list[str]:
-    parts = line.split(",")
-    if len(parts) != n:
-        raise ParseError(f"expected {n} fields, got {len(parts)}", line=lineno)
-    return parts
+DETECTIONS = Table("frame,x,y,conf,score", Detection)
+METADATA = Table("frame,altitude", MetadataRow)
+CORRESPONDENCES = Table("frame,prev_x,prev_y,cur_x,cur_y", CorrespondenceRow)
+GT = Table("frame,id,x,y", GtRow)
+TRACKS = Table("frame,id,x,y,conf,source", TrackRow)
 
-
-# --- detections ---
-
-def parse_detections(text: str) -> list[Detection]:
-    lines = _split_lines(text)
-    header = _check_header(lines, (DETECTIONS_HEADER, DETECTIONS_HEADER_SCORED))
-    scored = header == DETECTIONS_HEADER_SCORED
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = _fields(line, 5 if scored else 4, lineno)
-        out.append(Detection(
-            frame=_int_field(parts[0], "frame", lineno),
-            x=_float_field(parts[1], "x", lineno),
-            y=_float_field(parts[2], "y", lineno),
-            conf=_float_field(parts[3], "conf", lineno, 0.0, 1.0),
-            score=_float_field(parts[4], "score", lineno, 0.0, 1.0) if scored else None,
-        ))
-    return out
-
-
-def write_detections(dets: list[Detection]) -> str:
-    scored = any(d.score is not None for d in dets)
-    rows = [DETECTIONS_HEADER_SCORED if scored else DETECTIONS_HEADER]
-    for d in dets:
-        row = [str(d.frame), format_float(d.x), format_float(d.y), format_float(d.conf)]
-        if scored:
-            row.append(format_float(0.0 if d.score is None else d.score))
-        rows.append(",".join(row))
-    return "\n".join(rows) + "\n"
-
-
-# --- metadata ---
-
-def parse_metadata(text: str) -> list[MetadataRow]:
-    lines = _split_lines(text)
-    _check_header(lines, METADATA_HEADER)
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = _fields(line, 2, lineno)
-        out.append(MetadataRow(
-            frame=_int_field(parts[0], "frame", lineno),
-            altitude=_float_field(parts[1], "altitude", lineno),
-        ))
-    return out
-
-
-def write_metadata(rows: list[MetadataRow]) -> str:
-    out = [METADATA_HEADER]
-    out += [f"{r.frame},{format_float(r.altitude)}" for r in rows]
-    return "\n".join(out) + "\n"
-
-
-# --- correspondences ---
-
-def parse_correspondences(text: str) -> list[CorrespondenceRow]:
-    lines = _split_lines(text)
-    _check_header(lines, CORRESPONDENCES_HEADER)
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = _fields(line, 5, lineno)
-        out.append(CorrespondenceRow(
-            frame=_int_field(parts[0], "frame", lineno),
-            prev_x=_float_field(parts[1], "prev_x", lineno),
-            prev_y=_float_field(parts[2], "prev_y", lineno),
-            cur_x=_float_field(parts[3], "cur_x", lineno),
-            cur_y=_float_field(parts[4], "cur_y", lineno),
-        ))
-    return out
-
-
-def write_correspondences(rows: list[CorrespondenceRow]) -> str:
-    out = [CORRESPONDENCES_HEADER]
-    for r in rows:
-        out.append(",".join([str(r.frame), format_float(r.prev_x), format_float(r.prev_y),
-                             format_float(r.cur_x), format_float(r.cur_y)]))
-    return "\n".join(out) + "\n"
-
-
-# --- ground truth ---
-
-def parse_gt(text: str) -> list[GtRow]:
-    lines = _split_lines(text)
-    _check_header(lines, GT_HEADER)
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = _fields(line, 4, lineno)
-        out.append(GtRow(
-            frame=_int_field(parts[0], "frame", lineno),
-            track_id=_int_field(parts[1], "id", lineno, minimum=1),
-            x=_float_field(parts[2], "x", lineno),
-            y=_float_field(parts[3], "y", lineno),
-        ))
-    return out
-
-
-def write_gt(rows: list[GtRow]) -> str:
-    out = [GT_HEADER]
-    for r in rows:
-        out.append(",".join([str(r.frame), str(r.track_id),
-                             format_float(r.x), format_float(r.y)]))
-    return "\n".join(out) + "\n"
-
-
-# --- tracks ---
-
-def parse_tracks(text: str) -> list[TrackRow]:
-    lines = _split_lines(text)
-    _check_header(lines, TRACKS_HEADER)
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = _fields(line, 6, lineno)
-        source = parts[5]
-        if source not in TRACK_SOURCES:
-            raise ParseError(f"unknown source {source!r}", line=lineno)
-        out.append(TrackRow(
-            frame=_int_field(parts[0], "frame", lineno),
-            track_id=_int_field(parts[1], "id", lineno, minimum=1),
-            x=_float_field(parts[2], "x", lineno),
-            y=_float_field(parts[3], "y", lineno),
-            conf=_float_field(parts[4], "conf", lineno, 0.0, 1.0),
-            source=source,
-        ))
-    return out
-
-
-def write_tracks(rows: list[TrackRow]) -> str:
-    out = [TRACKS_HEADER]
-    for r in rows:
-        out.append(",".join([str(r.frame), str(r.track_id), format_float(r.x),
-                             format_float(r.y), format_float(r.conf), r.source]))
-    return "\n".join(out) + "\n"
+parse_detections, write_detections = DETECTIONS.parse, DETECTIONS.write
+parse_metadata, write_metadata = METADATA.parse, METADATA.write
+parse_correspondences, write_correspondences = CORRESPONDENCES.parse, CORRESPONDENCES.write
+parse_gt, write_gt = GT.parse, GT.write
+parse_tracks, write_tracks = TRACKS.parse, TRACKS.write
 
 
 # --- binary feature maps ---

@@ -24,10 +24,6 @@ class TrackState(enum.Enum):
     DELETED = "deleted"
 
 
-SOURCE_DETECTION = "detection"
-SOURCE_DDCF = "ddcf"
-
-
 @dataclass(frozen=True)
 class LifecycleConfig:
     min_hits: int = 30                  # matched frames required for confirmation

@@ -7,6 +7,7 @@ import numpy as np
 
 from .assignment import build_cost_matrix, solve_assignment
 from .errors import InvalidInputError
+from .formats import Table
 
 T_MAP_THRESHOLDS = tuple(range(1, 26))  # px, T-mAP averages T-AP over these
 EXPORT_BOX_HALF_SIZE = 10.0             # px, fixed box half-size for box-based evaluators
@@ -263,47 +264,38 @@ def compute_sequence_metrics(gt: TrajectorySet, pred: TrajectorySet,
     )
 
 
+@dataclass(frozen=True)
+class InterchangeRow:
+    """One box of the box-based interchange table."""
+
+    frame: int
+    track_id: int
+    left: float
+    top: float
+    width: float
+    height: float
+    conf: float
+
+
+INTERCHANGE = Table("frame,id,left,top,width,height,conf", InterchangeRow)
+
+
 def export_interchange(pred: TrajectorySet) -> list[str]:
     """Rows for box-based external evaluators.
 
     Each point becomes a fixed 20 px box (10 px half-size). Frame-major,
     then id order; first row is the header.
     """
-    from .formats import format_float  # local import to avoid a cycle
-
-    rows = ["frame,id,left,top,width,height,conf"]
-    by_frame: list[tuple[int, int, TrackPoint]] = []
-    for tid in pred.ids:
-        for p in pred.tracks[tid]:
-            by_frame.append((p.frame, tid, p))
     h = EXPORT_BOX_HALF_SIZE
-    for frame, tid, p in sorted(by_frame, key=lambda r: (r[0], r[1])):
-        conf = 1.0 if p.conf is None else p.conf
-        rows.append(",".join([
-            str(frame), str(tid),
-            format_float(p.x - h), format_float(p.y - h),
-            format_float(2 * h), format_float(2 * h),
-            format_float(conf),
-        ]))
-    return rows
+    boxes = [InterchangeRow(p.frame, tid, p.x - h, p.y - h, 2 * h, 2 * h,
+                            1.0 if p.conf is None else p.conf)
+             for tid in pred.ids for p in pred.tracks[tid]]
+    boxes.sort(key=lambda b: (b.frame, b.track_id))
+    return INTERCHANGE.format_lines(boxes)
 
 
 def parse_interchange(rows) -> TrajectorySet:
     """Inverse of export_interchange (box centres become points)."""
-    from .errors import ParseError
-
-    rows = list(rows)
-    if not rows or rows[0].strip() != "frame,id,left,top,width,height,conf":
-        raise ParseError("bad interchange header", line=1)
-    out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        parts = row.strip().split(",")
-        if len(parts) != 7:
-            raise ParseError(f"expected 7 fields, got {len(parts)}", line=lineno)
-        try:
-            frame, tid = int(parts[0]), int(parts[1])
-            left, top, w, hh, conf = (float(v) for v in parts[2:])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        out.append((frame, tid, left + w / 2, top + hh / 2, conf))
-    return TrajectorySet.from_rows(out)
+    boxes = INTERCHANGE.parse_lines([row.strip() for row in rows])
+    return TrajectorySet.from_rows((b.frame, b.track_id, b.left + b.width / 2,
+                                    b.top + b.height / 2, b.conf) for b in boxes)

@@ -16,14 +16,15 @@ from .assignment import AssignmentResult, GatingPolicy, build_cost_matrix, dynam
 from .cmc import AffineTransform, Correspondence, RansacConfig, estimate_affine
 from .ddcf import DcfConfig, FeatureMap, extract_patch, localize, train_filter, update_filter
 from .errors import InvalidInputError, NoMotionEstimateError, SequencingError
-from .formats import Detection, SequenceBundlePaths, parse_correspondences, parse_detections, parse_metadata, read_feature_map
+from .formats import (
+    SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION, Detection, SequenceBundlePaths, TrackRow,
+    parse_correspondences, parse_detections, parse_metadata, read_feature_map,
+)
 from .lifecycle import LifecycleConfig, Track, TrackState, TrajectoryValidator, ValidationContext
 from .metrics import TrajectorySet
 from .motion import MotionConfig
 
 logger = logging.getLogger(__name__)
-
-SOURCE_COASTED = "coasted"
 
 
 @dataclass(frozen=True)
@@ -49,19 +50,10 @@ class FrameInput:
     features: FeatureMap | None = None
 
 
-@dataclass(frozen=True)
-class TrackRecord:
-    track_id: int
-    x: float
-    y: float
-    conf: float
-    source: str
-
-
 @dataclass
 class FrameOutput:
     frame: int
-    records: list[TrackRecord]
+    records: list[TrackRow]
     gate: float
     affine: AffineTransform
     births: int
@@ -129,7 +121,7 @@ class PointTracker:
         births = self._spawn(result, detections)
         deaths = self._handle_misses(result)
 
-        records = self._emit(matched_ids, recovered_ids)
+        records = self._emit(frame, matched_ids, recovered_ids)
         self._prev_features = frame_input.features
         self._last_frame = frame
         summary = self.summary
@@ -290,22 +282,22 @@ class PointTracker:
         self.tracks = live
         return deaths
 
-    def _emit(self, matched: set[int], recovered: set[int]) -> list[TrackRecord]:
+    def _emit(self, frame: int, matched: set[int], recovered: set[int]) -> list[TrackRow]:
         records = []
         for track in self.tracks:
             if not track.is_confirmed:
                 continue
             if track.track_id in matched:
-                source = lifecycle.SOURCE_DETECTION
+                source = SOURCE_DETECTION
             elif track.track_id in recovered:
-                source = lifecycle.SOURCE_DDCF
+                source = SOURCE_DDCF
             elif self.config.emit_coasted:
                 source = SOURCE_COASTED
             else:
                 continue
             pos = track.kalman.position
-            records.append(TrackRecord(track.track_id, float(pos[0]), float(pos[1]),
-                                       track.last_confidence, source))
+            records.append(TrackRow(frame, track.track_id, float(pos[0]), float(pos[1]),
+                                    track.last_confidence, source))
         return records
 
 
@@ -315,11 +307,8 @@ class SequenceResult:
     summary: SequenceSummary
 
     def to_trajectories(self) -> TrajectorySet:
-        rows = []
-        for out in self.outputs:
-            for r in out.records:
-                rows.append((out.frame, r.track_id, r.x, r.y, r.conf))
-        return TrajectorySet.from_rows(rows)
+        return TrajectorySet.from_rows((r.frame, r.track_id, r.x, r.y, r.conf)
+                                       for out in self.outputs for r in out.records)
 
 
 def run_sequence(frame_inputs, config: TrackerConfig | None = None,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointtrack.errors import InvalidInputError
+from pointtrack.errors import InvalidInputError, ParseError
 from pointtrack.metrics import (
     TrajectorySet, compute_sequence_metrics, export_interchange, id_switches,
     parse_interchange, pearson, t_ap, t_map, tr_mae, tr_nmae,
@@ -189,6 +189,14 @@ class TestInterchange:
         once = export_interchange(ts(rows))
         again = export_interchange(parse_interchange(once))
         assert again == once
+
+    @pytest.mark.parametrize("row", ["-3,1,10,10,20,20,0.5", "0,0,10,10,20,20,0.5",
+                                     "0,1,nan,inf,20,20,0.5", "0,1,10,10,20,20,7.5"],
+                             ids=["negative-frame", "id-0", "non-finite", "conf-7.5"])
+    def test_hostile_row_rejected(self, row):
+        with pytest.raises(ParseError) as err:
+            parse_interchange(["frame,id,left,top,width,height,conf", row])
+        assert err.value.line == 2
 
 
 class TestSequenceMetrics:
