@@ -11,7 +11,7 @@ synthetic-scenario generator.
 __version__ = "0.1.0"
 
 from .assignment import AssignmentResult, GatingPolicy, build_cost_matrix, dynamic_threshold, solve_assignment
-from .cmc import AffineTransform, Correspondence, RansacConfig, estimate_affine, warp_point
+from .cmc import AffineTransform, RansacConfig, estimate_affine, warp_point
 from .config import ToolkitConfig, load_toolkit_config
 from .ddcf import (
     CorrelationFilter, DcfConfig, FeatureMap, FeaturePatch,
@@ -22,7 +22,7 @@ from .errors import (
     NoMotionEstimateError, ParseError, SequencingError, TrackingError,
     ValidationUnavailableError,
 )
-from .formats import Detection, SequenceBundlePaths
+from .formats import CorrespondenceRow, Detection, SequenceBundlePaths
 from .gog import FlowGraph, GogConfig, build_graph
 from .gog import solve as gog_solve
 from .lifecycle import (

@@ -46,12 +46,6 @@ class AffineTransform:
     def translation(self) -> np.ndarray:
         return np.array([self.t1, self.t2])
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """2x3 matrix [M | b]."""
-        return np.array([[self.m11, self.m12, self.t1],
-                         [self.m21, self.m22, self.t2]])
-
     def is_identity(self, tol: float = 0.0) -> bool:
         ref = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
         vals = (self.m11, self.m12, self.m21, self.m22, self.t1, self.t2)
@@ -72,20 +66,6 @@ class AffineTransform:
         """Build from the 6-vector [m11, m12, t1, m21, m22, t2]."""
         m11, m12, t1, m21, m22, t2 = (float(v) for v in params)
         return AffineTransform(m11, m12, m21, m22, t1, t2)
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """A keypoint matched between the previous and the current frame (px)."""
-
-    prev_x: float
-    prev_y: float
-    cur_x: float
-    cur_y: float
-
-    def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.prev_x, self.prev_y, self.cur_x, self.cur_y)):
-            raise InvalidInputError("non-finite correspondence")
 
 
 @dataclass(frozen=True)
@@ -147,18 +127,22 @@ def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTrans
     round of inlier re-selection after the refit). Deterministic for a
     fixed config.seed.
 
-    Raises NoMotionEstimateError when fewer than 3 pairs are given or no
+    pairs are rows with prev_x, prev_y, cur_x and cur_y in px
+    (formats.CorrespondenceRow). Raises InvalidInputError on a non-finite
+    value, and NoMotionEstimateError when fewer than 3 pairs are given or no
     consensus of at least config.min_inliers points exists; callers are
     expected to fall back to the identity transform.
     """
-    pairs = list(pairs)
-    if len(pairs) < 3:
-        raise NoMotionEstimateError(f"need at least 3 correspondences, got {len(pairs)}")
-    prev = np.array([[c.prev_x, c.prev_y] for c in pairs])
-    cur = np.array([[c.cur_x, c.cur_y] for c in pairs])
+    pts = np.array([(c.prev_x, c.prev_y, c.cur_x, c.cur_y) for c in pairs],
+                   dtype=float).reshape(-1, 4)
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("non-finite correspondence")
+    n = len(pts)
+    if n < 3:
+        raise NoMotionEstimateError(f"need at least 3 correspondences, got {n}")
+    prev, cur = pts[:, :2].copy(), pts[:, 2:].copy()
 
     rng = np.random.default_rng(config.seed)
-    n = len(pairs)
     best_inliers: np.ndarray | None = None
     for _ in range(config.iterations):
         idx = rng.choice(n, size=3, replace=False)

@@ -59,10 +59,6 @@ class FeatureMap:
     def width(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass(frozen=True)
 class FeaturePatch:
@@ -80,29 +76,16 @@ class FeaturePatch:
     def size(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass(frozen=True)
 class CorrelationFilter:
-    """Frequency-domain filter plus the running model statistics it came from."""
+    """Frequency-domain filter plus the running model statistics it came
+    from; the DcfConfig that trained it supplies label, regularization and
+    learning rate to every update."""
 
     freq: np.ndarray         # (s, s, c) complex
     numerator: np.ndarray    # (s, s, c) complex
     denominator: np.ndarray  # (s, s) real
-    label_sigma: float
-    regularization: float
-    learning_rate: float
-
-    @property
-    def size(self) -> int:
-        return self.freq.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.freq.shape[2]
 
 
 @lru_cache(maxsize=8)
@@ -148,24 +131,27 @@ def extract_patch(fmap: FeatureMap, center, size: int) -> FeaturePatch:
     return FeaturePatch(data=data, origin=origin, stride=fmap.stride)
 
 
-def train_filter(patch: FeaturePatch, config: DcfConfig = DcfConfig()) -> CorrelationFilter:
-    """Closed-form ridge-regression filter for one patch.
+def _sample_stats(patch: FeaturePatch, config: DcfConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A patch's model statistics: with X = fft2(windowed patch) and
+    Y = fft2(Gaussian label), numerator_c = Y * conj(X_c) per channel and
+    denominator = sum_c |X_c|^2."""
+    x = _windowed_fft(patch)
+    y = _gaussian_label_fft(patch.size, config.label_sigma)
+    return y[:, :, None] * np.conj(x), np.sum(x * np.conj(x), axis=2).real
 
-    Per channel, with X = fft2(windowed patch) and Y = fft2(Gaussian label):
-    numerator_c = Y * conj(X_c), denominator = sum_c |X_c|^2, and the filter
-    is numerator / (denominator + regularization).
+
+def _model(numerator: np.ndarray, denominator: np.ndarray, config: DcfConfig) -> CorrelationFilter:
+    freq = numerator / (denominator + config.regularization)[:, :, None]
+    return CorrelationFilter(freq=freq, numerator=numerator, denominator=denominator)
+
+
+def train_filter(patch: FeaturePatch, config: DcfConfig = DcfConfig()) -> CorrelationFilter:
+    """Closed-form ridge-regression filter for one patch: its sample
+    statistics, and the filter numerator / (denominator + regularization).
     """
     if not np.any(patch.data):
         raise InvalidInputError("all-zero patch cannot train a filter")
-    x = _windowed_fft(patch)
-    y = _gaussian_label_fft(patch.size, config.label_sigma)
-    numerator = y[:, :, None] * np.conj(x)
-    denominator = np.sum(x * np.conj(x), axis=2).real
-    freq = numerator / (denominator + config.regularization)[:, :, None]
-    return CorrelationFilter(
-        freq=freq, numerator=numerator, denominator=denominator,
-        label_sigma=config.label_sigma, regularization=config.regularization,
-        learning_rate=config.learning_rate)
+    return _model(*_sample_stats(patch, config), config)
 
 
 def _check_shapes(filt: CorrelationFilter, patch: FeaturePatch):
@@ -225,18 +211,11 @@ def localize(filt: CorrelationFilter, patch: FeaturePatch) -> tuple[np.ndarray, 
     return offset, psr
 
 
-def update_filter(filt: CorrelationFilter, patch: FeaturePatch) -> CorrelationFilter:
-    """Blend the running model statistics with a new patch and rebuild."""
+def update_filter(filt: CorrelationFilter, patch: FeaturePatch, config: DcfConfig) -> CorrelationFilter:
+    """Blend the running model statistics with a new patch's at
+    config.learning_rate and rebuild; config is the one that trained filt."""
     _check_shapes(filt, patch)
-    eta = filt.learning_rate
-    z = _windowed_fft(patch)
-    y = _gaussian_label_fft(patch.size, filt.label_sigma)
-    num_new = y[:, :, None] * np.conj(z)
-    den_new = np.sum(z * np.conj(z), axis=2).real
-    numerator = (1.0 - eta) * filt.numerator + eta * num_new
-    denominator = (1.0 - eta) * filt.denominator + eta * den_new
-    freq = numerator / (denominator + filt.regularization)[:, :, None]
-    return CorrelationFilter(
-        freq=freq, numerator=numerator, denominator=denominator,
-        label_sigma=filt.label_sigma, regularization=filt.regularization,
-        learning_rate=eta)
+    eta = config.learning_rate
+    num_new, den_new = _sample_stats(patch, config)
+    return _model((1.0 - eta) * filt.numerator + eta * num_new,
+                  (1.0 - eta) * filt.denominator + eta * den_new, config)

@@ -310,8 +310,17 @@ class SequenceBundlePaths:
             manifest=opt(MANIFEST_NAME),
         )
 
-    def feature_path(self, frame: int) -> Path | None:
+    def feature_files(self) -> dict[int, Path]:
+        """The feature-map file of each frame that has one. Only files named
+        exactly feature_file_name(frame) count; any other file is ignored."""
         if self.features_dir is None:
-            return None
-        p = self.features_dir / feature_file_name(frame)
-        return p if p.is_file() else None
+            return {}
+        files = {}
+        for p in self.features_dir.glob("*.fmap"):
+            try:
+                frame = int(p.stem)
+            except ValueError:
+                continue
+            if p.name == feature_file_name(frame) and p.is_file():
+                files[frame] = p
+        return files

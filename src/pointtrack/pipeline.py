@@ -13,12 +13,12 @@ import numpy as np
 
 from . import lifecycle, motion
 from .assignment import AssignmentResult, GatingPolicy, build_cost_matrix, dynamic_threshold, solve_assignment
-from .cmc import AffineTransform, Correspondence, RansacConfig, estimate_affine
+from .cmc import AffineTransform, RansacConfig, estimate_affine
 from .ddcf import DcfConfig, FeatureMap, extract_patch, localize, train_filter, update_filter
 from .errors import InvalidInputError, NoMotionEstimateError, SequencingError
 from .formats import (
-    SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION, Detection, SequenceBundlePaths, TrackRow,
-    parse_correspondences, parse_detections, parse_metadata, read_feature_map,
+    SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION, CorrespondenceRow, Detection, SequenceBundlePaths,
+    TrackRow, parse_correspondences, parse_detections, parse_metadata, read_feature_map,
 )
 from .lifecycle import LifecycleConfig, Track, TrackState, TrajectoryValidator, ValidationContext
 from .metrics import TrajectorySet
@@ -46,7 +46,7 @@ class FrameInput:
     frame: int
     detections: list[Detection] = field(default_factory=list)
     altitude: float | None = None
-    correspondences: list[Correspondence] = field(default_factory=list)
+    correspondences: list[CorrespondenceRow] = field(default_factory=list)
     features: FeatureMap | None = None
 
 
@@ -107,6 +107,11 @@ class PointTracker:
                 f"frame {frame} does not follow frame {self._last_frame}")
         if self._last_frame is None and frame < 0:
             raise SequencingError(f"negative frame index {frame}")
+        for det in frame_input.detections:
+            # the range checks of the detections table; x and y are checked
+            # where they are used
+            if not (0.0 <= det.conf <= 1.0 and (det.score is None or 0.0 <= det.score <= 1.0)):
+                raise InvalidInputError(f"frame {frame}: detection {det} needs conf and score in [0, 1]")
 
         gate = self._gate(frame_input)
         affine = self._camera_motion(frame_input)
@@ -219,7 +224,7 @@ class PointTracker:
             if track.filter is None:
                 track.filter = train_filter(patch, cfg.dcf)
             else:
-                track.filter = update_filter(track.filter, patch)
+                track.filter = update_filter(track.filter, patch, cfg.dcf)
         except InvalidInputError:
             pass  # degenerate patch; keep whatever model we had
 
@@ -333,27 +338,19 @@ def frame_inputs_from_bundle(paths: SequenceBundlePaths):
         for row in parse_metadata(paths.metadata.read_text()):
             alt_by_frame[row.frame] = row.altitude
 
-    corr_by_frame: dict[int, list[Correspondence]] = {}
+    corr_by_frame: dict[int, list[CorrespondenceRow]] = {}
     if paths.correspondences is not None:
         for row in parse_correspondences(paths.correspondences.read_text()):
-            corr_by_frame.setdefault(row.frame, []).append(
-                Correspondence(row.prev_x, row.prev_y, row.cur_x, row.cur_y))
+            corr_by_frame.setdefault(row.frame, []).append(row)
 
-    last = -1
-    for source in (dets_by_frame, alt_by_frame, corr_by_frame):
-        if source:
-            last = max(last, max(source))
-    if paths.features_dir is not None:
-        for p in paths.features_dir.glob("*.fmap"):
-            try:
-                last = max(last, int(p.stem))
-            except ValueError:
-                continue
+    feature_files = paths.feature_files()
+    last = max((max(source) for source in (dets_by_frame, alt_by_frame, corr_by_frame, feature_files)
+                if source), default=-1)
     if last < 0:
         raise InvalidInputError(f"bundle {paths.root} contains no frames")
 
     for frame in range(last + 1):
-        fpath = paths.feature_path(frame)
+        fpath = feature_files.get(frame)
         features = read_feature_map(fpath.read_bytes()) if fpath is not None else None
         yield FrameInput(
             frame=frame,

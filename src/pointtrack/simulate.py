@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cmc import AffineTransform, Correspondence
+from .cmc import AffineTransform
 from .config import decode_kv
 from .ddcf import FeatureMap
 from .errors import ConfigError
@@ -90,9 +90,7 @@ class ScenarioBundle:
     config: ScenarioConfig
     gt: TrajectorySet
     frames: list[FrameInput]
-    metadata: list[MetadataRow]
     camera_transforms: list[AffineTransform]  # cumulative, index = frame
-    manifest: dict[str, str]
 
 
 def _altitude(cfg: ScenarioConfig, t: int) -> float:
@@ -174,7 +172,6 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
 
     gt_rows: list[tuple] = []
     frame_inputs: list[FrameInput] = []
-    metadata: list[MetadataRow] = []
 
     world = positions.copy()
     vel = velocities.copy()
@@ -242,12 +239,13 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
             detections.append(Detection(frame=t, x=float(p[0]), y=float(p[1]),
                                         conf=conf, score=0.0))
 
-        correspondences: list[Correspondence] = []
+        correspondences: list[CorrespondenceRow] = []
         if t > 0:
             background_img = project(background)
             noise = rng.normal(0.0, CORRESPONDENCE_NOISE, size=(N_BACKGROUND_POINTS, 4))
             for i in range(N_BACKGROUND_POINTS):
-                correspondences.append(Correspondence(
+                correspondences.append(CorrespondenceRow(
+                    frame=t,
                     prev_x=float(prev_background_img[i, 0] + noise[i, 0]),
                     prev_y=float(prev_background_img[i, 1] + noise[i, 1]),
                     cur_x=float(background_img[i, 0] + noise[i, 2]),
@@ -261,47 +259,24 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
         if cfg.feature_channels >= 1:
             features = _render_features(rng, cfg, blob_centers, blob_signatures)
 
-        altitude = _altitude(cfg, t)
-        metadata.append(MetadataRow(frame=t, altitude=altitude))
         frame_inputs.append(FrameInput(
-            frame=t, detections=detections, altitude=altitude,
+            frame=t, detections=detections, altitude=_altitude(cfg, t),
             correspondences=correspondences, features=features))
 
     gt = TrajectorySet.from_rows(gt_rows)
-    manifest = _manifest(cfg)
     return ScenarioBundle(config=cfg, gt=gt, frames=frame_inputs,
-                          metadata=metadata, camera_transforms=camera_transforms,
-                          manifest=manifest)
+                          camera_transforms=camera_transforms)
 
 
 def _manifest(cfg: ScenarioConfig) -> dict[str, str]:
-    windows = ";".join(f"{a}:{s}:{e}" for a, s, e in cfg.occlusion_windows)
-    out = {
-        "format_version": "1",
-        "rng": "numpy PCG64",
-        "n_agents": str(cfg.n_agents),
-        "frames": str(cfg.frames),
-        "arena_width": repr(cfg.arena_width),
-        "arena_height": repr(cfg.arena_height),
-        "agent_speed_sigma": repr(cfg.agent_speed_sigma),
-        "turn_sigma": repr(cfg.turn_sigma),
-        "altitude_start": repr(cfg.altitude_start),
-        "altitude_end": repr(cfg.altitude_end),
-        "altitude_shape": cfg.altitude_shape,
-        "camera_rotation_deg": repr(cfg.camera_rotation_deg),
-        "camera_translation_x": repr(cfg.camera_translation_x),
-        "camera_translation_y": repr(cfg.camera_translation_y),
-        "fn_rate": repr(cfg.fn_rate),
-        "fp_clutter_rate": repr(cfg.fp_clutter_rate),
-        "persistent_fp_count": str(cfg.persistent_fp_count),
-        "jitter_sigma": repr(cfg.jitter_sigma),
-        "occlusion_windows": windows,
-        "feature_channels": str(cfg.feature_channels),
-        "feature_stride": repr(cfg.feature_stride),
-        "seed": str(cfg.seed),
-        "files": ",".join([DETECTIONS_NAME, METADATA_NAME, CORRESPONDENCES_NAME, GT_NAME]
-                          + ([FEATURES_DIRNAME + "/"] if cfg.feature_channels else [])),
-    }
+    """manifest.txt: every scenario key (occlusion windows as
+    agent:start:end;...), the format version, the generator and the files."""
+    out = {f.name: str(getattr(cfg, f.name)) for f in fields(cfg)}
+    out["occlusion_windows"] = ";".join(f"{a}:{s}:{e}" for a, s, e in cfg.occlusion_windows)
+    out["format_version"] = "1"
+    out["rng"] = "numpy PCG64"
+    out["files"] = ",".join([DETECTIONS_NAME, METADATA_NAME, CORRESPONDENCES_NAME, GT_NAME]
+                            + ([FEATURES_DIRNAME + "/"] if cfg.feature_channels else []))
     return out
 
 
@@ -312,12 +287,9 @@ def write_bundle(bundle: ScenarioBundle, out_dir) -> Path:
 
     detections = [d for fi in bundle.frames for d in fi.detections]
     (out / DETECTIONS_NAME).write_text(write_detections(detections))
-    (out / METADATA_NAME).write_text(write_metadata(bundle.metadata))
-
-    corr_rows = []
-    for fi in bundle.frames:
-        for c in fi.correspondences:
-            corr_rows.append(CorrespondenceRow(fi.frame, c.prev_x, c.prev_y, c.cur_x, c.cur_y))
+    metadata = [MetadataRow(fi.frame, fi.altitude) for fi in bundle.frames]
+    (out / METADATA_NAME).write_text(write_metadata(metadata))
+    corr_rows = [c for fi in bundle.frames for c in fi.correspondences]
     (out / CORRESPONDENCES_NAME).write_text(write_correspondences(corr_rows))
 
     gt_rows = []
@@ -334,7 +306,7 @@ def write_bundle(bundle: ScenarioBundle, out_dir) -> Path:
             if fi.features is not None:
                 (fdir / feature_file_name(fi.frame)).write_bytes(write_feature_map(fi.features))
 
-    (out / MANIFEST_NAME).write_text(write_kv_text(bundle.manifest))
+    (out / MANIFEST_NAME).write_text(write_kv_text(_manifest(bundle.config)))
     return out
 
 

@@ -1,18 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pointtrack.cmc import AffineTransform, Correspondence, RansacConfig, estimate_affine, warp_point
+from pointtrack.cmc import AffineTransform, RansacConfig, estimate_affine, warp_point
 from pointtrack.errors import ConfigError, InvalidInputError, NoMotionEstimateError
+from pointtrack.formats import CorrespondenceRow
 
 
 def make_pairs(transform: AffineTransform, prev_pts: np.ndarray,
-               noise: float = 0.0, rng=None) -> list[Correspondence]:
+               noise: float = 0.0, rng=None) -> list[CorrespondenceRow]:
     cur = prev_pts @ transform.linear.T + transform.translation
     if noise:
         cur = cur + rng.normal(0, noise, cur.shape)
-    return [Correspondence(p[0], p[1], c[0], c[1]) for p, c in zip(prev_pts, cur)]
+    return [CorrespondenceRow(1, p[0], p[1], c[0], c[1]) for p, c in zip(prev_pts, cur)]
 
 
 def rotation(deg: float, tx: float = 0.0, ty: float = 0.0) -> AffineTransform:
@@ -74,21 +76,30 @@ class TestEstimateAffine:
             idx = rng.choice(100, n_out, replace=False)
             for i in idx:
                 p = pairs[i]
-                pairs[i] = Correspondence(p.prev_x, p.prev_y,
-                                          rng.uniform(-500, 500), rng.uniform(-500, 500))
+                pairs[i] = CorrespondenceRow(p.frame, p.prev_x, p.prev_y,
+                                             rng.uniform(-500, 500), rng.uniform(-500, 500))
             got = estimate_affine(pairs, RansacConfig(seed=int(rng.integers(1 << 32))))
             errs.append(max(abs(got.t1 - truth.t1), abs(got.t2 - truth.t2)))
             lin_err = np.max(np.abs(params(got)[:4] - params(truth)[:4]))
             assert lin_err <= 1e-2
         assert max(errs) <= 0.1
 
+    @pytest.mark.parametrize("column,bad", [("prev_x", float("nan")), ("cur_y", float("inf")),
+                                            ("prev_y", -float("inf"))])
+    def test_non_finite_row_rejected(self, column, bad):
+        rng = np.random.default_rng(6)
+        pairs = make_pairs(rotation(1.0, 2.0, 3.0), rng.uniform(0, 300, (12, 2)))
+        pairs[5] = replace(pairs[5], **{column: bad})
+        with pytest.raises(InvalidInputError):
+            estimate_affine(pairs, RansacConfig(min_inliers=3))
+
     def test_too_few_pairs(self):
         with pytest.raises(NoMotionEstimateError):
-            estimate_affine([Correspondence(0, 0, 1, 1), Correspondence(1, 0, 2, 1)])
+            estimate_affine([CorrespondenceRow(1, 0, 0, 1, 1), CorrespondenceRow(1, 1, 0, 2, 1)])
 
     def test_no_consensus(self):
         rng = np.random.default_rng(3)
-        pairs = [Correspondence(*rng.uniform(0, 100, 4)) for _ in range(20)]
+        pairs = [CorrespondenceRow(1, *rng.uniform(0, 100, 4)) for _ in range(20)]
         with pytest.raises(NoMotionEstimateError):
             estimate_affine(pairs, RansacConfig(min_inliers=18, inlier_threshold=0.001))
 

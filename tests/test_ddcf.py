@@ -191,7 +191,7 @@ class TestUpdateFilter:
         p2 = center_patch(blob_map(rng, 30, 34))
         cfg = DcfConfig(learning_rate=1.0)
         f = train_filter(p1, cfg)
-        updated = update_filter(f, p2)
+        updated = update_filter(f, p2, cfg)
         fresh = train_filter(p2, cfg)
         assert np.allclose(updated.freq, fresh.freq, atol=1e-12)
 
@@ -199,7 +199,7 @@ class TestUpdateFilter:
         rng = np.random.default_rng(14)
         p = center_patch(blob_map(rng, 32, 32))
         f = train_filter(p)
-        f2 = update_filter(update_filter(f, p), p)
+        f2 = update_filter(update_filter(f, p, DcfConfig()), p, DcfConfig())
         rel = np.max(np.abs(f2.freq - f.freq)) / np.max(np.abs(f.freq))
         assert rel <= 1e-10
 
@@ -222,7 +222,7 @@ class TestUpdateFilter:
             err = np.max(np.abs(estimate - np.array([cx, cy]) * STRIDE))
             assert err < 1.0 * STRIDE
             center = estimate
-            f = update_filter(f, extract_patch(fmap, estimate, 32))
+            f = update_filter(f, extract_patch(fmap, estimate, 32), DcfConfig())
 
     def test_learning_rate_validation(self):
         with pytest.raises(ConfigError):

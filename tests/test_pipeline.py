@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from pointtrack.errors import SequencingError
+from pointtrack.errors import InvalidInputError, SequencingError
 from pointtrack.formats import Detection
-from pointtrack.lifecycle import OracleValidator, ScoreColumnValidator
+from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator
 from pointtrack.pipeline import FrameInput, PointTracker, TrackerConfig, run_sequence
 from pointtrack.simulate import ScenarioConfig, generate
 
@@ -160,6 +160,18 @@ class TestSequencing:
         assert born >= len(result.summary.confirmed_ids)
 
 
+class TestLibraryInput:
+    @pytest.mark.parametrize("conf,score", [(7.5, None), (-0.1, None), (float("nan"), None),
+                                            (0.9, 1.5), (0.9, float("inf"))])
+    def test_detection_outside_unit_interval_rejected(self, conf, score):
+        # the values parse_detections would reject must not reach tracks.csv
+        frames = [FrameInput(frame=f, detections=[Detection(f, 10.0, 10.0, conf, score)])
+                  for f in range(5)]
+        cfg = replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=2, cls_lead=1))
+        with pytest.raises(InvalidInputError):
+            run_sequence(frames, cfg)
+
+
 class TestBaselineEquivalence:
     def test_disabled_pipeline_matches_independent_sort(self):
         cfg = ScenarioConfig(n_agents=8, frames=150, arena_width=400, arena_height=400,
@@ -286,8 +298,8 @@ class TestGateAndCmcWiring:
             PointTracker(TrackerConfig()).process_frame(FrameInput(frame=0, altitude=-4.0))
 
     def test_cmc_failure_falls_back_to_identity(self):
-        from pointtrack.cmc import Correspondence
-        pairs = [Correspondence(0, 0, 50, 50), Correspondence(1, 0, -30, 2)]
+        from pointtrack.formats import CorrespondenceRow
+        pairs = [CorrespondenceRow(0, 0, 0, 50, 50), CorrespondenceRow(0, 1, 0, -30, 2)]
         out = PointTracker(TrackerConfig()).process_frame(
             FrameInput(frame=0, correspondences=pairs))
         assert out.affine.is_identity()

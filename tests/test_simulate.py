@@ -1,8 +1,15 @@
+import re
+import shutil
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pointtrack.cmc import warp_points
 from pointtrack.errors import ConfigError
+from pointtrack.formats import SequenceBundlePaths
+from pointtrack.pipeline import frame_inputs_from_bundle
 from pointtrack.simulate import ScenarioConfig, generate, scenario_from_kv, write_bundle
 
 CLEAN = ScenarioConfig(n_agents=4, frames=60, arena_width=256, arena_height=256,
@@ -139,19 +146,19 @@ class TestCameraModel:
 class TestMetadata:
     def test_constant_profile(self):
         bundle = generate(CLEAN)
-        assert all(m.altitude == 100.0 for m in bundle.metadata)
+        assert all(fi.altitude == 100.0 for fi in bundle.frames)
 
     def test_linear_profile(self):
         cfg = ScenarioConfig(n_agents=1, frames=11, altitude_start=50, altitude_end=100,
                              altitude_shape="linear", feature_channels=0, seed=0)
-        alts = [m.altitude for m in generate(cfg).metadata]
+        alts = [fi.altitude for fi in generate(cfg).frames]
         assert alts[0] == 50 and alts[-1] == 100
         assert np.allclose(np.diff(alts), 5.0)
 
     def test_sine_profile_within_envelope(self):
         cfg = ScenarioConfig(n_agents=1, frames=40, altitude_start=50, altitude_end=100,
                              altitude_shape="sine", feature_channels=0, seed=0)
-        alts = [m.altitude for m in generate(cfg).metadata]
+        alts = [fi.altitude for fi in generate(cfg).frames]
         assert min(alts) >= 50 - 1e-9 and max(alts) <= 100 + 1e-9
 
 
@@ -180,18 +187,14 @@ class TestBundleWriting:
     def test_written_files_exist_and_parse(self, tmp_path):
         bundle = generate(CLEAN)
         out = write_bundle(bundle, tmp_path / "bundle")
-        from pointtrack.formats import SequenceBundlePaths
         paths = SequenceBundlePaths.from_dir(out)
         assert paths.metadata is not None
         assert paths.gt is not None
         assert paths.features_dir is not None
         assert paths.manifest is not None
-        assert paths.feature_path(0) is not None
-        assert paths.feature_path(CLEAN.frames) is None
+        assert sorted(paths.feature_files()) == list(range(CLEAN.frames))
 
     def test_round_trip_through_files(self, tmp_path):
-        from pointtrack.pipeline import frame_inputs_from_bundle
-        from pointtrack.formats import SequenceBundlePaths
         bundle = generate(CLEAN)
         out = write_bundle(bundle, tmp_path / "bundle")
         loaded = list(frame_inputs_from_bundle(SequenceBundlePaths.from_dir(out)))
@@ -200,3 +203,49 @@ class TestBundleWriting:
             assert len(mem.detections) == len(disk.detections)
             assert disk.altitude == pytest.approx(mem.altitude, rel=1e-5)
             assert np.array_equal(disk.features.data, mem.features.data)
+
+    def test_stray_feature_file_is_ignored(self, tmp_path):
+        cfg = ScenarioConfig(n_agents=2, frames=3, feature_channels=2, seed=1)
+        out = write_bundle(generate(cfg), tmp_path / "bundle")
+        # a name other than the frame's own file name, e.g. unpadded
+        shutil.copy(out / "features" / "000000.fmap", out / "features" / "9.fmap")
+        loaded = list(frame_inputs_from_bundle(SequenceBundlePaths.from_dir(out)))
+        assert [fi.frame for fi in loaded] == [0, 1, 2]
+        assert all(fi.features is not None for fi in loaded)
+
+
+class TestManifest:
+    # every scenario key set, with occlusion windows and an int arena width
+    FULL = ScenarioConfig(
+        n_agents=3, frames=2, arena_width=64, arena_height=48.5, agent_speed_sigma=1.25,
+        turn_sigma=0.05, altitude_start=80.0, altitude_end=120.0, altitude_shape="linear",
+        camera_rotation_deg=0.25, camera_translation_x=1.5, camera_translation_y=-0.75,
+        fn_rate=0.1, fp_clutter_rate=0.5, persistent_fp_count=1, jitter_sigma=0.3,
+        occlusion_windows=((1, 0, 1), (3, 1, 1)), feature_channels=2, feature_stride=4.0,
+        seed=42)
+    FROZEN = (
+        "agent_speed_sigma = 1.25\naltitude_end = 120.0\naltitude_shape = linear\n"
+        "altitude_start = 80.0\narena_height = 48.5\narena_width = 64\n"
+        "camera_rotation_deg = 0.25\ncamera_translation_x = 1.5\ncamera_translation_y = -0.75\n"
+        "feature_channels = 2\nfeature_stride = 4.0\n"
+        "files = detections.csv,metadata.csv,correspondences.csv,gt.csv,features/\n"
+        "fn_rate = 0.1\nformat_version = 1\nfp_clutter_rate = 0.5\nframes = 2\n"
+        "jitter_sigma = 0.3\nn_agents = 3\nocclusion_windows = 1:0:1;3:1:1\n"
+        "persistent_fp_count = 1\nrng = numpy PCG64\nseed = 42\nturn_sigma = 0.05\n")
+
+    def test_full_scenario_manifest_bytes(self, tmp_path):
+        out = write_bundle(generate(self.FULL), tmp_path / "bundle")
+        assert (out / "manifest.txt").read_text() == self.FROZEN
+
+    def test_manifest_reads_back_as_the_scenario(self, tmp_path):
+        from pointtrack.formats import parse_kv_text
+        out = write_bundle(generate(self.FULL), tmp_path / "bundle")
+        values = parse_kv_text((out / "manifest.txt").read_text())
+        for key in ("format_version", "rng", "files"):
+            del values[key]
+        assert scenario_from_kv(values) == self.FULL
+
+    def test_readme_keys_match_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("with their own keys")[1].split("Generation is driven")[0]
+        assert re.findall(r"`(\w+)`", text) == [f.name for f in fields(ScenarioConfig)]
