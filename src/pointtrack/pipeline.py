@@ -257,12 +257,13 @@ class PointTracker:
                 continue
             point = patch.origin + offset
             if claimed.size and np.linalg.norm(claimed - point, axis=1).min() < gate:
-                # the spot is explained by a detection another track already
-                # owns; recovering here would duplicate that object
+                # the spot is explained by a detection or a recovery another
+                # track already owns; recovering here would duplicate it
                 continue
             track.kalman = motion.update(track.kalman, point, cfg.motion)
             track.last_position = np.asarray(point)
             recovered.add(track.track_id)
+            claimed = np.vstack([claimed, point])
         return recovered
 
     def _spawn(self, result: AssignmentResult, detections: list[Detection]) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from pointtrack.ddcf import FeatureMap
 from pointtrack.errors import InvalidInputError, SequencingError
 from pointtrack.formats import Detection
 from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator
@@ -240,6 +241,32 @@ class TestDdcfRecovery:
         result = run_sequence(bundle.frames, TrackerConfig(),
                               validator=ScoreColumnValidator())
         assert result.summary.trajectory_count <= 10
+
+    def test_one_blob_recovers_one_track(self):
+        # two confirmed tracks 40 px apart with the same appearance; when both
+        # detections vanish, one blob between them is left, both filters
+        # localise on it (3.8 px apart), and only one track may take it
+        rng = np.random.default_rng(5)
+        signature = rng.normal(size=4)
+        signature /= np.linalg.norm(signature)
+
+        def features(centres, stride=4.0, cells=64):
+            data = rng.normal(0.0, 0.05, (cells, cells, signature.size))
+            yy, xx = np.mgrid[0:cells, 0:cells]
+            for x, y in centres:
+                blob = np.exp(-((yy - y / stride) ** 2 + (xx - x / stride) ** 2) / 8.0)
+                data += blob[:, :, None] * signature
+            return FeatureMap(data=data, stride=stride)
+
+        a, b = (108.0, 128.0), (148.0, 128.0)
+        tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=5)))
+        for f in range(6):
+            dets = [Detection(f, *a, conf=0.9), Detection(f, *b, conf=0.9)]
+            tracker.process_frame(FrameInput(f, dets, features=features([a, b])))
+        assert len(tracker.summary.lifespans) == 2
+        out = tracker.process_frame(FrameInput(6, [], features=features([(128.0, 128.0)])))
+        assert out.recoveries == 1
+        assert [r.source for r in out.records] == ["ddcf"]
 
     def test_recovery_never_outlives_max_age(self):
         frames = 200
