@@ -6,7 +6,7 @@ from scipy.optimize import linear_sum_assignment
 
 from pointtrack.ddcf import FeatureMap
 from pointtrack.errors import InvalidInputError, SequencingError
-from pointtrack.formats import Detection
+from pointtrack.formats import CorrespondenceRow, Detection
 from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator
 from pointtrack.pipeline import FrameInput, PointTracker, TrackerConfig, run_sequence
 from pointtrack.simulate import ScenarioConfig, generate
@@ -325,7 +325,6 @@ class TestGateAndCmcWiring:
             PointTracker(TrackerConfig()).process_frame(FrameInput(frame=0, altitude=-4.0))
 
     def test_cmc_failure_falls_back_to_identity(self):
-        from pointtrack.formats import CorrespondenceRow
         pairs = [CorrespondenceRow(0, 0, 0, 50, 50), CorrespondenceRow(0, 1, 0, -30, 2)]
         out = PointTracker(TrackerConfig()).process_frame(
             FrameInput(frame=0, correspondences=pairs))
