@@ -1,5 +1,6 @@
 """Gated Euclidean cost matrices and optimal detection-to-track assignment."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +21,10 @@ class GatingPolicy:
     reference_altitude: float = 100.0
 
     def __post_init__(self):
-        if self.base_radius <= 0:
-            raise ConfigError("base_radius must be > 0")
-        if self.reference_altitude <= 0:
-            raise ConfigError("reference_altitude must be > 0")
+        if not (math.isfinite(self.base_radius) and self.base_radius > 0):
+            raise ConfigError("base_radius must be finite and > 0")
+        if not (math.isfinite(self.reference_altitude) and self.reference_altitude > 0):
+            raise ConfigError("reference_altitude must be finite and > 0")
 
 
 @dataclass

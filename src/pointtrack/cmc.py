@@ -6,13 +6,16 @@ full 2x3 affine transform with a 3-sample consensus loop followed by a
 least-squares refit on the inliers.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateTransformError, InvalidInputError, NoMotionEstimateError
 
 _DET_EPS = 1e-6
+_SCORE_BLOCK = 1024  # hypotheses scored per array pass; bounds memory to O(block * n)
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,8 @@ class RansacConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
-        if self.inlier_threshold <= 0:
-            raise ConfigError("inlier_threshold must be > 0")
+        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
+            raise ConfigError("inlier_threshold must be finite and > 0")
         if self.min_inliers < 3:
             raise ConfigError("min_inliers must be >= 3")
 
@@ -119,13 +122,56 @@ def _residuals(t: AffineTransform, prev: np.ndarray, cur: np.ndarray) -> np.ndar
     return np.linalg.norm(warp_points(t, prev) - cur, axis=1)
 
 
+@lru_cache(maxsize=4)
+def _sample_indices(seed: int, n: int, iterations: int) -> np.ndarray:
+    """The (iterations, 3) sample indices of one estimate_affine call,
+    read-only because every call with these arguments shares them."""
+    rng = np.random.default_rng(seed)
+    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
+    idx.setflags(write=False)
+    return idx
+
+
+def _score_hypotheses(prev: np.ndarray, cur: np.ndarray, samples: np.ndarray,
+                      threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact affine fit of each 3-point sample and its inlier mask.
+
+    Returns (inliers, counts) over the usable samples only, in sample order:
+    a sample is skipped when _lstsq_affine would call it rank deficient or
+    its transform has |det| <= _DET_EPS. The 6x6 system of a sample has the
+    singular values of its 3x3 [x, y, 1] matrix, each twice, so the rank
+    rule is lstsq's default one, sigma_min > sigma_max * eps * 6.
+    """
+    src = np.ones((len(samples), 3, 3))
+    src[:, :, :2] = prev[samples]
+    sv = np.linalg.svd(src, compute_uv=False)
+    full_rank = sv[:, 2] > sv[:, 0] * (np.finfo(float).eps * 6)
+    # sol[k] = [[m11, m21], [m12, m22], [t1, t2]]: src @ sol = cur samples
+    sol = np.linalg.solve(src[full_rank], cur[samples[full_rank]])
+    if not np.isfinite(sol).all():
+        raise InvalidInputError("non-finite affine parameters in a 3-point hypothesis")
+    det = sol[:, 0, 0] * sol[:, 1, 1] - sol[:, 1, 0] * sol[:, 0, 1]
+    sol = sol[np.abs(det) > _DET_EPS]
+    residuals = np.linalg.norm(prev @ sol[:, :2] + sol[:, None, 2] - cur, axis=2)
+    inliers = residuals <= threshold
+    return inliers, inliers.sum(axis=1)
+
+
 def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTransform:
     """Robustly fit the inter-frame affine transform.
 
     Repeats 3-sample exact fits, keeps the hypothesis with the largest
-    consensus set, then refits by least squares on that set (one extra
-    round of inlier re-selection after the refit). Deterministic for a
-    fixed config.seed.
+    consensus set (the first one on a tie), then refits by least squares on
+    that set (one extra round of inlier re-selection after the refit).
+    Deterministic for a fixed config.seed.
+
+    The hypotheses are solved and scored as arrays, _SCORE_BLOCK at a time,
+    so memory stays O(_SCORE_BLOCK * n) whatever config.iterations is. The
+    samples are the ones a per-iteration rng.choice(n, 3, replace=False)
+    loop draws from default_rng(config.seed); _sample_indices caches them
+    per (seed, n, iterations), so a stream whose correspondence count does
+    not change draws them once, while one whose count changes every frame
+    pays the draw loop on each call.
 
     pairs are rows with prev_x, prev_y, cur_x and cur_y in px
     (formats.CorrespondenceRow). Raises InvalidInputError on a non-finite
@@ -142,26 +188,18 @@ def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTrans
         raise NoMotionEstimateError(f"need at least 3 correspondences, got {n}")
     prev, cur = pts[:, :2].copy(), pts[:, 2:].copy()
 
-    rng = np.random.default_rng(config.seed)
-    best_inliers: np.ndarray | None = None
-    for _ in range(config.iterations):
-        idx = rng.choice(n, size=3, replace=False)
-        sp, sc = prev[idx], cur[idx]
-        # exact interpolation of the 3 samples; skip collinear picks
-        try:
-            cand = _lstsq_affine(sp, sc)
-        except NoMotionEstimateError:
-            continue
-        if abs(cand.det) <= _DET_EPS:
-            continue
-        inliers = _residuals(cand, prev, cur) <= config.inlier_threshold
-        if best_inliers is None or inliers.sum() > best_inliers.sum():
-            best_inliers = inliers
+    samples = _sample_indices(config.seed, n, config.iterations)
+    best_count, best_inliers = -1, None
+    for start in range(0, len(samples), _SCORE_BLOCK):
+        inliers, counts = _score_hypotheses(prev, cur, samples[start:start + _SCORE_BLOCK],
+                                            config.inlier_threshold)
+        if len(counts) and counts.max() > best_count:
+            best_count = int(counts.max())
+            best_inliers = inliers[np.argmax(counts)]
 
-    if best_inliers is None or best_inliers.sum() < max(config.min_inliers, 3):
-        found = 0 if best_inliers is None else int(best_inliers.sum())
+    if best_count < max(config.min_inliers, 3):
         raise NoMotionEstimateError(
-            f"consensus of {found} below min_inliers = {config.min_inliers}")
+            f"consensus of {max(best_count, 0)} below min_inliers = {config.min_inliers}")
 
     fit = _lstsq_affine(prev[best_inliers], cur[best_inliers])
     # iterate inlier re-selection against the refit until the set stabilises

@@ -1,5 +1,6 @@
 """Global flat key=value configuration covering every tunable default."""
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -49,12 +50,12 @@ KEYS = {
     "initial_vel_var": "tracker.motion.initial_vel_var",
 }
 
-_NOUNS = {int: "an integer", float: "a number", bool: "a boolean"}
+_NOUNS = {int: "an integer", float: "a finite number", bool: "a boolean"}
 
 
 def decode_value(key: str, raw: str, kind):
-    """Convert one raw value to kind: int, float, bool, str, or a parser
-    function that raises ConfigError itself."""
+    """Convert one raw value to kind: int, float (finite only), bool, str,
+    or a parser function that raises ConfigError itself."""
     if kind is bool:
         lowered = raw.lower()
         if lowered in ("true", "1", "yes"):
@@ -63,9 +64,12 @@ def decode_value(key: str, raw: str, kind):
             return False
     else:
         try:
-            return kind(raw)
+            value = kind(raw)
         except ValueError:
             pass
+        else:
+            if kind is not float or math.isfinite(value):
+                return value
     raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {raw!r}")
 
 

@@ -7,6 +7,7 @@ feature map is computed once upstream (or synthesized); tracks only
 extract small patches from it.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,12 +29,14 @@ class DcfConfig:
     def __post_init__(self):
         if self.patch_cells < MIN_PATCH_CELLS:
             raise ConfigError(f"patch_cells must be >= {MIN_PATCH_CELLS}")
-        if self.regularization <= 0:
-            raise ConfigError("regularization must be > 0")
+        if not (math.isfinite(self.regularization) and self.regularization > 0):
+            raise ConfigError("regularization must be finite and > 0")
         if not (0.0 < self.learning_rate <= 1.0):
             raise ConfigError("learning_rate must be in (0, 1]")
-        if self.label_sigma <= 0:
-            raise ConfigError("label_sigma must be > 0")
+        if not (math.isfinite(self.label_sigma) and self.label_sigma > 0):
+            raise ConfigError("label_sigma must be finite and > 0")
+        if not math.isfinite(self.psr_min):
+            raise ConfigError("psr_min must be finite")
 
 
 @dataclass(frozen=True)

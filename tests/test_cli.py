@@ -4,7 +4,11 @@ from pathlib import Path
 import pytest
 
 from pointtrack.cli import main
-from pointtrack.formats import parse_kv_text, parse_tracks, write_tracks
+from pointtrack.config import _KINDS
+from pointtrack.formats import (
+    CorrespondenceRow, parse_correspondences, parse_kv_text, parse_tracks, write_correspondences,
+    write_tracks,
+)
 
 SCENARIO = """
 n_agents = 6
@@ -191,6 +195,48 @@ class TestBadInput:
         code, _, err = run(capsys, *corrupt(bundle))
         assert code == 1
         assert err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("small")
+    scen = write_scenario(root, SCENARIO.replace("frames = 90", "frames = 5"))
+    assert main(["simulate", "--config", str(scen), "--out", str(root / "bundle")]) == 0
+    return root / "bundle"
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [key for key, kind in _KINDS.items() if kind is float])
+    def test_non_finite_float_exits_one(self, capsys, tmp_path, small_bundle, key, value):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"{key} = {value}\n")
+        code, _, err = run(capsys, "track", "--bundle", str(small_bundle), "--config", str(cfg),
+                           "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert key in err
+
+
+class TestCameraMotion:
+    def test_collinear_correspondences_fall_back_to_identity(self, capsys, tmp_path):
+        scen = write_scenario(tmp_path, SCENARIO + "camera_translation_x = 2\n")
+        bundle = tmp_path / "bundle"
+        assert run(capsys, "simulate", "--config", str(scen), "--out", str(bundle))[0] == 0
+        path = bundle / "correspondences.csv"
+        rows = parse_correspondences(path.read_text())
+        assert rows
+        # integers, so that the points stay on the line y = x after the CSV rounding
+        path.write_text(write_correspondences([
+            CorrespondenceRow(r.frame, x, x, x + 2, x - 1)
+            for r in rows for x in [float(round(r.prev_x))]]))
+        outputs = []
+        for extra in ([], ["--disable", "cmc"]):
+            out = tmp_path / f"tracks{len(extra)}.csv"
+            code, _, _ = run(capsys, "track", "--bundle", str(bundle), "--out", str(out), *extra)
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert parse_tracks(outputs[0].decode())
+        assert outputs[0] == outputs[1]
 
 
 class TestDeterminism:

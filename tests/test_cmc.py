@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pointtrack import cmc
 from pointtrack.cmc import AffineTransform, RansacConfig, estimate_affine, warp_point
 from pointtrack.errors import ConfigError, InvalidInputError, NoMotionEstimateError
 from pointtrack.formats import CorrespondenceRow
@@ -24,6 +27,59 @@ def rotation(deg: float, tx: float = 0.0, ty: float = 0.0) -> AffineTransform:
 
 def params(t: AffineTransform) -> np.ndarray:
     return np.array([t.m11, t.m12, t.m21, t.m22, t.t1, t.t2])
+
+
+def loop_estimate_affine(pairs, config: RansacConfig) -> AffineTransform:
+    """Reference: estimate_affine with one rng.choice draw, one 3-point
+    lstsq fit and one residual pass per hypothesis, as it was written
+    before its hypothesis stage became array operations."""
+    pts = np.array([(c.prev_x, c.prev_y, c.cur_x, c.cur_y) for c in pairs],
+                   dtype=float).reshape(-1, 4)
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("non-finite correspondence")
+    n = len(pts)
+    if n < 3:
+        raise NoMotionEstimateError(f"need at least 3 correspondences, got {n}")
+    prev, cur = pts[:, :2].copy(), pts[:, 2:].copy()
+
+    rng = np.random.default_rng(config.seed)
+    best_inliers = None
+    for _ in range(config.iterations):
+        idx = rng.choice(n, size=3, replace=False)
+        try:
+            cand = cmc._lstsq_affine(prev[idx], cur[idx])
+        except NoMotionEstimateError:
+            continue
+        if abs(cand.det) <= cmc._DET_EPS:
+            continue
+        inliers = cmc._residuals(cand, prev, cur) <= config.inlier_threshold
+        if best_inliers is None or inliers.sum() > best_inliers.sum():
+            best_inliers = inliers
+
+    if best_inliers is None or best_inliers.sum() < max(config.min_inliers, 3):
+        found = 0 if best_inliers is None else int(best_inliers.sum())
+        raise NoMotionEstimateError(
+            f"consensus of {found} below min_inliers = {config.min_inliers}")
+
+    fit = cmc._lstsq_affine(prev[best_inliers], cur[best_inliers])
+    current = best_inliers
+    for _ in range(10):
+        refined = cmc._residuals(fit, prev, cur) <= config.inlier_threshold
+        if refined.sum() < 3 or np.array_equal(refined, current):
+            break
+        current = refined
+        fit = cmc._lstsq_affine(prev[current], cur[current])
+    if abs(fit.det) <= cmc._DET_EPS:
+        raise NoMotionEstimateError("fitted transform is degenerate")
+    return fit
+
+
+def outcome(estimate, pairs, config: RansacConfig):
+    """The transform's bytes, or the exception's type and message."""
+    try:
+        return params(estimate(pairs, config)).tobytes()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
 
 
 class TestWarpPoint:
@@ -124,6 +180,97 @@ class TestEstimateAffine:
         residuals = np.linalg.norm(prev @ got.linear.T + got.translation - cur, axis=1)
         # a healthy consensus fits inside the threshold
         assert (residuals <= cfg.inlier_threshold).sum() >= cfg.min_inliers
+
+
+@st.composite
+def correspondence_sets(draw) -> list[CorrespondenceRow]:
+    """Continuous correspondences: an affine motion with noise, outliers,
+    an optional collinear block and optional duplicated rows. Coordinates
+    come from a numpy generator so that they are never on an integer
+    lattice, where a residual exactly at the threshold can round
+    differently in a 3-point lstsq and in a batched solve."""
+    n = draw(st.integers(3, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prev = rng.uniform(-500, 500, (n, 2)) * 10.0 ** rng.uniform(-2, 1)
+    cur = prev @ rng.uniform(-2, 2, (2, 2)).T + rng.uniform(-50, 50, 2)
+    cur += rng.normal(0, draw(st.floats(0, 2)), (n, 2))
+    outliers = rng.random(n) < draw(st.floats(0, 0.6))
+    cur[outliers] = rng.uniform(-500, 500, (outliers.sum(), 2))
+    collinear = draw(st.integers(0, n))
+    if collinear >= 2:
+        direction = rng.normal(0, 100, 2)
+        # off the line by 1e-13..1e-7 of its length: either side of lstsq's rank rule
+        off = rng.normal(0, 10.0 ** draw(st.floats(-13, -7)), collinear)
+        prev[:collinear] = (prev[0] + np.outer(rng.uniform(-1, 1, collinear), direction)
+                            + np.outer(off, [-direction[1], direction[0]]))
+    copies = draw(st.integers(0, n))
+    dst, src = rng.integers(0, n, copies), rng.integers(0, n, copies)
+    prev[dst], cur[dst] = prev[src], cur[src]
+    return [CorrespondenceRow(1, *p, *c) for p, c in zip(prev, cur)]
+
+
+class TestBatchedHypotheses:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(pairs=correspondence_sets(),
+           iterations=st.one_of(st.integers(1, 200), st.integers(1000, 2500)),
+           threshold=st.floats(0.5, 5.0), seed=st.integers(0, 4),
+           min_inliers=st.integers(3, 40))
+    def test_matches_per_hypothesis_loop(self, pairs, iterations, threshold, seed, min_inliers):
+        # 1000-2500 iterations span the first scoring-block boundary
+        cfg = RansacConfig(iterations=iterations, inlier_threshold=threshold,
+                           min_inliers=min_inliers, seed=seed)
+        assert outcome(estimate_affine, pairs, cfg) == outcome(loop_estimate_affine, pairs, cfg)
+
+    @pytest.mark.parametrize("case", ["identical", "collinear", "near_1e300", "near_1e150",
+                                      "det_1e-16"])
+    def test_hostile_input_has_no_estimate(self, case):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0, 100, (20, 2))
+        prev, cur = {
+            "identical": (np.tile([5.0, 7.0], (20, 1)), np.tile([6.0, 8.0], (20, 1))),
+            "collinear": (np.c_[pts[:, 0], 2 * pts[:, 0]], np.c_[pts[:, 0] + 1, 2 * pts[:, 0]]),
+            "near_1e300": (1e300 + pts * 1e298, 1e300 + pts * 1e298),
+            "near_1e150": (1e150 + pts * 1e148, 1e150 + pts * 1e148),
+            "det_1e-16": (pts, pts * 1e-8 + [3.0, -2.0]),
+        }[case]
+        pairs = [CorrespondenceRow(1, *p, *c) for p, c in zip(prev, cur)]
+        with pytest.raises(NoMotionEstimateError):
+            estimate_affine(pairs, RansacConfig(min_inliers=3))
+
+    @pytest.mark.parametrize("repeats", [1, 10])
+    def test_three_distinct_points_give_a_transform(self, repeats):
+        truth = rotation(4.0, 2.5, -1.5)
+        pts = np.repeat(np.array([[10.0, 20.0], [200.0, 35.0], [90.0, 160.0]]), repeats, axis=0)
+        got = estimate_affine(make_pairs(truth, pts), RansacConfig(min_inliers=3))
+        assert np.max(np.abs(params(got) - params(truth))) <= 1e-9
+
+    def test_tie_across_blocks_keeps_the_first_hypothesis(self):
+        # two equally large motions: hypotheses of either tie on 10 inliers
+        rng = np.random.default_rng(10)
+        pairs = (make_pairs(rotation(3.0, 5.0, 1.0), rng.uniform(0, 400, (10, 2)))
+                 + make_pairs(rotation(-4.0, -6.0, 2.0), rng.uniform(0, 400, (10, 2))))
+        for seed in range(5):
+            cfg = RansacConfig(iterations=2500, min_inliers=3, seed=seed)
+            assert outcome(estimate_affine, pairs, cfg) == outcome(loop_estimate_affine, pairs, cfg)
+
+    def test_sample_cache_is_read_only(self):
+        samples = cmc._sample_indices(0, 50, 100)
+        assert samples.shape == (100, 3)
+        with pytest.raises(ValueError):
+            samples[0, 0] = 1
+
+    def test_seeds_draw_different_samples(self):
+        assert not np.array_equal(cmc._sample_indices(0, 50, 100), cmc._sample_indices(1, 50, 100))
+
+    def test_cache_hit_matches_fresh_draw(self):
+        rng = np.random.default_rng(9)
+        pairs = make_pairs(rotation(1.5, 4.0, -2.0), rng.uniform(0, 400, (50, 2)), noise=0.3, rng=rng)
+        cmc._sample_indices.cache_clear()
+        fresh = estimate_affine(pairs)
+        hits = cmc._sample_indices.cache_info().hits
+        cached = estimate_affine(pairs)
+        assert cmc._sample_indices.cache_info().hits == hits + 1
+        assert params(cached).tobytes() == params(fresh).tobytes()
 
 
 class TestConfigs:

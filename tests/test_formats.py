@@ -3,7 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointtrack.ddcf import FeatureMap
+from pointtrack.assignment import GatingPolicy
+from pointtrack.cmc import RansacConfig
+from pointtrack.config import _KINDS
+from pointtrack.ddcf import DcfConfig, FeatureMap
 from pointtrack.errors import ConfigError, FormatError, ParseError
 from pointtrack.formats import (
     CORRESPONDENCES, DETECTIONS, GT, METADATA, TRACKS,
@@ -233,6 +236,23 @@ class TestGlobalConfig:
         from pointtrack.config import toolkit_config_from_kv
         with pytest.raises(ConfigError):
             toolkit_config_from_kv({"min_hits": "many"})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [key for key, kind in _KINDS.items() if kind is float])
+    def test_non_finite_float_rejected(self, key, value):
+        from pointtrack.config import toolkit_config_from_kv
+        with pytest.raises(ConfigError, match=key):
+            toolkit_config_from_kv({key: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("cls,name", [
+        (RansacConfig, "inlier_threshold"), (GatingPolicy, "base_radius"),
+        (GatingPolicy, "reference_altitude"), (DcfConfig, "regularization"),
+        (DcfConfig, "label_sigma"), (DcfConfig, "psr_min"),
+    ])
+    def test_non_finite_library_config_rejected(self, cls, name, value):
+        with pytest.raises(ConfigError, match=name):
+            cls(**{name: value})
 
     def test_invariant_violation_surfaces_as_config_error(self):
         from pointtrack.config import toolkit_config_from_kv
