@@ -125,7 +125,8 @@ def _residuals(t: AffineTransform, prev: np.ndarray, cur: np.ndarray) -> np.ndar
 @lru_cache(maxsize=4)
 def _sample_indices(seed: int, n: int, iterations: int) -> np.ndarray:
     """The (iterations, 3) sample indices of one estimate_affine call,
-    read-only because every call with these arguments shares them."""
+    read-only because every call with these arguments shares them. Each
+    cached entry holds iterations * 24 bytes."""
     rng = np.random.default_rng(seed)
     idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
     idx.setflags(write=False)
@@ -175,7 +176,7 @@ def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTrans
 
     pairs are rows with prev_x, prev_y, cur_x and cur_y in px
     (formats.CorrespondenceRow). Raises InvalidInputError on a non-finite
-    value, and NoMotionEstimateError when fewer than 3 pairs are given or no
+    value or a 3-point fit that overflows, and NoMotionEstimateError when fewer than 3 pairs are given or no
     consensus of at least config.min_inliers points exists; callers are
     expected to fall back to the identity transform.
     """

@@ -237,6 +237,14 @@ class TestBatchedHypotheses:
         with pytest.raises(NoMotionEstimateError):
             estimate_affine(pairs, RansacConfig(min_inliers=3))
 
+    def test_overflowing_hypothesis_is_invalid_input(self):
+        rng = np.random.default_rng(8)
+        prev = rng.uniform(0, 100, (20, 2))
+        cur = 1.7e308 * rng.choice([-1.0, 1.0], (20, 2))
+        pairs = [CorrespondenceRow(1, *p, *c) for p, c in zip(prev, cur)]
+        with pytest.raises(InvalidInputError), np.errstate(over="ignore", invalid="ignore"):
+            estimate_affine(pairs, RansacConfig(min_inliers=3))
+
     @pytest.mark.parametrize("repeats", [1, 10])
     def test_three_distinct_points_give_a_transform(self, repeats):
         truth = rotation(4.0, 2.5, -1.5)
