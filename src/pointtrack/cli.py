@@ -119,22 +119,16 @@ def _cmd_gog(args) -> int:
         gates = {row.frame: dynamic_threshold(row.altitude, cfg.tracker.gating)
                  for row in parse_metadata(paths.metadata.read_text())}
     trajectories = solve(build_graph(detections, cfg.gog, gates))
-    rows = []
-    for tid in trajectories.ids:
-        for p in trajectories.tracks[tid]:
-            rows.append(TrackRow(p.frame, tid, p.x, p.y, p.conf, SOURCE_DETECTION))
-    rows.sort(key=lambda r: (r.frame, r.track_id))
+    rows = [TrackRow(*row, SOURCE_DETECTION) for row in trajectories.frame_major()]
     Path(args.out).write_text(write_tracks(rows))
     print(f"gog extracted {len(trajectories)} trajectories, {len(rows)} records -> {args.out}")
     return 0
 
 
 def _load_trajectories(path: Path, gt: bool) -> TrajectorySet:
-    if gt:
-        rows = [(r.frame, r.track_id, r.x, r.y) for r in parse_gt(path.read_text())]
-    else:
-        rows = [(r.frame, r.track_id, r.x, r.y, r.conf) for r in parse_tracks(path.read_text())]
-    return TrajectorySet.from_rows(rows)
+    rows = (parse_gt if gt else parse_tracks)(path.read_text())
+    columns = ("frame", "track_id", "x", "y") + (() if gt else ("conf",))
+    return TrajectorySet(*([getattr(r, name) for r in rows] for name in columns))
 
 
 def _cmd_evaluate(args) -> int:

@@ -150,7 +150,7 @@ def _score_hypotheses(prev: np.ndarray, cur: np.ndarray, samples: np.ndarray,
     # sol[k] = [[m11, m21], [m12, m22], [t1, t2]]: src @ sol = cur samples
     sol = np.linalg.solve(src[full_rank], cur[samples[full_rank]])
     if not np.isfinite(sol).all():
-        raise InvalidInputError("non-finite affine parameters in a 3-point hypothesis")
+        raise NoMotionEstimateError("a 3-point hypothesis overflows")
     det = sol[:, 0, 0] * sol[:, 1, 1] - sol[:, 1, 0] * sol[:, 0, 1]
     sol = sol[np.abs(det) > _DET_EPS]
     residuals = np.linalg.norm(prev @ sol[:, :2] + sol[:, None, 2] - cur, axis=2)
@@ -163,8 +163,8 @@ def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTrans
 
     Repeats 3-sample exact fits, keeps the hypothesis with the largest
     consensus set (the first one on a tie), then refits by least squares on
-    that set (one extra round of inlier re-selection after the refit).
-    Deterministic for a fixed config.seed.
+    that set, re-selecting the inliers against each refit, up to 10 times,
+    until the set is stable. Deterministic for a fixed config.seed.
 
     The hypotheses are solved and scored as arrays, _SCORE_BLOCK at a time,
     so memory stays O(_SCORE_BLOCK * n) whatever config.iterations is. The
@@ -176,9 +176,9 @@ def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTrans
 
     pairs are rows with prev_x, prev_y, cur_x and cur_y in px
     (formats.CorrespondenceRow). Raises InvalidInputError on a non-finite
-    value or a 3-point fit that overflows, and NoMotionEstimateError when fewer than 3 pairs are given or no
-    consensus of at least config.min_inliers points exists; callers are
-    expected to fall back to the identity transform.
+    value, and NoMotionEstimateError when fewer than 3 pairs are given, a
+    3-point fit overflows or no consensus reaches config.min_inliers
+    points; callers are expected to fall back to the identity transform.
     """
     pts = np.array([(c.prev_x, c.prev_y, c.cur_x, c.cur_y) for c in pairs],
                    dtype=float).reshape(-1, 4)

@@ -162,10 +162,12 @@ def _extract(graph: FlowGraph):
 
 
 def solve(graph: FlowGraph) -> TrajectorySet:
-    """Extract negative-cost paths greedily until none remains."""
-    return TrajectorySet.from_rows(
-        (graph.frames[i], track_id, graph.xs[i], graph.ys[i], graph.confs[i])
-        for track_id, (_, path) in enumerate(_extract(graph), start=1) for i in path)
+    """Extract negative-cost paths greedily until none remains; the k-th
+    path found becomes track k."""
+    paths = [path for _, path in _extract(graph)]
+    rows = np.array([i for path in paths for i in path], dtype=int)
+    ids = np.repeat(np.arange(1, len(paths) + 1), [len(path) for path in paths])
+    return TrajectorySet(graph.frames[rows], ids, graph.xs[rows], graph.ys[rows], graph.confs[rows])
 
 
 def solve_total_cost(graph: FlowGraph) -> float:

@@ -313,8 +313,9 @@ class SequenceResult:
     summary: SequenceSummary
 
     def to_trajectories(self) -> TrajectorySet:
-        return TrajectorySet.from_rows((r.frame, r.track_id, r.x, r.y, r.conf)
-                                       for out in self.outputs for r in out.records)
+        rows = [r for out in self.outputs for r in out.records]
+        return TrajectorySet(*([getattr(r, name) for r in rows]
+                               for name in ("frame", "track_id", "x", "y", "conf")))
 
 
 def run_sequence(frame_inputs, config: TrackerConfig | None = None,

@@ -11,29 +11,21 @@ def _fmt(v: float) -> str:
 
 
 def _bounds(sets: list[TrajectorySet]) -> tuple[float, float, float, float]:
-    xs, ys = [], []
-    for ts in sets:
-        for pts in ts.tracks.values():
-            xs.extend(p.x for p in pts)
-            ys.extend(p.y for p in pts)
-    if not xs:
+    sets = [ts for ts in sets if len(ts)]
+    if not sets:
         return 0.0, 0.0, 1.0, 1.0
-    return min(xs), min(ys), max(xs), max(ys)
+    return (min(float(ts.x.min()) for ts in sets), min(float(ts.y.min()) for ts in sets),
+            max(float(ts.x.max()) for ts in sets), max(float(ts.y.max()) for ts in sets))
 
 
 def _group(ts: TrajectorySet, color: str, radius: float) -> list[str]:
     rows = [f'<g stroke="{color}" fill="none" stroke-width="1">']
-    for tid in ts.ids:
-        pts = ts.tracks[tid]
-        if len(pts) == 1:
-            p = pts[0]
-            rows.append(f'<circle cx="{_fmt(p.x)}" cy="{_fmt(p.y)}" r="{_fmt(radius)}" '
-                        f'fill="{color}" stroke="none"/>')
-            continue
-        coords = " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in pts)
-        rows.append(f'<polyline points="{coords}"/>')
-        last = pts[-1]
-        rows.append(f'<circle cx="{_fmt(last.x)}" cy="{_fmt(last.y)}" r="{_fmt(radius)}" '
+    for span in ts.slices.values():
+        xs, ys = ts.x[span].tolist(), ts.y[span].tolist()
+        if len(xs) > 1:
+            coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+            rows.append(f'<polyline points="{coords}"/>')
+        rows.append(f'<circle cx="{_fmt(xs[-1])}" cy="{_fmt(ys[-1])}" r="{_fmt(radius)}" '
                     f'fill="{color}" stroke="none"/>')
     rows.append("</g>")
     return rows

@@ -292,11 +292,7 @@ def write_bundle(bundle: ScenarioBundle, out_dir) -> Path:
     corr_rows = [c for fi in bundle.frames for c in fi.correspondences]
     (out / CORRESPONDENCES_NAME).write_text(write_correspondences(corr_rows))
 
-    gt_rows = []
-    for tid in bundle.gt.ids:
-        for p in bundle.gt.tracks[tid]:
-            gt_rows.append(GtRow(p.frame, tid, p.x, p.y))
-    gt_rows.sort(key=lambda r: (r.frame, r.track_id))
+    gt_rows = [GtRow(frame, tid, x, y) for frame, tid, x, y, _ in bundle.gt.frame_major()]
     (out / GT_NAME).write_text(write_gt(gt_rows))
 
     if bundle.config.feature_channels >= 1:

@@ -1,19 +1,275 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pointtrack.assignment import build_cost_matrix, solve_assignment
 from pointtrack.errors import InvalidInputError, ParseError
 from pointtrack.metrics import (
+    EXPORT_BOX_HALF_SIZE, INTERCHANGE, T_MAP_THRESHOLDS, InterchangeRow, TrackPoint,
     TrajectorySet, compute_sequence_metrics, export_interchange, id_switches,
     parse_interchange, pearson, t_ap, t_map, tr_mae, tr_nmae,
 )
+from pointtrack.render import render_overlay
 
 
 def ts(rows) -> TrajectorySet:
     return TrajectorySet.from_rows(rows)
 
 
+# --- reference: the metrics as written over per-identity TrackPoint lists,
+# before TrajectorySet became a column table ---
+
+class LoopTrajectorySet:
+    def __init__(self):
+        self.tracks: dict[int, list[TrackPoint]] = {}
+
+    @classmethod
+    def from_rows(cls, rows) -> "LoopTrajectorySet":
+        grouped: dict[int, list[TrackPoint]] = {}
+        for row in rows:
+            frame, tid, x, y = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+            conf = float(row[4]) if len(row) > 4 and row[4] is not None else None
+            grouped.setdefault(tid, []).append(TrackPoint(frame, x, y, conf))
+        out = cls()
+        for tid, pts in grouped.items():
+            out.tracks[tid] = sorted(pts, key=lambda p: p.frame)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.tracks)
+
+    @property
+    def ids(self) -> list[int]:
+        return sorted(self.tracks)
+
+    def frames(self) -> list[int]:
+        return sorted({p.frame for pts in self.tracks.values() for p in pts})
+
+    def at_frame(self, frame: int) -> list[tuple[int, TrackPoint]]:
+        out = []
+        for tid in self.ids:
+            for p in self.tracks[tid]:
+                if p.frame == frame:
+                    out.append((tid, p))
+                    break
+        return out
+
+
+def loop_id_switches(gt: LoopTrajectorySet, pred: LoopTrajectorySet, gate: float = 10.0) -> int:
+    last_partner: dict[int, int] = {}
+    switches = 0
+    for frame in sorted(set(gt.frames()) | set(pred.frames())):
+        gt_here = gt.at_frame(frame)
+        pred_here = pred.at_frame(frame)
+        if not gt_here or not pred_here:
+            continue
+        costs = build_cost_matrix([(p.x, p.y) for _, p in gt_here],
+                                  [(p.x, p.y) for _, p in pred_here])
+        for gi, pj, _ in solve_assignment(costs, gate).matches:
+            gt_id = gt_here[gi][0]
+            pred_id = pred_here[pj][0]
+            if gt_id in last_partner and last_partner[gt_id] != pred_id:
+                switches += 1
+            last_partner[gt_id] = pred_id
+    return switches
+
+
+def loop_tracklet_match_score(pred_pts, gt_pts, tau: float) -> float:
+    gt_by_frame = {p.frame: p for p in gt_pts}
+    union = len({p.frame for p in pred_pts} | set(gt_by_frame))
+    hits = 0
+    for p in pred_pts:
+        g = gt_by_frame.get(p.frame)
+        if g is not None and np.hypot(p.x - g.x, p.y - g.y) <= tau:
+            hits += 1
+    return hits / union if union else 0.0
+
+
+def loop_t_ap(gt: LoopTrajectorySet, pred: LoopTrajectorySet, tau: float) -> float:
+    n_gt = len(gt)
+    if n_gt == 0:
+        return 1.0 if len(pred) == 0 else 0.0
+    order = sorted(pred.tracks,
+                   key=lambda tid: (-float(np.mean([p.conf for p in pred.tracks[tid]])), tid))
+    assigned: set[int] = set()
+    tp_flags = []
+    for pid in order:
+        best_gid, best_score = None, -1.0
+        for gid in gt.ids:
+            if gid in assigned:
+                continue
+            score = loop_tracklet_match_score(pred.tracks[pid], gt.tracks[gid], tau)
+            if score > best_score:
+                best_gid, best_score = gid, score
+        if best_gid is not None and best_score >= 0.5:
+            assigned.add(best_gid)
+            tp_flags.append(True)
+        else:
+            tp_flags.append(False)
+    ap = 0.0
+    tp = 0
+    for rank, is_tp in enumerate(tp_flags, start=1):
+        if is_tp:
+            tp += 1
+            ap += tp / rank
+    return ap / n_gt
+
+
+def loop_export_interchange(pred: LoopTrajectorySet) -> list[str]:
+    h = EXPORT_BOX_HALF_SIZE
+    boxes = [InterchangeRow(p.frame, tid, p.x - h, p.y - h, 2 * h, 2 * h,
+                            1.0 if p.conf is None else p.conf)
+             for tid in pred.ids for p in pred.tracks[tid]]
+    boxes.sort(key=lambda b: (b.frame, b.track_id))
+    return INTERCHANGE.format_lines(boxes)
+
+
+def loop_render_overlay(gt: LoopTrajectorySet, pred: LoopTrajectorySet, width=None,
+                        height=None) -> str:
+    def fmt(v):
+        return f"{v:.2f}"
+
+    def group(ts, color, radius):
+        rows = [f'<g stroke="{color}" fill="none" stroke-width="1">']
+        for tid in ts.ids:
+            pts = ts.tracks[tid]
+            if len(pts) == 1:
+                p = pts[0]
+                rows.append(f'<circle cx="{fmt(p.x)}" cy="{fmt(p.y)}" r="{fmt(radius)}" '
+                            f'fill="{color}" stroke="none"/>')
+                continue
+            coords = " ".join(f"{fmt(p.x)},{fmt(p.y)}" for p in pts)
+            rows.append(f'<polyline points="{coords}"/>')
+            last = pts[-1]
+            rows.append(f'<circle cx="{fmt(last.x)}" cy="{fmt(last.y)}" r="{fmt(radius)}" '
+                        f'fill="{color}" stroke="none"/>')
+        rows.append("</g>")
+        return rows
+
+    if width is None or height is None:
+        xs = [p.x for s in (gt, pred) for pts in s.tracks.values() for p in pts]
+        ys = [p.y for s in (gt, pred) for pts in s.tracks.values() for p in pts]
+        x0, y0, x1, y1 = (min(xs), min(ys), max(xs), max(ys)) if xs else (0.0, 0.0, 1.0, 1.0)
+        pad = 0.05 * max(x1 - x0, y1 - y0, 1.0)
+        x0, y0 = x0 - pad, y0 - pad
+        w, h = (x1 - x0) + pad, (y1 - y0) + pad
+    else:
+        x0, y0, w, h = 0.0, 0.0, float(width), float(height)
+    rows = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(x0)} {fmt(y0)} '
+        f'{fmt(w)} {fmt(h)}" width="{fmt(w)}" height="{fmt(h)}">',
+        f'<rect x="{fmt(x0)}" y="{fmt(y0)}" width="{fmt(w)}" height="{fmt(h)}" fill="white"/>',
+    ]
+    rows += group(gt, "#2e8b57", 1.5)
+    rows += group(pred, "#d62728", 1.0)
+    rows.append("</svg>")
+    return "\n".join(rows) + "\n"
+
+
+CONFS = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])
+
+
+@st.composite
+def row_sets(draw, with_conf: bool):
+    """Rows of up to 8 identities, each over its own frame range with gaps,
+    all shifted by a drawn offset: disjoint ranges, empty and single-point
+    sets, many identities per frame. Coordinates are mostly integer lattice
+    points, so distances of exactly tau (3-4-5 triangles, axis steps) are
+    common."""
+    offset = draw(st.integers(0, 12))
+    coord = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0))
+    rows = []
+    for tid in draw(st.sets(st.integers(1, 8), max_size=8)):
+        start, length = draw(st.integers(0, 10)), draw(st.integers(1, 12))
+        for frame in range(start + offset, start + offset + length):
+            if draw(st.integers(0, 4)) > 0:
+                conf = (draw(CONFS),) if with_conf else ()
+                rows.append((frame, tid, draw(coord), draw(coord)) + conf)
+    return rows
+
+
+@st.composite
+def scored_pairs(draw):
+    """(gt rows, pred rows). Half the time the prediction is drawn on its
+    own; otherwise it follows the ground truth, with points dropped and
+    moved by up to 4 px, and ids that are relabelled at a drawn frame, so
+    matches and identity switches occur."""
+    gt_rows = draw(row_sets(with_conf=False))
+    if draw(st.booleans()):
+        return gt_rows, draw(row_sets(with_conf=True))
+    labels = st.lists(st.integers(1, 8), min_size=8, max_size=8)
+    before, after, cut = draw(labels), draw(labels), draw(st.integers(0, 22))
+    pred = {}
+    for frame, tid, x, y in gt_rows:
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        pid = (before if frame < cut else after)[tid - 1]
+        dx, dy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        pred[pid, frame] = (x + dx, y + dy, draw(CONFS))
+    return gt_rows, [(frame, pid, x, y, c) for (pid, frame), (x, y, c) in pred.items()]
+
+
 def line_track(tid, frames, x0=0.0, y0=0.0, vx=1.0, conf=1.0):
     return [(f, tid, x0 + vx * i, y0, conf) for i, f in enumerate(frames)]
+
+
+class TestTable:
+    def test_columns_sorted_by_id_then_frame(self):
+        t = ts([(5, 2, 1.0, 1.0), (3, 9, 2.0, 2.0), (1, 2, 3.0, 3.0, 0.5)])
+        assert t.id.tolist() == [2, 2, 9] and t.frame.tolist() == [1, 5, 3]
+        assert t.ids == [2, 9] and len(t) == 2
+        assert np.isnan(t.conf[1:]).all() and t.conf[0] == 0.5
+        assert t.frame_order.tolist() == [0, 2, 1]
+        assert {f: g.tolist() for f, g in t.frame_groups.items()} == {1: [0], 3: [2], 5: [1]}
+        assert ts([(0, -1, 0.0, 0.0), (1, -1, 1.0, 1.0)]).slices == {-1: slice(0, 2)}
+
+    def test_columns_are_read_only_and_tracks_built_once(self):
+        t = ts(line_track(1, range(3)))
+        for col in t.columns:
+            with pytest.raises(ValueError):
+                col[0] = 0
+        assert t.tracks is t.tracks
+        assert t.tracks == {1: [TrackPoint(f, float(f), 0.0, 1.0) for f in range(3)]}
+
+    def test_equality_treats_missing_conf_as_equal(self):
+        assert ts([(0, 1, 1.0, 2.0)]) == ts([(0, 1, 1.0, 2.0, None)])
+        assert ts([(0, 1, 1.0, 2.0)]) != ts([(0, 1, 1.0, 2.0, 0.5)])
+
+    def test_repeated_frame_rejected(self):
+        with pytest.raises(InvalidInputError, match="track 3"):
+            ts([(4, 3, 0.0, 0.0), (4, 3, 1.0, 1.0)])
+
+    @pytest.mark.parametrize("row", [
+        (0, 1, math.nan, 0.0, 0.5), (0, 1, 0.0, math.inf, 0.5), (0, 1, -math.inf, 0.0),
+        (0, 1, 0.0, 0.0, math.nan), (0, 1, 0.0, 0.0, math.inf), (0, 1, 0.0, 0.0, 7.5),
+        (0, 1, 0.0, 0.0, -0.1),
+    ], ids=["x-nan", "y-inf", "x-minus-inf", "conf-nan", "conf-inf", "conf-7.5", "conf-negative"])
+    def test_hostile_row_rejected(self, row):
+        with pytest.raises(InvalidInputError):
+            ts([(1, 1, 0.0, 0.0, 0.5), row])
+
+
+class TestMatchesReference:
+    """The column metrics against the TrackPoint-list reference above."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(rows=scored_pairs(), gate=st.sampled_from([1.0, 5.0, 10.0]))
+    def test_same_scores_and_text(self, rows, gate):
+        gt_rows, pred_rows = rows
+        gt, pred = ts(gt_rows), ts(pred_rows)
+        ref_gt, ref_pred = LoopTrajectorySet.from_rows(gt_rows), LoopTrajectorySet.from_rows(pred_rows)
+        assert id_switches(gt, pred, gate) == loop_id_switches(ref_gt, ref_pred, gate)
+        assert t_map(gt, pred) == {tau: loop_t_ap(ref_gt, ref_pred, float(tau))
+                                   for tau in T_MAP_THRESHOLDS}
+        assert t_ap(gt, pred, 2.5) == loop_t_ap(ref_gt, ref_pred, 2.5)
+        for s, ref in ((gt, ref_gt), (pred, ref_pred)):
+            assert export_interchange(s) == loop_export_interchange(ref)
+        assert render_overlay(gt, pred) == loop_render_overlay(ref_gt, ref_pred)
+        assert render_overlay(gt, pred, 64, 48) == loop_render_overlay(ref_gt, ref_pred, 64, 48)
 
 
 class TestCountingErrors:

@@ -330,6 +330,18 @@ class TestGateAndCmcWiring:
             FrameInput(frame=0, correspondences=pairs))
         assert out.affine.is_identity()
 
+    def test_overflowing_cmc_fit_falls_back_to_identity(self, caplog):
+        # finite correspondences whose 3-point fits overflow
+        rng = np.random.default_rng(8)
+        prev = rng.uniform(0, 100, (20, 2))
+        cur = 1.7e308 * rng.choice([-1.0, 1.0], (20, 2))
+        pairs = [CorrespondenceRow(0, *p, *c) for p, c in zip(prev, cur)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = PointTracker(TrackerConfig()).process_frame(
+                FrameInput(frame=0, correspondences=pairs))
+        assert out.affine.is_identity()
+        assert "camera-motion estimate failed" in caplog.text
+
     def test_camera_motion_corrected_tracking(self):
         cfg = ScenarioConfig(n_agents=6, frames=120, arena_width=400, arena_height=400,
                              camera_translation_x=5.0, camera_translation_y=3.0,

@@ -68,8 +68,9 @@ class TestCorruptionModel:
     def test_zero_corruption_detections_equal_gt(self):
         bundle = generate(CLEAN)
         for fi in bundle.frames:
-            gt_here = {(round(p.x, 9), round(p.y, 9))
-                       for _, p in bundle.gt.at_frame(fi.frame)}
+            rows = bundle.gt.frame_groups[fi.frame]
+            gt_here = {(round(x, 9), round(y, 9))
+                       for x, y in zip(bundle.gt.x[rows].tolist(), bundle.gt.y[rows].tolist())}
             det_here = {(round(d.x, 9), round(d.y, 9)) for d in fi.detections}
             assert det_here == gt_here
 
@@ -106,14 +107,15 @@ class TestFeatures:
         for fi in bundle.frames[::3]:
             norm = np.linalg.norm(fi.features.data, axis=2)
             floor = np.median(norm)
-            ((_, p),) = bundle.gt.at_frame(fi.frame)
-            r0 = int(np.clip(round(p.y / stride), 3, norm.shape[0] - 4))
-            c0 = int(np.clip(round(p.x / stride), 3, norm.shape[1] - 4))
+            (row,) = bundle.gt.frame_groups[fi.frame]
+            x, y = bundle.gt.x[row], bundle.gt.y[row]
+            r0 = int(np.clip(round(y / stride), 3, norm.shape[0] - 4))
+            c0 = int(np.clip(round(x / stride), 3, norm.shape[1] - 4))
             window = np.clip(norm[r0 - 3:r0 + 4, c0 - 3:c0 + 4] - floor, 0, None)
             yy, xx = np.mgrid[r0 - 3:r0 + 4, c0 - 3:c0 + 4]
             mass = window.sum()
             centre = np.array([(window * xx).sum(), (window * yy).sum()]) / mass * stride
-            assert np.max(np.abs(centre - np.array([p.x, p.y]))) <= 0.5 * stride
+            assert np.max(np.abs(centre - np.array([x, y]))) <= 0.5 * stride
 
     def test_channel_count_zero_disables(self):
         from dataclasses import replace
