@@ -8,7 +8,6 @@ least-squares refit on the inliers.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,12 +63,6 @@ class AffineTransform:
     def identity() -> "AffineTransform":
         return AffineTransform()
 
-    @staticmethod
-    def from_params(params) -> "AffineTransform":
-        """Build from the 6-vector [m11, m12, t1, m21, m22, t2]."""
-        m11, m12, t1, m21, m22, t2 = (float(v) for v in params)
-        return AffineTransform(m11, m12, m21, m22, t1, t2)
-
 
 @dataclass(frozen=True)
 class RansacConfig:
@@ -101,116 +94,108 @@ def warp_points(t: AffineTransform, pts: np.ndarray) -> np.ndarray:
     return pts @ m.T + t.translation
 
 
-def _lstsq_affine(prev: np.ndarray, cur: np.ndarray) -> AffineTransform:
-    """Least-squares affine fit; prev/cur are (n, 2) with n >= 3."""
-    n = prev.shape[0]
-    a = np.zeros((2 * n, 6))
-    a[0::2, 0] = prev[:, 0]
-    a[0::2, 1] = prev[:, 1]
-    a[0::2, 2] = 1.0
-    a[1::2, 3] = prev[:, 0]
-    a[1::2, 4] = prev[:, 1]
-    a[1::2, 5] = 1.0
-    b = cur.reshape(-1)
-    params, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 6:
+def _det(sol: np.ndarray) -> np.ndarray:
+    """|M| of each (..., 3, 2) solution sol = [[m11, m21], [m12, m22], [t1, t2]]."""
+    return sol[..., 0, 0] * sol[..., 1, 1] - sol[..., 1, 0] * sol[..., 0, 1]
+
+
+def _lstsq_affine(src: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """The (3, 2) least-squares sol of src @ sol = cur for n >= 3 rows.
+    Raises NoMotionEstimateError when lstsq finds rank < 3 or the linear
+    part has |det| <= _DET_EPS."""
+    sol, _, rank, _ = np.linalg.lstsq(src, cur, rcond=None)
+    if rank < 3:
         raise NoMotionEstimateError("degenerate correspondence geometry")
-    return AffineTransform.from_params(params)
+    if not abs(_det(sol)) > _DET_EPS:
+        raise NoMotionEstimateError("fitted transform is degenerate")
+    return sol
 
 
-def _residuals(t: AffineTransform, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(warp_points(t, prev) - cur, axis=1)
-
-
-@lru_cache(maxsize=4)
 def _sample_indices(seed: int, n: int, iterations: int) -> np.ndarray:
-    """The (iterations, 3) sample indices of one estimate_affine call,
-    read-only because every call with these arguments shares them. Each
-    cached entry holds iterations * 24 bytes."""
-    rng = np.random.default_rng(seed)
-    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
-    idx.setflags(write=False)
+    """The (iterations, 3) sample indices of one estimate_affine call, from
+    one draw of default_rng(seed). Each row is uniform over the ordered
+    triples of distinct indices below n: the second index skips the first,
+    and the third skips the lower and then the higher of the first two."""
+    idx = np.random.default_rng(seed).integers(0, [n, n - 1, n - 2], size=(iterations, 3))
+    first, second, third = idx.T  # views: the updates below write into idx
+    second += second >= first
+    third += third >= np.minimum(first, second)
+    third += third >= np.maximum(first, second)
     return idx
 
 
-def _score_hypotheses(prev: np.ndarray, cur: np.ndarray, samples: np.ndarray,
+def _score_hypotheses(src: np.ndarray, cur: np.ndarray, samples: np.ndarray,
                       threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact affine fit of each 3-point sample and its inlier mask.
+    """Exact fit of each 3-point sample of src @ sol = cur and its inlier mask.
 
     Returns (inliers, counts) over the usable samples only, in sample order:
-    a sample is skipped when _lstsq_affine would call it rank deficient or
-    its transform has |det| <= _DET_EPS. The 6x6 system of a sample has the
-    singular values of its 3x3 [x, y, 1] matrix, each twice, so the rank
-    rule is lstsq's default one, sigma_min > sigma_max * eps * 6.
+    a sample is skipped when _lstsq_affine would reject its three rows, that
+    is when sigma_min <= sigma_max * eps * 3 (lstsq's default rank rule for a
+    3 x 3 matrix) or its solution has |det| <= _DET_EPS.
     """
-    src = np.ones((len(samples), 3, 3))
-    src[:, :, :2] = prev[samples]
-    sv = np.linalg.svd(src, compute_uv=False)
-    full_rank = sv[:, 2] > sv[:, 0] * (np.finfo(float).eps * 6)
-    # sol[k] = [[m11, m21], [m12, m22], [t1, t2]]: src @ sol = cur samples
-    sol = np.linalg.solve(src[full_rank], cur[samples[full_rank]])
+    rows = src[samples]
+    sv = np.linalg.svd(rows, compute_uv=False)
+    full_rank = sv[:, 2] > sv[:, 0] * (np.finfo(float).eps * 3)
+    sol = np.linalg.solve(rows[full_rank], cur[samples[full_rank]])
     if not np.isfinite(sol).all():
         raise NoMotionEstimateError("a 3-point hypothesis overflows")
-    det = sol[:, 0, 0] * sol[:, 1, 1] - sol[:, 1, 0] * sol[:, 0, 1]
-    sol = sol[np.abs(det) > _DET_EPS]
-    residuals = np.linalg.norm(prev @ sol[:, :2] + sol[:, None, 2] - cur, axis=2)
-    inliers = residuals <= threshold
+    sol = sol[np.abs(_det(sol)) > _DET_EPS]
+    inliers = np.linalg.norm(src @ sol - cur, axis=2) <= threshold
     return inliers, inliers.sum(axis=1)
 
 
 def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTransform:
     """Robustly fit the inter-frame affine transform.
 
-    Repeats 3-sample exact fits, keeps the hypothesis with the largest
-    consensus set (the first one on a tie), then refits by least squares on
-    that set, re-selecting the inliers against each refit, up to 10 times,
-    until the set is stable. Deterministic for a fixed config.seed.
+    Each pair is a row src = [prev_x, prev_y, 1] with target [cur_x, cur_y],
+    and the transform is the (3, 2) solution sol of src @ sol = cur. Exact
+    fits of 3-row samples are the hypotheses; the one with the largest
+    consensus set (the first one on a tie) is refit by least squares on that
+    set, re-selecting the inliers against each refit, up to 10 times, until
+    the set is stable. Hypotheses and refits share the residual
+    norm(src @ sol - cur). Deterministic for a fixed config.seed.
 
-    The hypotheses are solved and scored as arrays, _SCORE_BLOCK at a time,
-    so memory stays O(_SCORE_BLOCK * n) whatever config.iterations is. The
-    samples are the ones a per-iteration rng.choice(n, 3, replace=False)
-    loop draws from default_rng(config.seed); _sample_indices caches them
-    per (seed, n, iterations), so a stream whose correspondence count does
-    not change draws them once, while one whose count changes every frame
-    pays the draw loop on each call.
+    The samples come from one vectorised draw (_sample_indices), and the
+    hypotheses are solved and scored as arrays, _SCORE_BLOCK at a time, so
+    memory stays O(_SCORE_BLOCK * n) whatever config.iterations is.
 
     pairs are rows with prev_x, prev_y, cur_x and cur_y in px
     (formats.CorrespondenceRow). Raises InvalidInputError on a non-finite
     value, and NoMotionEstimateError when fewer than 3 pairs are given, a
-    3-point fit overflows or no consensus reaches config.min_inliers
-    points; callers are expected to fall back to the identity transform.
+    3-point fit overflows, no consensus reaches config.min_inliers points
+    or a refit is rank deficient or degenerate; callers are expected to
+    fall back to the identity transform.
     """
-    pts = np.array([(c.prev_x, c.prev_y, c.cur_x, c.cur_y) for c in pairs],
-                   dtype=float).reshape(-1, 4)
+    pts = np.array([(c.prev_x, c.prev_y, 1.0, c.cur_x, c.cur_y) for c in pairs],
+                   dtype=float).reshape(-1, 5)
     if not np.isfinite(pts).all():
         raise InvalidInputError("non-finite correspondence")
     n = len(pts)
     if n < 3:
         raise NoMotionEstimateError(f"need at least 3 correspondences, got {n}")
-    prev, cur = pts[:, :2].copy(), pts[:, 2:].copy()
+    src, cur = pts[:, :3].copy(), pts[:, 3:].copy()
 
     samples = _sample_indices(config.seed, n, config.iterations)
     best_count, best_inliers = -1, None
     for start in range(0, len(samples), _SCORE_BLOCK):
-        inliers, counts = _score_hypotheses(prev, cur, samples[start:start + _SCORE_BLOCK],
+        inliers, counts = _score_hypotheses(src, cur, samples[start:start + _SCORE_BLOCK],
                                             config.inlier_threshold)
         if len(counts) and counts.max() > best_count:
             best_count = int(counts.max())
             best_inliers = inliers[np.argmax(counts)]
 
-    if best_count < max(config.min_inliers, 3):
+    if best_count < config.min_inliers:
         raise NoMotionEstimateError(
             f"consensus of {max(best_count, 0)} below min_inliers = {config.min_inliers}")
 
-    fit = _lstsq_affine(prev[best_inliers], cur[best_inliers])
-    # iterate inlier re-selection against the refit until the set stabilises
     current = best_inliers
+    sol = _lstsq_affine(src[current], cur[current])
+    # iterate inlier re-selection against the refit until the set stabilises
     for _ in range(10):
-        refined = _residuals(fit, prev, cur) <= config.inlier_threshold
+        refined = np.linalg.norm(src @ sol - cur, axis=1) <= config.inlier_threshold
         if refined.sum() < 3 or np.array_equal(refined, current):
             break
         current = refined
-        fit = _lstsq_affine(prev[current], cur[current])
-    if abs(fit.det) <= _DET_EPS:
-        raise NoMotionEstimateError("fitted transform is degenerate")
-    return fit
+        sol = _lstsq_affine(src[current], cur[current])
+    (m11, m21), (m12, m22), (t1, t2) = sol.tolist()
+    return AffineTransform(m11, m12, m21, m22, t1, t2)

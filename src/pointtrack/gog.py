@@ -68,18 +68,25 @@ def build_graph(detections: list[Detection], config: GogConfig = GogConfig(),
     """Arrange a sequence's detections into the association DAG.
 
     gates_by_frame carries altitude-scaled per-frame gates; frames without
-    an entry fall back to config.gate.
+    an entry fall back to config.gate. Raises InvalidInputError on a conf
+    outside the open interval (0, 1), a non-finite coordinate, or a
+    per-frame gate that is not finite and > 0.
     """
     ordered = sorted(range(len(detections)), key=lambda k: (detections[k].frame, k))
     frames = np.array([detections[k].frame for k in ordered], dtype=int)
     xs = np.array([detections[k].x for k in ordered], dtype=float)
     ys = np.array([detections[k].y for k in ordered], dtype=float)
     confs = np.array([detections[k].conf for k in ordered], dtype=float)
-    if np.any(confs <= 0.0) or np.any(confs >= 1.0):
+    # written so that NaN fails every check
+    if not ((confs > 0.0) & (confs < 1.0)).all():
         raise InvalidInputError("detection confidences must lie strictly in (0, 1)")
+    if not (np.isfinite(xs) & np.isfinite(ys)).all():
+        raise InvalidInputError("detection coordinates must be finite")
     det_costs = np.log((1.0 - confs) / confs)
     if gates_by_frame:
-        gates = np.array([gates_by_frame.get(int(f), config.gate) for f in frames])
+        gates = np.array([gates_by_frame.get(int(f), config.gate) for f in frames], dtype=float)
+        if not (np.isfinite(gates) & (gates > 0.0)).all():
+            raise InvalidInputError("per-frame gates must be finite and > 0")
     else:
         gates = np.full(len(frames), config.gate)
 

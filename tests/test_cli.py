@@ -1,6 +1,7 @@
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pointtrack.cli import main
@@ -218,25 +219,46 @@ class TestConfigValues:
 
 
 class TestCameraMotion:
-    def test_collinear_correspondences_fall_back_to_identity(self, capsys, tmp_path):
+    @staticmethod
+    def track_with_and_without_cmc(capsys, tmp_path, rewrite) -> list[bytes]:
+        """Simulate a moving-camera bundle, replace its correspondences with
+        rewrite(rows), and track it with CMC and with CMC disabled."""
         scen = write_scenario(tmp_path, SCENARIO + "camera_translation_x = 2\n")
         bundle = tmp_path / "bundle"
         assert run(capsys, "simulate", "--config", str(scen), "--out", str(bundle))[0] == 0
         path = bundle / "correspondences.csv"
         rows = parse_correspondences(path.read_text())
         assert rows
-        # integers, so that the points stay on the line y = x after the CSV rounding
-        path.write_text(write_correspondences([
-            CorrespondenceRow(r.frame, x, x, x + 2, x - 1)
-            for r in rows for x in [float(round(r.prev_x))]]))
+        path.write_text(write_correspondences(rewrite(rows)))
         outputs = []
         for extra in ([], ["--disable", "cmc"]):
             out = tmp_path / f"tracks{len(extra)}.csv"
-            code, _, _ = run(capsys, "track", "--bundle", str(bundle), "--out", str(out), *extra)
-            assert code == 0
+            code, _, err = run(capsys, "track", "--bundle", str(bundle), "--out", str(out), *extra)
+            assert code == 0, err
             outputs.append(out.read_bytes())
         assert parse_tracks(outputs[0].decode())
-        assert outputs[0] == outputs[1]
+        return outputs
+
+    def test_collinear_correspondences_fall_back_to_identity(self, capsys, tmp_path):
+        # integers, so that the points stay on the line y = x after the CSV rounding
+        with_cmc, without = self.track_with_and_without_cmc(capsys, tmp_path, lambda rows: [
+            CorrespondenceRow(r.frame, x, x, x + 2, x - 1)
+            for r in rows for x in [float(round(r.prev_x))]])
+        assert with_cmc == without
+
+    def test_degenerate_refit_falls_back_to_identity(self, capsys, tmp_path):
+        # every frame's points flatten onto y = 0 up to 1e-4 px of noise, which
+        # the CSV keeps: the 3-point fits pass the det filter, the refit does not
+        def flatten(rows):
+            rng = np.random.default_rng(0)
+            out = []
+            for frame in sorted({r.frame for r in rows}):
+                prev = rng.uniform(0, 500, (50, 2))
+                out += [CorrespondenceRow(frame, px, py, px + 2, dy)
+                        for (px, py), dy in zip(prev, rng.normal(0, 1e-4, 50))]
+            return out
+        with_cmc, without = self.track_with_and_without_cmc(capsys, tmp_path, flatten)
+        assert with_cmc == without
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +31,8 @@ def params(t: AffineTransform) -> np.ndarray:
 
 
 def loop_estimate_affine(pairs, config: RansacConfig) -> AffineTransform:
-    """Reference: estimate_affine with one rng.choice draw, one 3-point
-    lstsq fit and one residual pass per hypothesis, as it was written
-    before its hypothesis stage became array operations."""
+    """Reference: estimate_affine with one 3-row lstsq fit and one residual
+    pass per hypothesis, over the same sample rows."""
     pts = np.array([(c.prev_x, c.prev_y, c.cur_x, c.cur_y) for c in pairs],
                    dtype=float).reshape(-1, 4)
     if not np.isfinite(pts).all():
@@ -40,38 +40,50 @@ def loop_estimate_affine(pairs, config: RansacConfig) -> AffineTransform:
     n = len(pts)
     if n < 3:
         raise NoMotionEstimateError(f"need at least 3 correspondences, got {n}")
-    prev, cur = pts[:, :2].copy(), pts[:, 2:].copy()
+    src, cur = np.c_[pts[:, :2], np.ones(n)], pts[:, 2:].copy()
 
-    rng = np.random.default_rng(config.seed)
+    def det(sol):
+        return sol[0, 0] * sol[1, 1] - sol[1, 0] * sol[0, 1]
+
+    def inliers_of(sol):
+        return np.linalg.norm(src @ sol - cur, axis=1) <= config.inlier_threshold
+
     best_inliers = None
-    for _ in range(config.iterations):
-        idx = rng.choice(n, size=3, replace=False)
-        try:
-            cand = cmc._lstsq_affine(prev[idx], cur[idx])
-        except NoMotionEstimateError:
+    for idx in cmc._sample_indices(config.seed, n, config.iterations):
+        cand, _, rank, _ = np.linalg.lstsq(src[idx], cur[idx], rcond=None)
+        if rank < 3:
             continue
-        if abs(cand.det) <= cmc._DET_EPS:
+        if not np.isfinite(cand).all():
+            raise NoMotionEstimateError("a 3-point hypothesis overflows")
+        if not abs(det(cand)) > cmc._DET_EPS:
             continue
-        inliers = cmc._residuals(cand, prev, cur) <= config.inlier_threshold
+        inliers = inliers_of(cand)
         if best_inliers is None or inliers.sum() > best_inliers.sum():
             best_inliers = inliers
 
-    if best_inliers is None or best_inliers.sum() < max(config.min_inliers, 3):
+    if best_inliers is None or best_inliers.sum() < config.min_inliers:
         found = 0 if best_inliers is None else int(best_inliers.sum())
         raise NoMotionEstimateError(
             f"consensus of {found} below min_inliers = {config.min_inliers}")
 
-    fit = cmc._lstsq_affine(prev[best_inliers], cur[best_inliers])
+    def refit(rows):
+        sol, _, rank, _ = np.linalg.lstsq(src[rows], cur[rows], rcond=None)
+        if rank < 3:
+            raise NoMotionEstimateError("degenerate correspondence geometry")
+        if not abs(det(sol)) > cmc._DET_EPS:
+            raise NoMotionEstimateError("fitted transform is degenerate")
+        return sol
+
     current = best_inliers
+    sol = refit(current)
     for _ in range(10):
-        refined = cmc._residuals(fit, prev, cur) <= config.inlier_threshold
+        refined = inliers_of(sol)
         if refined.sum() < 3 or np.array_equal(refined, current):
             break
         current = refined
-        fit = cmc._lstsq_affine(prev[current], cur[current])
-    if abs(fit.det) <= cmc._DET_EPS:
-        raise NoMotionEstimateError("fitted transform is degenerate")
-    return fit
+        sol = refit(current)
+    (m11, m21), (m12, m22), (t1, t2) = sol.tolist()
+    return AffineTransform(m11, m12, m21, m22, t1, t2)
 
 
 def outcome(estimate, pairs, config: RansacConfig):
@@ -185,10 +197,12 @@ class TestEstimateAffine:
 @st.composite
 def correspondence_sets(draw) -> list[CorrespondenceRow]:
     """Continuous correspondences: an affine motion with noise, outliers,
-    an optional collinear block and optional duplicated rows. Coordinates
-    come from a numpy generator so that they are never on an integer
-    lattice, where a residual exactly at the threshold can round
-    differently in a 3-point lstsq and in a batched solve."""
+    an optional collinear block, an optional block whose motion flattens it
+    onto a line, optional duplicated rows, and optionally two motions whose
+    consensus sets tie. Coordinates come from a numpy generator so that
+    they are never on an integer lattice, where a residual exactly at the
+    threshold can round differently in a 3-point lstsq and in a batched
+    solve."""
     n = draw(st.integers(3, 150))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     prev = rng.uniform(-500, 500, (n, 2)) * 10.0 ** rng.uniform(-2, 1)
@@ -203,9 +217,23 @@ def correspondence_sets(draw) -> list[CorrespondenceRow]:
         off = rng.normal(0, 10.0 ** draw(st.floats(-13, -7)), collinear)
         prev[:collinear] = (prev[0] + np.outer(rng.uniform(-1, 1, collinear), direction)
                             + np.outer(off, [-direction[1], direction[0]]))
+    flat = draw(st.integers(0, n))
+    if flat >= 3:
+        # a rank-1 motion plus noise: its hypotheses have |det| on either side of _DET_EPS
+        line = (prev[-flat:] @ rng.uniform(-2, 2, 2))[:, None] * rng.uniform(-2, 2, 2)
+        cur[-flat:] = line + rng.uniform(-50, 50, 2) + rng.normal(
+            0, 10.0 ** draw(st.floats(-8, -2)), (flat, 2))
     copies = draw(st.integers(0, n))
     dst, src = rng.integers(0, n, copies), rng.integers(0, n, copies)
     prev[dst], cur[dst] = prev[src], cur[src]
+    if draw(st.booleans()):
+        # two exact motions on mirrored halves of the rows, and the middle row of
+        # an odd n far off: the largest consensus sets tie
+        h = n // 2
+        prev[n - h:] = prev[:h]
+        for rows in (slice(0, h), slice(n - h, n)):
+            cur[rows] = prev[:h] @ rng.uniform(-2, 2, (2, 2)).T + rng.uniform(-50, 50, 2)
+        cur[h:n - h] = 1e4
     return [CorrespondenceRow(1, *p, *c) for p, c in zip(prev, cur)]
 
 
@@ -261,24 +289,39 @@ class TestBatchedHypotheses:
             cfg = RansacConfig(iterations=2500, min_inliers=3, seed=seed)
             assert outcome(estimate_affine, pairs, cfg) == outcome(loop_estimate_affine, pairs, cfg)
 
-    def test_sample_cache_is_read_only(self):
-        samples = cmc._sample_indices(0, 50, 100)
-        assert samples.shape == (100, 3)
-        with pytest.raises(ValueError):
-            samples[0, 0] = 1
-
     def test_seeds_draw_different_samples(self):
+        assert cmc._sample_indices(0, 50, 100).shape == (100, 3)
         assert not np.array_equal(cmc._sample_indices(0, 50, 100), cmc._sample_indices(1, 50, 100))
 
-    def test_cache_hit_matches_fresh_draw(self):
-        rng = np.random.default_rng(9)
-        pairs = make_pairs(rotation(1.5, 4.0, -2.0), rng.uniform(0, 400, (50, 2)), noise=0.3, rng=rng)
-        cmc._sample_indices.cache_clear()
-        fresh = estimate_affine(pairs)
-        hits = cmc._sample_indices.cache_info().hits
-        cached = estimate_affine(pairs)
-        assert cmc._sample_indices.cache_info().hits == hits + 1
-        assert params(cached).tobytes() == params(fresh).tobytes()
+    def test_sample_draw_is_deterministic(self):
+        assert cmc._sample_indices(3, 50, 100).tobytes() == cmc._sample_indices(3, 50, 100).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 50])
+    def test_samples_are_distinct_indices(self, n):
+        samples = np.sort(cmc._sample_indices(0, n, 5000), axis=1)
+        assert samples.min() >= 0 and samples.max() < n
+        assert (samples[:, 1:] != samples[:, :-1]).all()
+
+    def test_samples_are_uniform_over_ordered_triples(self):
+        # n = 5 has 5 * 4 * 3 = 60 ordered triples of distinct indices
+        draws = 60_000
+        samples = cmc._sample_indices(12, 5, draws)
+        _, counts = np.unique(samples @ [25, 5, 1], return_counts=True)
+        assert len(counts) == 60
+        expected = draws / 60
+        chi2 = ((counts - expected) ** 2 / expected).sum()
+        assert scipy.stats.chi2.sf(chi2, df=59) > 1e-3
+
+    def test_degenerate_refit_has_no_estimate(self):
+        # points flattened onto y = 100 up to 1e-4 px: 3-point hypotheses pass
+        # the det filter by their noise alone, while the refit on all 50 points
+        # averages the noise out to |det| ~ 1e-7
+        rng = np.random.default_rng(0)
+        prev = rng.uniform(0, 500, (50, 2))
+        cur = np.c_[prev[:, 0] + 2, 100 + rng.normal(0, 1e-4, 50)]
+        pairs = [CorrespondenceRow(1, *p, *c) for p, c in zip(prev, cur)]
+        with pytest.raises(NoMotionEstimateError, match="fitted transform is degenerate"):
+            estimate_affine(pairs)
 
 
 class TestConfigs:

@@ -124,6 +124,10 @@ class TestCsvRoundTrips:
         dets = parse_detections("frame,x,y,conf\n0,1,2,0.5\n")
         assert dets[0].score is None
 
+    def test_missing_score_written_as_zero_beside_a_scored_row(self):
+        text = write_detections([Detection(0, 1.0, 2.0, 0.5, 0.9), Detection(1, 3.0, 4.0, 0.5)])
+        assert text == "frame,x,y,conf,score\n0,1,2,0.5,0.9\n1,3,4,0.5,0\n"
+
     def test_six_significant_decimals(self):
         text = write_detections([Detection(0, 123456.789, 0.000123456789, 0.5)])
         assert "123457" in text and "0.000123457" in text

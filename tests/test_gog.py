@@ -83,6 +83,20 @@ class TestBuildGraph:
         with pytest.raises(InvalidInputError):
             build_graph([det(0, 0, 0, conf=0.0)])
 
+    @pytest.mark.parametrize("bad,gates", [
+        (det(1, 5, 5, conf=float("nan")), None),
+        (det(1, float("nan"), 5), None),
+        (det(1, 5, float("inf")), None),
+        (None, {1: 0.0}),
+        (None, {1: -5.0}),
+        (None, {1: float("nan")}),
+    ])
+    def test_rejects_invalid_input(self, bad, gates):
+        # five valid detections on a line, plus one bad detection or frame gate
+        dets = [det(f, 2 * f, 0) for f in range(5)] + ([bad] if bad else [])
+        with pytest.raises(InvalidInputError):
+            build_graph(dets, gates_by_frame=gates)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             GogConfig(max_gap=0)

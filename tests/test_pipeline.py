@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from pointtrack.ddcf import FeatureMap
+from pointtrack.ddcf import FeatureMap, extract_patch, localize
 from pointtrack.errors import InvalidInputError, SequencingError
 from pointtrack.formats import CorrespondenceRow, Detection
 from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator
@@ -283,6 +283,59 @@ class TestDdcfRecovery:
         assert max(last_seen.values()) <= 49 + 60  # last detection frame + max_age
 
 
+class TestDdcfBranches:
+    """One confirmed track at a fixed point, then a frame without its
+    detection: each case steers the DDCF maintain or recover step into one
+    of its rejections."""
+
+    POINT = (128.0, 128.0)
+    ZEROS = FeatureMap(data=np.zeros((64, 64, 4)), stride=4.0)
+
+    @staticmethod
+    def blob_features(seed=0, sign=1.0):
+        """A blob at POINT (cell 32, 32) on noise; sign=-1 inverts its appearance."""
+        rng = np.random.default_rng(seed)
+        data = rng.normal(0.0, 0.05, (64, 64, 4))
+        yy, xx = np.mgrid[0:64, 0:64]
+        bump = np.exp(-((yy - 32) ** 2 + (xx - 32) ** 2) / 8.0)
+        data += bump[:, :, None] * (sign * np.array([0.5, -0.5, 0.5, 0.5]))
+        return FeatureMap(data=data, stride=4.0)
+
+    def confirm_then_lose(self, confirm_features, lost_features):
+        tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=5)))
+        for f in range(6):
+            tracker.process_frame(FrameInput(f, [Detection(f, *self.POINT, conf=0.9)],
+                                             features=confirm_features))
+        assert [t.is_confirmed for t in tracker.tracks] == [True]
+        out = tracker.process_frame(FrameInput(6, [], features=lost_features))
+        return tracker, out
+
+    def test_all_zero_patch_leaves_the_match_without_a_model(self):
+        tracker, out = self.confirm_then_lose(self.ZEROS, None)
+        assert tracker.tracks[0].filter is None
+        assert out.recoveries == 0
+
+    def test_all_zero_previous_map_trains_no_late_model(self):
+        tracker, out = self.confirm_then_lose(self.ZEROS, self.blob_features())
+        assert tracker.tracks[0].filter is None
+        assert out.recoveries == 0
+
+    def test_no_model_and_no_previous_map_skips_recovery(self):
+        tracker, out = self.confirm_then_lose(None, self.blob_features())
+        assert tracker.tracks[0].filter is None
+        assert out.recoveries == 0
+
+    def test_low_psr_rejects_recovery(self):
+        # control: the blob as trained is recovered
+        assert self.confirm_then_lose(self.blob_features(), self.blob_features(seed=1))[1].recoveries == 1
+        inverted = self.blob_features(seed=1, sign=-1.0)
+        tracker, out = self.confirm_then_lose(self.blob_features(), inverted)
+        track = tracker.tracks[0]
+        patch = extract_patch(inverted, track.kalman.position, tracker.config.dcf.patch_cells)
+        assert localize(track.filter, patch)[1] < tracker.config.dcf.psr_min
+        assert out.recoveries == 0
+
+
 class TestDeterminism:
     def test_identical_runs_identical_outputs(self):
         cfg = ScenarioConfig(n_agents=5, frames=80, fn_rate=0.15, jitter_sigma=0.4,
@@ -341,6 +394,17 @@ class TestGateAndCmcWiring:
                 FrameInput(frame=0, correspondences=pairs))
         assert out.affine.is_identity()
         assert "camera-motion estimate failed" in caplog.text
+
+    def test_degenerate_cmc_refit_falls_back_to_identity(self, caplog):
+        # points flattened onto y = 100 up to 1e-4 px: the 3-point fits pass
+        # the det filter by their noise, the refit on all of them does not
+        rng = np.random.default_rng(0)
+        prev = rng.uniform(0, 500, (50, 2))
+        cur = np.c_[prev[:, 0] + 2, 100 + rng.normal(0, 1e-4, 50)]
+        pairs = [CorrespondenceRow(0, *p, *c) for p, c in zip(prev, cur)]
+        out = PointTracker(TrackerConfig()).process_frame(FrameInput(frame=0, correspondences=pairs))
+        assert out.affine.is_identity()
+        assert "fitted transform is degenerate" in caplog.text
 
     def test_camera_motion_corrected_tracking(self):
         cfg = ScenarioConfig(n_agents=6, frames=120, arena_width=400, arena_height=400,
