@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, InvalidInputError
 
@@ -38,7 +39,12 @@ def dynamic_threshold(altitude: float, policy: GatingPolicy = GatingPolicy()) ->
     """Assignment gate in pixels for a given flight altitude in metres."""
     if not np.isfinite(altitude) or altitude <= 0:
         raise InvalidInputError(f"altitude must be > 0, got {altitude!r}")
-    return max(policy.base_radius, policy.reference_altitude / altitude * policy.base_radius)
+    gate = max(policy.base_radius, policy.reference_altitude / altitude * policy.base_radius)
+    if not math.isfinite(gate):
+        raise InvalidInputError(f"altitude {altitude!r} is too close to 0: the gate "
+                                f"{policy.reference_altitude!r} / altitude * {policy.base_radius!r} "
+                                "overflows")
+    return gate
 
 
 def build_cost_matrix(predicted, detections) -> np.ndarray:
@@ -47,7 +53,7 @@ def build_cost_matrix(predicted, detections) -> np.ndarray:
     d = np.asarray(detections, dtype=float).reshape(-1, 2)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(d))):
         raise InvalidInputError("non-finite coordinates in cost matrix input")
-    return np.linalg.norm(p[:, None, :] - d[None, :, :], axis=2)
+    return cdist(p, d)
 
 
 def solve_assignment(costs: np.ndarray, gate: float) -> AssignmentResult:
@@ -66,25 +72,19 @@ def solve_assignment(costs: np.ndarray, gate: float) -> AssignmentResult:
         raise InvalidInputError(f"gate must be > 0, got {gate!r}")
 
     n_rows, n_cols = costs.shape
-    result = AssignmentResult()
-    if n_rows == 0 or n_cols == 0:
-        result.unmatched_tracks = list(range(n_rows))
-        result.unmatched_detections = list(range(n_cols))
-        return result
-
     admissible = costs < gate
     # A forbidden cell costing more than all admissible cells combined makes
     # the solver prefer maximum admissible cardinality before total cost.
     big = float(costs[admissible].sum()) + 1.0 if admissible.any() else 1.0
     padded = np.where(admissible, costs, big)
-    rows, cols = linear_sum_assignment(padded)
-
-    matched_rows, matched_cols = set(), set()
-    for i, j in sorted(zip(rows, cols)):
-        if admissible[i, j]:
-            result.matches.append((int(i), int(j), float(costs[i, j])))
-            matched_rows.add(int(i))
-            matched_cols.add(int(j))
-    result.unmatched_tracks = [i for i in range(n_rows) if i not in matched_rows]
-    result.unmatched_detections = [j for j in range(n_cols) if j not in matched_cols]
-    return result
+    rows, cols = linear_sum_assignment(padded)  # rows come in ascending order
+    keep = admissible[rows, cols]
+    rows, cols = rows[keep], cols[keep]
+    free_rows = np.ones(n_rows, dtype=bool)
+    free_rows[rows] = False
+    free_cols = np.ones(n_cols, dtype=bool)
+    free_cols[cols] = False
+    return AssignmentResult(
+        matches=list(zip(rows.tolist(), cols.tolist(), costs[rows, cols].tolist())),
+        unmatched_tracks=np.flatnonzero(free_rows).tolist(),
+        unmatched_detections=np.flatnonzero(free_cols).tolist())

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import motion
 from .ddcf import CorrelationFilter, FeatureMap, MIN_PATCH_CELLS, extract_patch
 from .errors import ConfigError, InvalidInputError, ValidationUnavailableError
 
@@ -48,22 +47,18 @@ class LifecycleConfig:
 
 @dataclass
 class Track:
-    """One hypothesised object, owned and mutated by a single pipeline."""
+    """One hypothesised object, owned and mutated by a single pipeline. Its
+    Kalman state is a row of the pipeline's table, not a field."""
 
     track_id: int
-    kalman: motion.KalmanState
+    last_position: np.ndarray          # px, last measured or recovered point
     state: TrackState = TrackState.TENTATIVE
     hits: int = 1                      # matched frames since birth
     consecutive_misses: int = 0
     cls_scores: list[float] = field(default_factory=list)
     pending_failures: int = 0          # consecutive failed confirmations past min_hits
-    last_position: np.ndarray = None   # px, last measured or recovered point
     last_confidence: float = 0.0
     filter: CorrelationFilter | None = None
-
-    def __post_init__(self):
-        if self.last_position is None:
-            self.last_position = np.array(self.kalman.position)
 
     @property
     def is_confirmed(self) -> bool:
@@ -159,9 +154,9 @@ def classification_gate_active(hits: int, config: LifecycleConfig) -> bool:
 
 def on_match(track: Track, measurement, confidence: float,
              validator_prob: float | None, config: LifecycleConfig,
-             motion_config: motion.MotionConfig,
              classification_enabled: bool = True) -> Track:
-    """Fold a gated, assigned detection into the track.
+    """Fold a gated, assigned detection into the track's bookkeeping; the
+    caller corrects the track's Kalman state with the same measurement.
 
     validator_prob is the classifier score for this frame's surroundings
     (None when classification is off or no context was available).
@@ -170,7 +165,6 @@ def on_match(track: Track, measurement, confidence: float,
         raise InvalidInputError(f"validator probability {validator_prob!r} outside [0, 1]")
     track.hits += 1
     track.consecutive_misses = 0
-    track.kalman = motion.update(track.kalman, measurement, motion_config)
     track.last_position = np.asarray(measurement, dtype=float).reshape(2)
     track.last_confidence = float(confidence)
 

@@ -3,6 +3,13 @@
 State layout is [x, y, vx, vy] with a fixed one-frame time step. Positions
 are image pixels, velocities pixels per frame. All operations are pure:
 they take a state and return a new one.
+
+A state holds one target (mean (4,), covariance (4, 4)) or a stack of them
+(mean (..., 4), covariance (..., 4, 4)); every operation applies row by row
+over the leading axes, and a stack may have zero rows. Each product is a
+matrix times a column, ``M @ x[..., None]``, never ``x @ M.T``: numpy then
+does one small product per row, so a stacked call gives bitwise the same
+rows as the single-state calls.
 """
 
 from dataclasses import dataclass
@@ -45,61 +52,72 @@ class MotionConfig:
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Gaussian belief over [x, y, vx, vy]."""
+    """Gaussian belief over [x, y, vx, vy], for one target or a stack."""
 
-    mean: np.ndarray        # shape (4,)
-    covariance: np.ndarray  # shape (4, 4), symmetric PSD
+    mean: np.ndarray        # shape (..., 4)
+    covariance: np.ndarray  # shape (..., 4, 4), symmetric PSD
 
     @property
     def position(self) -> np.ndarray:
-        return self.mean[:2]
+        return self.mean[..., :2]
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.mean[2:]
+        return self.mean[..., 2:]
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
+    return (p + p.swapaxes(-1, -2)) / 2.0
+
+
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for each row x of a stack of vectors."""
+    return (m @ x[..., None])[..., 0]
+
+
+def _measurements(measurement, batch_shape: tuple) -> np.ndarray:
+    """Measured positions as an array of shape batch_shape + (2,)."""
+    z = np.asarray(measurement, dtype=float).reshape(batch_shape + (2,))
+    if not np.all(np.isfinite(z)):
+        raise InvalidInputError(f"non-finite measurement {measurement!r}")
+    return z
 
 
 def init_state(measurement, config: MotionConfig) -> KalmanState:
-    """Start a new filter at a measured position with zero velocity."""
-    z = np.asarray(measurement, dtype=float).reshape(2)
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError(f"non-finite measurement {measurement!r}")
-    mean = np.array([z[0], z[1], 0.0, 0.0])
+    """Start a filter at each measured position (shape (..., 2)) with zero
+    velocity."""
+    z = np.asarray(measurement, dtype=float)
+    z = _measurements(z, z.shape[:-1])
+    mean = np.concatenate([z, np.zeros_like(z)], axis=-1)
     cov = np.diag([config.initial_pos_var, config.initial_pos_var,
                    config.initial_vel_var, config.initial_vel_var])
-    return KalmanState(mean, cov)
+    return KalmanState(mean, np.broadcast_to(cov, z.shape[:-1] + (4, 4)).copy())
 
 
 def predict(state: KalmanState, config: MotionConfig) -> KalmanState:
     """One-frame constant-velocity prediction."""
     q = np.diag([config.process_noise_pos, config.process_noise_pos,
                  config.process_noise_vel, config.process_noise_vel])
-    mean = _F @ state.mean
+    mean = _apply(_F, state.mean)
     cov = _symmetrize(_F @ state.covariance @ _F.T + q)
     return KalmanState(mean, cov)
 
 
 def update(state: KalmanState, measurement, config: MotionConfig) -> KalmanState:
-    """Correct the state with a position measurement.
+    """Correct each state with its position measurement (shape (..., 2)).
 
     Uses the Joseph-form covariance update, which keeps the covariance
     symmetric and PSD under roundoff.
     """
-    z = np.asarray(measurement, dtype=float).reshape(2)
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError(f"non-finite measurement {measurement!r}")
+    z = _measurements(measurement, state.mean.shape[:-1])
     r = config.measurement_noise * np.eye(2)
     p = state.covariance
     s = _H @ p @ _H.T + r
     k = p @ _H.T @ np.linalg.inv(s)
-    innovation = z - _H @ state.mean
-    mean = state.mean + k @ innovation
+    innovation = z - _apply(_H, state.mean)
+    mean = state.mean + _apply(k, innovation)
     ikh = np.eye(4) - k @ _H
-    cov = _symmetrize(ikh @ p @ ikh.T + k @ r @ k.T)
+    cov = _symmetrize(ikh @ p @ ikh.swapaxes(-1, -2) + k @ r @ k.swapaxes(-1, -2))
     return KalmanState(mean, cov)
 
 
@@ -114,7 +132,7 @@ def apply_affine(state: KalmanState, t: AffineTransform) -> KalmanState:
     j = np.zeros((4, 4))
     j[:2, :2] = m
     j[2:, 2:] = m
-    mean = j @ state.mean
-    mean[:2] += t.translation
+    mean = _apply(j, state.mean)
+    mean[..., :2] += t.translation
     cov = _symmetrize(j @ state.covariance @ j.T)
     return KalmanState(mean, cov)

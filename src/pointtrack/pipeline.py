@@ -4,6 +4,12 @@ Frame order: gate from altitude, camera-motion estimate, Kalman predict +
 affine correction, gated optimal assignment, match bookkeeping with the
 classification gate, correlation-filter recovery of unmatched confirmed
 tracks, births, miss handling, emission.
+
+The tracker keeps the Kalman states of all its tracks in one stacked
+``motion.KalmanState`` table whose row i belongs to ``tracks[i]``. Each
+frame predicts (and carries through the camera motion) the whole table in
+one call, corrects the matched rows in one call and the recovered rows in
+another, and appends the births' rows in one more.
 """
 
 import logging
@@ -22,7 +28,7 @@ from .formats import (
 )
 from .lifecycle import LifecycleConfig, Track, TrackState, TrajectoryValidator, ValidationContext
 from .metrics import TrajectorySet
-from .motion import MotionConfig
+from .motion import KalmanState, MotionConfig
 
 logger = logging.getLogger(__name__)
 
@@ -91,6 +97,7 @@ class PointTracker:
         self.config = config or TrackerConfig()
         self.validator = validator
         self.tracks: list[Track] = []
+        self.kalman = KalmanState(np.zeros((0, 4)), np.zeros((0, 4, 4)))  # row i: tracks[i]
         self._next_id = 1
         self._last_frame: int | None = None
         self._prev_features: FeatureMap | None = None
@@ -160,18 +167,21 @@ class PointTracker:
             return AffineTransform.identity()
 
     def _predict(self, affine: AffineTransform):
-        apply = not affine.is_identity()
-        for track in self.tracks:
-            track.kalman = motion.predict(track.kalman, self.config.motion)
-            if apply:
-                track.kalman = motion.apply_affine(track.kalman, affine)
+        self.kalman = motion.predict(self.kalman, self.config.motion)
+        if not affine.is_identity():
+            self.kalman = motion.apply_affine(self.kalman, affine)
+
+    def _correct(self, rows: list[int], points):
+        """Update the table's given rows, each with its measured point."""
+        table = self.kalman
+        fixed = motion.update(KalmanState(table.mean[rows], table.covariance[rows]),
+                              points, self.config.motion)
+        table.mean[rows] = fixed.mean
+        table.covariance[rows] = fixed.covariance
 
     def _associate(self, detections: list[Detection], gate: float) -> AssignmentResult:
-        predicted = [t.kalman.position for t in self.tracks]
         points = [(d.x, d.y) for d in detections]
-        costs = build_cost_matrix(predicted, points) if self.tracks and detections \
-            else np.zeros((len(self.tracks), len(detections)))
-        return solve_assignment(costs, gate)
+        return solve_assignment(build_cost_matrix(self.kalman.position, points), gate)
 
     def _validator_prob(self, track: Track, det: Detection,
                         frame_input: FrameInput) -> float | None:
@@ -197,14 +207,15 @@ class PointTracker:
             track = self.tracks[ti]
             det = detections[dj]
             prob = self._validator_prob(track, det, frame_input)
-            lifecycle.on_match(track, (det.x, det.y), det.conf, prob,
-                               self.config.lifecycle, self.config.motion,
+            lifecycle.on_match(track, (det.x, det.y), det.conf, prob, self.config.lifecycle,
                                classification_enabled=self._cls_enabled)
             self.summary.match_count += 1
             self.summary.match_distance_sum += dist
             if track.is_confirmed:
                 matched.add(track.track_id)
                 self._maintain_filter(track, det, frame_input)
+        self._correct([ti for ti, _, _ in result.matches],
+                      [(detections[dj].x, detections[dj].y) for _, dj, _ in result.matches])
         return matched
 
     @staticmethod
@@ -234,6 +245,9 @@ class PointTracker:
         cfg = self.config
         if not cfg.use_ddcf or frame_input.features is None:
             return recovered
+        # each track reads only its own predicted row, so the accepted
+        # recoveries can all be applied in one update after the loop
+        rows, points = [], []
         for ti in result.unmatched_tracks:
             track = self.tracks[ti]
             if not track.is_confirmed:
@@ -248,10 +262,10 @@ class PointTracker:
                     continue
             if track.filter is None:
                 continue
-            if not self._in_coverage(frame_input.features, track.kalman.position):
+            predicted = self.kalman.position[ti]
+            if not self._in_coverage(frame_input.features, predicted):
                 continue  # target outside the feature map; let it age out
-            patch = extract_patch(frame_input.features, track.kalman.position,
-                                  cfg.dcf.patch_cells)
+            patch = extract_patch(frame_input.features, predicted, cfg.dcf.patch_cells)
             offset, psr = localize(track.filter, patch)
             if psr < cfg.dcf.psr_min:
                 continue
@@ -260,19 +274,23 @@ class PointTracker:
                 # the spot is explained by a detection or a recovery another
                 # track already owns; recovering here would duplicate it
                 continue
-            track.kalman = motion.update(track.kalman, point, cfg.motion)
             track.last_position = np.asarray(point)
             recovered.add(track.track_id)
             claimed = np.vstack([claimed, point])
+            rows.append(ti)
+            points.append(point)
+        self._correct(rows, points)
         return recovered
 
     def _spawn(self, result: AssignmentResult, detections: list[Detection]) -> int:
-        for dj in result.unmatched_detections:
-            det = detections[dj]
-            state = motion.init_state((det.x, det.y), self.config.motion)
-            self.tracks.append(Track(
-                track_id=self._next_id, kalman=state,
-                last_confidence=det.conf))
+        points = np.array([(detections[dj].x, detections[dj].y)
+                           for dj in result.unmatched_detections]).reshape(-1, 2)
+        born = motion.init_state(points, self.config.motion)
+        self.kalman = KalmanState(np.concatenate([self.kalman.mean, born.mean]),
+                                  np.concatenate([self.kalman.covariance, born.covariance]))
+        for dj, point in zip(result.unmatched_detections, points):
+            self.tracks.append(Track(track_id=self._next_id, last_position=point,
+                                     last_confidence=detections[dj].conf))
             self._next_id += 1
         return len(result.unmatched_detections)
 
@@ -283,14 +301,15 @@ class PointTracker:
         so the dropped tracks are exactly this frame's deaths."""
         for ti in result.unmatched_tracks:
             lifecycle.on_miss(self.tracks[ti], self.config.lifecycle)
-        live = [t for t in self.tracks if not t.is_deleted]
-        deaths = len(self.tracks) - len(live)
-        self.tracks = live
+        live = [not t.is_deleted for t in self.tracks]
+        deaths = live.count(False)
+        self.tracks = [t for t, keep in zip(self.tracks, live) if keep]
+        self.kalman = KalmanState(self.kalman.mean[live], self.kalman.covariance[live])
         return deaths
 
     def _emit(self, frame: int, matched: set[int], recovered: set[int]) -> list[TrackRow]:
         records = []
-        for track in self.tracks:
+        for track, (x, y) in zip(self.tracks, self.kalman.position.tolist()):
             if not track.is_confirmed:
                 continue
             if track.track_id in matched:
@@ -301,9 +320,7 @@ class PointTracker:
                 source = SOURCE_COASTED
             else:
                 continue
-            pos = track.kalman.position
-            records.append(TrackRow(frame, track.track_id, float(pos[0]), float(pos[1]),
-                                    track.last_confidence, source))
+            records.append(TrackRow(frame, track.track_id, x, y, track.last_confidence, source))
         return records
 
 

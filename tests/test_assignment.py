@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointtrack.assignment import GatingPolicy, build_cost_matrix, dynamic_threshold, solve_assignment
 from pointtrack.errors import ConfigError, InvalidInputError
@@ -54,6 +56,11 @@ class TestDynamicThreshold:
         with pytest.raises(InvalidInputError):
             dynamic_threshold(-5.0)
 
+    @pytest.mark.parametrize("altitude", [1e-310, 5e-324])
+    def test_overflowing_gate_names_the_altitude(self, altitude):
+        with pytest.raises(InvalidInputError, match=f"altitude {altitude!r} "):
+            dynamic_threshold(altitude)
+
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
             GatingPolicy(base_radius=0)
@@ -73,6 +80,17 @@ class TestBuildCostMatrix:
     def test_nan_rejected(self):
         with pytest.raises(InvalidInputError):
             build_cost_matrix([(np.nan, 0)], [(0, 0)])
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(n=st.integers(0, 60), m=st.integers(0, 60), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(-3, 6), offset=st.floats(-1e6, 1e6))
+    def test_equals_norm_of_differences(self, n, m, seed, scale, offset):
+        rng = np.random.default_rng(seed)
+        p = offset + rng.normal(0, 10.0 ** scale, (n, 2))
+        d = offset + rng.normal(0, 10.0 ** scale, (m, 2))
+        d[: min(n, m) // 3] = p[: min(n, m) // 3]  # exact coincidences give zeros
+        expected = np.linalg.norm(p[:, None] - d[None], axis=2)
+        assert np.array_equal(build_cost_matrix(p, d), expected)
 
 
 class TestSolveAssignment:

@@ -197,6 +197,18 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("altitude", ["1e-310", "5e-324"])
+    def test_overflowing_gate_names_the_altitude(self, capsys, tmp_path, altitude):
+        scen = write_scenario(tmp_path, SCENARIO.replace("frames = 90", "frames = 5"))
+        bundle = tmp_path / "bundle"
+        assert run(capsys, "simulate", "--config", str(scen), "--out", str(bundle))[0] == 0
+        metadata = bundle / "metadata.csv"
+        header, first, *rest = metadata.read_text().splitlines(keepends=True)
+        metadata.write_text(header + f"{first.split(',')[0]},{altitude}\n" + "".join(rest))
+        code, _, err = run(capsys, "track", "--bundle", str(bundle), "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert f"altitude {float(altitude)!r} " in err
+
 
 @pytest.fixture(scope="module")
 def small_bundle(tmp_path_factory) -> Path:

@@ -8,18 +8,16 @@ from pointtrack.lifecycle import (
     ScoreColumnValidator, Track, TrackState, ValidationContext,
     classification_gate_active, on_match, on_miss, validate,
 )
-from pointtrack.motion import MotionConfig, init_state
 
 CFG = LifecycleConfig()
-MOTION = MotionConfig()
 
 
 def make_track(pos=(0.0, 0.0), **kwargs) -> Track:
-    return Track(track_id=1, kalman=init_state(pos, MOTION), **kwargs)
+    return Track(track_id=1, last_position=np.array(pos, dtype=float), **kwargs)
 
 
 def match(track, pos=(0.0, 0.0), prob=None, cls=True, conf=0.9):
-    return on_match(track, pos, conf, prob, CFG, MOTION, classification_enabled=cls)
+    return on_match(track, pos, conf, prob, CFG, classification_enabled=cls)
 
 
 class TestClassificationGate:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointtrack.cmc import AffineTransform
 from pointtrack.errors import ConfigError, DegenerateTransformError, InvalidInputError
@@ -213,3 +215,48 @@ class TestInvariants:
     def test_one_step_position_exact(self):
         s = KalmanState(np.array([2.0, -3.0, 0.5, 1.5]), np.eye(4))
         assert np.array_equal(predict(s, CFG).position, np.array([2.5, -1.5]))
+
+
+@st.composite
+def stacks(draw) -> tuple[KalmanState, np.ndarray, AffineTransform]:
+    """0-40 random states with PSD covariances, a measurement for each and a
+    near-identity camera transform."""
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-2, 3))
+    a = rng.normal(0, scale, (n, 4, 4))
+    cov = a @ a.swapaxes(-1, -2) + draw(st.floats(1e-6, 10)) * np.eye(4)
+    mean = rng.normal(0, 500, (n, 4))
+    z = mean[:, :2] + rng.normal(0, scale, (n, 2))
+    m = np.eye(2) + rng.normal(0, draw(st.floats(1e-6, 1e-2)), (2, 2))
+    t = AffineTransform(*m.ravel(), *rng.normal(0, 5, 2))
+    return KalmanState(mean, cov), z, t
+
+
+class TestStacked:
+    """A stacked call gives, row by row, bitwise the single-state result."""
+
+    @staticmethod
+    def assert_rows_equal(stacked: KalmanState, single: list[KalmanState]):
+        assert stacked.mean.shape == (len(single), 4)
+        assert stacked.covariance.shape == (len(single), 4, 4)
+        for i, s in enumerate(single):
+            assert np.array_equal(stacked.mean[i], s.mean)
+            assert np.array_equal(stacked.covariance[i], s.covariance)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(case=stacks())
+    def test_stack_equals_rows(self, case):
+        state, z, t = case
+        rows = [KalmanState(state.mean[i], state.covariance[i]) for i in range(len(z))]
+        self.assert_rows_equal(predict(state, CFG), [predict(r, CFG) for r in rows])
+        self.assert_rows_equal(update(state, z, CFG), [update(r, zi, CFG) for r, zi in zip(rows, z)])
+        self.assert_rows_equal(apply_affine(state, t), [apply_affine(r, t) for r in rows])
+        self.assert_rows_equal(init_state(z, CFG), [init_state(zi, CFG) for zi in z])
+
+    def test_non_finite_row_rejected(self):
+        state = init_state([(0.0, 0.0), (1.0, 1.0)], CFG)
+        with pytest.raises(InvalidInputError):
+            update(state, [(0.0, 0.0), (np.nan, 1.0)], CFG)
+        with pytest.raises(InvalidInputError):
+            init_state([(0.0, 0.0), (1.0, np.inf)], CFG)

@@ -1,9 +1,11 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from pointtrack import motion
 from pointtrack.ddcf import FeatureMap, extract_patch, localize
 from pointtrack.errors import InvalidInputError, SequencingError
 from pointtrack.formats import CorrespondenceRow, Detection
@@ -331,7 +333,7 @@ class TestDdcfBranches:
         inverted = self.blob_features(seed=1, sign=-1.0)
         tracker, out = self.confirm_then_lose(self.blob_features(), inverted)
         track = tracker.tracks[0]
-        patch = extract_patch(inverted, track.kalman.position, tracker.config.dcf.patch_cells)
+        patch = extract_patch(inverted, tracker.kalman.position[0], tracker.config.dcf.patch_cells)
         assert localize(track.filter, patch)[1] < tracker.config.dcf.psr_min
         assert out.recoveries == 0
 
@@ -362,6 +364,37 @@ class TestDeterminism:
         assert tracker.summary == whole.summary
         assert tracker.summary.births == 1
         assert tracker.summary.lifespans == {1: (29, 49)}
+
+
+class TestKalmanTable:
+    def test_few_stacked_motion_calls_per_frame(self, monkeypatch):
+        """One predict, affine and init_state per frame and at most two
+        updates (matches, recoveries), each over a stack of table rows."""
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("predict", "apply_affine", "update", "init_state"):
+            monkeypatch.setattr(motion, name, counting(name, getattr(motion, name)))
+        cfg = ScenarioConfig(n_agents=5, frames=80, fn_rate=0.15, jitter_sigma=0.4,
+                             fp_clutter_rate=1.0, camera_rotation_deg=0.1,
+                             camera_translation_x=1.0, feature_channels=4, seed=13)
+        tracker = PointTracker(TrackerConfig(), ScoreColumnValidator())
+        per_frame, recoveries = Counter(), 0
+        for frame_input in generate(cfg).frames:
+            calls.clear()
+            recoveries += tracker.process_frame(frame_input).recoveries
+            assert calls["predict"] <= 1 and calls["apply_affine"] <= 1
+            assert calls["init_state"] <= 1 and calls["update"] <= 2
+            assert tracker.kalman.mean.shape == (len(tracker.tracks), 4)
+            assert tracker.kalman.covariance.shape == (len(tracker.tracks), 4, 4)
+            per_frame.update(calls)
+        # the scene exercises every path: camera motion and recoveries
+        assert per_frame["apply_affine"] > 0 and recoveries > 0
 
 
 class TestGateAndCmcWiring:

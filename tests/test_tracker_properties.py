@@ -2,11 +2,13 @@
 
 from dataclasses import replace
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pointtrack.formats import SOURCE_DDCF, SOURCE_DETECTION
 from pointtrack.lifecycle import LifecycleConfig, ScoreColumnValidator
-from pointtrack.pipeline import PointTracker, TrackerConfig, run_sequence
+from pointtrack.pipeline import FrameOutput, PointTracker, TrackerConfig, run_sequence
 from pointtrack.simulate import ScenarioConfig, generate
 
 
@@ -34,8 +36,38 @@ def scenarios(draw) -> ScenarioConfig:
     )
 
 
+def assert_recoveries_spaced(out: FrameOutput, tracker: PointTracker):
+    """No two DDCF recoveries of a frame, and no DDCF recovery and matched
+    detection of it, lie within the frame's gate of each other. The check is
+    on the measured points (each emitted track's last_position), the points
+    the recovery claim compares; a record holds the Kalman posterior, which
+    may sit closer to another record than its measured point does."""
+    measured = {t.track_id: t.last_position for t in tracker.tracks}
+
+    def points(source):
+        return np.array([measured[r.track_id] for r in out.records
+                         if r.source == source]).reshape(-1, 2)
+
+    ddcf, det = points(SOURCE_DDCF), points(SOURCE_DETECTION)
+    apart = np.linalg.norm(ddcf[:, None] - ddcf[None], axis=2) + np.diag(np.full(len(ddcf), np.inf))
+    assert np.all(apart >= out.gate), "two recoveries of one frame within the gate"
+    near = np.linalg.norm(ddcf[:, None] - det[None], axis=2)
+    assert np.all(near >= out.gate), "a recovery within the gate of a matched detection"
+
+
+def _ddcf_scene(seed: int, frames: int, fn_rate: float, fp_clutter_rate: float) -> ScenarioConfig:
+    return ScenarioConfig(n_agents=5, frames=frames, arena_width=128.0, arena_height=128.0,
+                          agent_speed_sigma=2.0, camera_rotation_deg=0.0, camera_translation_x=0.0,
+                          fn_rate=fn_rate, fp_clutter_rate=fp_clutter_rate, persistent_fp_count=0,
+                          jitter_sigma=0.0, feature_channels=2, seed=seed)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(scenario=scenarios(), flags=st.tuples(*[st.booleans()] * 4), min_hits=st.integers(4, 6))
+# two scenes where, without the recovery claim, two recoveries (seed 3) or a
+# recovery and a detection (seed 0) land on one spot in the same frame
+@example(scenario=_ddcf_scene(3, 21, 0.6, 0.0), flags=(False, False, False, True), min_hits=4)
+@example(scenario=_ddcf_scene(0, 10, 0.0, 1.0), flags=(False, False, False, True), min_hits=4)
 def test_tracker_invariants_hold_every_frame(scenario, flags, min_hits):
     use_cmc, use_alt, use_cls, use_ddcf = flags
     config = replace(TrackerConfig(), use_cmc=use_cmc, use_alt=use_alt, use_cls=use_cls,
@@ -58,5 +90,7 @@ def test_tracker_invariants_hold_every_frame(scenario, flags, min_hits):
         live = now
         assert set(emitted) <= {t.track_id for t in tracker.tracks if t.is_confirmed}
         assert tracker.summary.births - tracker.summary.deaths == len(tracker.tracks)
+        assert len(tracker.kalman.mean) == len(tracker.tracks)
+        assert_recoveries_spaced(out, tracker)
     rerun = run_sequence(bundle.frames, config, ScoreColumnValidator())
     assert [o.records for o in rerun.outputs] == [o.records for o in outputs]
