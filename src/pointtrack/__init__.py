@@ -27,7 +27,7 @@ from .gog import FlowGraph, GogConfig, build_graph
 from .gog import solve as gog_solve
 from .lifecycle import (
     FeatureEnergyValidator, LifecycleConfig, OracleValidator, ScoreColumnValidator,
-    Track, TrackState, TrajectoryValidator, ValidationContext,
+    TrackState, TrackTable, TrajectoryValidator, ValidationContext,
 )
 from .metrics import (
     MetricsReport, TrajectorySet, compute_sequence_metrics, export_interchange,

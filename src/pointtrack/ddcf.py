@@ -124,11 +124,15 @@ def extract_patch(fmap: FeatureMap, center, size: int) -> FeaturePatch:
         raise InvalidInputError(f"non-finite patch centre {center!r}")
     if size < MIN_PATCH_CELLS:
         raise InvalidInputError(f"patch size must be >= {MIN_PATCH_CELLS}, got {size}")
-    cx = int(np.floor(center[0] / fmap.stride + 0.5))
-    cy = int(np.floor(center[1] / fmap.stride + 0.5))
-    half = size // 2
-    rows = np.clip(np.arange(cy - half, cy - half + size), 0, fmap.height - 1)
-    cols = np.clip(np.arange(cx - half, cx - half + size), 0, fmap.width - 1)
+    x, y = float(center[0]) / fmap.stride + 0.5, float(center[1]) / fmap.stride + 0.5
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidInputError(f"patch centre {center!r} overflows at stride {fmap.stride!r}")
+    cx, cy = math.floor(x), math.floor(y)
+    # a window centred farther out than size cells is all edge cells either way
+    x0 = min(max(cx, -size), fmap.width + size) - size // 2
+    y0 = min(max(cy, -size), fmap.height + size) - size // 2
+    rows = np.clip(np.arange(y0, y0 + size), 0, fmap.height - 1)
+    cols = np.clip(np.arange(x0, x0 + size), 0, fmap.width - 1)
     data = np.ascontiguousarray(fmap.data[np.ix_(rows, cols)], dtype=float)
     origin = np.array([cx * fmap.stride, cy * fmap.stride])
     return FeaturePatch(data=data, origin=origin, stride=fmap.stride)

@@ -5,22 +5,26 @@ reaches the minimum trajectory length its surroundings start being scored
 by a pluggable validator; it is confirmed only when it is old enough AND
 the running mean of those scores clears the confirmation threshold. With
 no validator configured, confirmation falls back to the age rule alone.
+
+A tracker keeps every live track as one row of a TrackTable, and on_match
+and on_miss apply these rules to a set of rows at once.
 """
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ddcf import CorrelationFilter, FeatureMap, MIN_PATCH_CELLS, extract_patch
+from .ddcf import FeatureMap, MIN_PATCH_CELLS, extract_patch
 from .errors import ConfigError, InvalidInputError, ValidationUnavailableError
+from .motion import KalmanState
 
 
-class TrackState(enum.Enum):
-    TENTATIVE = "tentative"
-    PENDING_CLASSIFICATION = "pending"
-    CONFIRMED = "confirmed"
-    DELETED = "deleted"
+class TrackState:
+    """A TrackTable's state values: plain ints, which numpy compares fast."""
+    TENTATIVE = 0
+    PENDING_CLASSIFICATION = 1
+    CONFIRMED = 2
+    DELETED = 3
 
 
 @dataclass(frozen=True)
@@ -45,28 +49,46 @@ class LifecycleConfig:
             raise ConfigError("pending_fail_patience must be >= 1")
 
 
-@dataclass
-class Track:
-    """One hypothesised object, owned and mutated by a single pipeline. Its
-    Kalman state is a row of the pipeline's table, not a field."""
+@dataclass(eq=False)
+class TrackTable:
+    """Every live track of one tracker, one row each, in birth order. The
+    lifecycle rules and the pipeline update the columns in place; once a
+    frame the pipeline replaces the table, dropping the deleted rows and
+    appending the births."""
 
-    track_id: int
-    last_position: np.ndarray          # px, last measured or recovered point
-    state: TrackState = TrackState.TENTATIVE
-    hits: int = 1                      # matched frames since birth
-    consecutive_misses: int = 0
-    cls_scores: list[float] = field(default_factory=list)
-    pending_failures: int = 0          # consecutive failed confirmations past min_hits
-    last_confidence: float = 0.0
-    filter: CorrelationFilter | None = None
+    id: np.ndarray                # (n,) int, strictly increasing
+    mean: np.ndarray              # (n, 4) Kalman mean [x, y, vx, vy]
+    covariance: np.ndarray        # (n, 4, 4) Kalman covariance
+    last_position: np.ndarray     # (n, 2) px, last measured or recovered point
+    last_confidence: np.ndarray   # (n,)
+    state: np.ndarray             # (n,) TrackState values
+    hits: np.ndarray              # (n,) matched frames since birth
+    misses: np.ndarray            # (n,) consecutive frames without a match
+    pending_failures: np.ndarray  # (n,) consecutive failed confirmations past min_hits
+    cls_scores: np.ndarray        # (n,) object: list of the row's validator scores
+    filters: np.ndarray           # (n,) object: CorrelationFilter or None
 
-    @property
-    def is_confirmed(self) -> bool:
-        return self.state is TrackState.CONFIRMED
+    @classmethod
+    def born(cls, first_id: int, points, confidences, kalman: KalmanState) -> "TrackTable":
+        """Tentative tracks with ids first_id, first_id + 1, ..., one per
+        detected point, each starting from its row of kalman."""
+        n = len(kalman.mean)
+        cls_scores = np.empty(n, dtype=object)
+        for i in range(n):
+            cls_scores[i] = []
+        return cls(np.arange(first_id, first_id + n), kalman.mean, kalman.covariance,
+                   np.asarray(points, dtype=float).reshape(n, 2), np.asarray(confidences, dtype=float),
+                   np.full(n, TrackState.TENTATIVE, dtype=np.int8), np.ones(n, dtype=int),
+                   np.zeros(n, dtype=int), np.zeros(n, dtype=int), cls_scores,
+                   np.full(n, None, dtype=object))
 
-    @property
-    def is_deleted(self) -> bool:
-        return self.state is TrackState.DELETED
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def keep_and_append(self, keep: np.ndarray, born: "TrackTable") -> "TrackTable":
+        """The rows where keep is true, followed by the rows of born."""
+        return TrackTable(*(np.concatenate([getattr(self, f.name)[keep], getattr(born, f.name)])
+                            for f in fields(self)))
 
 
 class TrajectoryValidator:
@@ -152,53 +174,55 @@ def classification_gate_active(hits: int, config: LifecycleConfig) -> bool:
     return hits >= config.min_hits - config.cls_lead
 
 
-def on_match(track: Track, measurement, confidence: float,
-             validator_prob: float | None, config: LifecycleConfig,
-             classification_enabled: bool = True) -> Track:
-    """Fold a gated, assigned detection into the track's bookkeeping; the
-    caller corrects the track's Kalman state with the same measurement.
+def on_match(tracks: TrackTable, rows, points, confidences, probs,
+             config: LifecycleConfig, classification_enabled: bool = True) -> None:
+    """Fold each row's gated, assigned detection (its point and confidence)
+    into the row's bookkeeping; the caller corrects the rows' Kalman states
+    with the same points. rows are distinct.
 
-    validator_prob is the classifier score for this frame's surroundings
-    (None when classification is off or no context was available).
+    probs holds each row's classifier score for this frame's surroundings,
+    NaN where there is none (classification off or no context available).
     """
-    if validator_prob is not None and not (0.0 <= validator_prob <= 1.0):
-        raise InvalidInputError(f"validator probability {validator_prob!r} outside [0, 1]")
-    track.hits += 1
-    track.consecutive_misses = 0
-    track.last_position = np.asarray(measurement, dtype=float).reshape(2)
-    track.last_confidence = float(confidence)
+    rows = np.asarray(rows, dtype=np.intp)
+    probs = np.asarray(probs, dtype=float).reshape(len(rows))
+    scored = ~np.isnan(probs)
+    bad = scored & ~((probs >= 0.0) & (probs <= 1.0))
+    if bad.any():
+        raise InvalidInputError(f"validator probability {probs[bad][0]!r} outside [0, 1]")
+    hits = tracks.hits[rows] + 1
+    tracks.hits[rows] = hits
+    tracks.misses[rows] = 0
+    tracks.last_position[rows] = np.asarray(points, dtype=float).reshape(len(rows), 2)
+    tracks.last_confidence[rows] = confidences
 
-    if track.state is TrackState.CONFIRMED:
-        return track
-
+    state = tracks.state[rows]
     if not classification_enabled:
-        if track.hits >= config.min_hits:
-            track.state = TrackState.CONFIRMED
-        return track
-
-    gate_active = classification_gate_active(track.hits, config)
-    if track.state is TrackState.TENTATIVE and gate_active and validator_prob is not None:
-        track.state = TrackState.PENDING_CLASSIFICATION
-    if track.state is TrackState.PENDING_CLASSIFICATION:
-        if validator_prob is not None:
-            track.cls_scores.append(float(validator_prob))
+        state[(state != TrackState.CONFIRMED) & (hits >= config.min_hits)] = TrackState.CONFIRMED
+    else:
+        opening = (state == TrackState.TENTATIVE) & classification_gate_active(hits, config) & scored
+        state[opening] = TrackState.PENDING_CLASSIFICATION
+        pending = state == TrackState.PENDING_CLASSIFICATION
+        for row, prob in zip(rows[pending & scored], probs[pending & scored].tolist()):
+            tracks.cls_scores[row].append(prob)
         # once old enough, each matched frame confirms the track or counts
         # one failure toward the patience budget
-        if track.hits >= config.min_hits:
-            if float(np.mean(track.cls_scores)) > config.cls_confirm_threshold:
-                track.state = TrackState.CONFIRMED
-            else:
-                track.pending_failures += 1
-                if track.pending_failures >= config.pending_fail_patience:
-                    track.state = TrackState.DELETED
-    return track
+        decide = np.flatnonzero(pending & (hits >= config.min_hits))
+        passed = np.array([np.mean(tracks.cls_scores[rows[i]]) > config.cls_confirm_threshold
+                           for i in decide], dtype=bool)
+        state[decide[passed]] = TrackState.CONFIRMED
+        failed = decide[~passed]
+        tracks.pending_failures[rows[failed]] += 1
+        exhausted = tracks.pending_failures[rows[failed]] >= config.pending_fail_patience
+        state[failed[exhausted]] = TrackState.DELETED
+    tracks.state[rows] = state
 
 
-def on_miss(track: Track, config: LifecycleConfig) -> None:
-    """Register a frame without a gated detection; maybe delete the track."""
-    track.consecutive_misses += 1
-    over_tentative = (track.state is not TrackState.CONFIRMED
-                      and track.consecutive_misses > config.tentative_miss_tolerance)
-    over_age = track.consecutive_misses > config.max_age
-    if over_tentative or over_age:
-        track.state = TrackState.DELETED
+def on_miss(tracks: TrackTable, rows, config: LifecycleConfig) -> None:
+    """Register a frame without a gated detection for each of the (distinct)
+    rows; delete the rows past their miss budget."""
+    rows = np.asarray(rows, dtype=np.intp)
+    misses = tracks.misses[rows] + 1
+    tracks.misses[rows] = misses
+    over_tentative = ((tracks.state[rows] != TrackState.CONFIRMED)
+                      & (misses > config.tentative_miss_tolerance))
+    tracks.state[rows[over_tentative | (misses > config.max_age)]] = TrackState.DELETED

@@ -5,11 +5,12 @@ affine correction, gated optimal assignment, match bookkeeping with the
 classification gate, correlation-filter recovery of unmatched confirmed
 tracks, births, miss handling, emission.
 
-The tracker keeps the Kalman states of all its tracks in one stacked
-``motion.KalmanState`` table whose row i belongs to ``tracks[i]``. Each
-frame predicts (and carries through the camera motion) the whole table in
-one call, corrects the matched rows in one call and the recovered rows in
-another, and appends the births' rows in one more.
+Every live track is one row of the tracker's ``lifecycle.TrackTable``, its
+only per-track store. Each frame predicts (and carries through the camera
+motion) the table's Kalman columns in one call, applies the match and miss
+rules to row sets, corrects the matched rows in one call and the recovered
+rows in another, and then drops the deleted rows and appends the births in
+one step.
 """
 
 import logging
@@ -26,7 +27,7 @@ from .formats import (
     SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION, CorrespondenceRow, Detection, SequenceBundlePaths,
     TrackRow, parse_correspondences, parse_detections, parse_metadata, read_feature_map,
 )
-from .lifecycle import LifecycleConfig, Track, TrackState, TrajectoryValidator, ValidationContext
+from .lifecycle import LifecycleConfig, TrackState, TrackTable, TrajectoryValidator, ValidationContext
 from .metrics import TrajectorySet
 from .motion import KalmanState, MotionConfig
 
@@ -96,8 +97,7 @@ class PointTracker:
                  validator: TrajectoryValidator | None = None):
         self.config = config or TrackerConfig()
         self.validator = validator
-        self.tracks: list[Track] = []
-        self.kalman = KalmanState(np.zeros((0, 4)), np.zeros((0, 4, 4)))  # row i: tracks[i]
+        self.tracks = TrackTable.born(1, [], [], motion.init_state(np.zeros((0, 2)), self.config.motion))
         self._next_id = 1
         self._last_frame: int | None = None
         self._prev_features: FeatureMap | None = None
@@ -125,26 +125,34 @@ class PointTracker:
         self._predict(affine)
 
         detections = frame_input.detections
-        result = self._associate(detections, gate)
-        matched_ids = self._handle_matches(result, detections, frame_input)
-        claimed = np.array([[detections[dj].x, detections[dj].y]
-                            for _, dj, _ in result.matches]).reshape(-1, 2)
-        recovered_ids = self._recover(result, frame_input, claimed, gate)
-        births = self._spawn(result, detections)
-        deaths = self._handle_misses(result)
+        points = np.array([(d.x, d.y) for d in detections], dtype=float).reshape(-1, 2)
+        result = solve_assignment(build_cost_matrix(self.tracks.mean[:, :2], points), gate)
+        matched = self._handle_matches(result, points, frame_input)
+        recovered = self._recover(result, frame_input, matched, gate)
+        lifecycle.on_miss(self.tracks, result.unmatched_tracks, self.config.lifecycle)
+        # a frame starts with no deleted row, so the deleted rows are exactly
+        # this frame's deaths (by a miss or by the classification decision)
+        deleted = self.tracks.state == TrackState.DELETED
+        records = self._emit(frame, matched, recovered)
+        # drop the deleted rows, append one tentative row per unmatched detection
+        born = result.unmatched_detections
+        self.tracks = self.tracks.keep_and_append(~deleted, TrackTable.born(
+            self._next_id, points[born], [detections[dj].conf for dj in born],
+            motion.init_state(points[born], self.config.motion)))
+        self._next_id += len(born)
+        births, deaths, recoveries = len(born), int(deleted.sum()), int(recovered.sum())
 
-        records = self._emit(frame, matched_ids, recovered_ids)
         self._prev_features = frame_input.features
         self._last_frame = frame
         summary = self.summary
         summary.births += births
         summary.deaths += deaths
-        summary.recoveries += len(recovered_ids)
+        summary.recoveries += recoveries
         for r in records:
             first, _ = summary.lifespans.get(r.track_id, (frame, frame))
             summary.lifespans[r.track_id] = (first, frame)
         return FrameOutput(frame=frame, records=records, gate=gate, affine=affine,
-                           births=births, deaths=deaths, recoveries=len(recovered_ids))
+                           births=births, deaths=deaths, recoveries=recoveries)
 
     # --- pipeline steps ---
 
@@ -167,55 +175,50 @@ class PointTracker:
             return AffineTransform.identity()
 
     def _predict(self, affine: AffineTransform):
-        self.kalman = motion.predict(self.kalman, self.config.motion)
+        kalman = motion.predict(KalmanState(self.tracks.mean, self.tracks.covariance), self.config.motion)
         if not affine.is_identity():
-            self.kalman = motion.apply_affine(self.kalman, affine)
+            kalman = motion.apply_affine(kalman, affine)
+        self.tracks.mean, self.tracks.covariance = kalman.mean, kalman.covariance
 
-    def _correct(self, rows: list[int], points):
-        """Update the table's given rows, each with its measured point."""
-        table = self.kalman
-        fixed = motion.update(KalmanState(table.mean[rows], table.covariance[rows]),
-                              points, self.config.motion)
-        table.mean[rows] = fixed.mean
-        table.covariance[rows] = fixed.covariance
+    def _correct(self, rows: np.ndarray):
+        """Correct the Kalman state of the given rows with their last_position."""
+        tracks = self.tracks
+        fixed = motion.update(KalmanState(tracks.mean[rows], tracks.covariance[rows]),
+                              tracks.last_position[rows], self.config.motion)
+        tracks.mean[rows], tracks.covariance[rows] = fixed.mean, fixed.covariance
 
-    def _associate(self, detections: list[Detection], gate: float) -> AssignmentResult:
-        points = [(d.x, d.y) for d in detections]
-        return solve_assignment(build_cost_matrix(self.kalman.position, points), gate)
-
-    def _validator_prob(self, track: Track, det: Detection,
-                        frame_input: FrameInput) -> float | None:
-        if not self._cls_enabled or track.state is TrackState.CONFIRMED:
-            return None
-        if not lifecycle.classification_gate_active(track.hits + 1, self.config.lifecycle):
-            return None
-        context = ValidationContext(
-            frame=frame_input.frame,
-            position=np.array([det.x, det.y]),
-            detection_score=det.score,
-            features=frame_input.features,
-        )
-        try:
-            return lifecycle.validate(self.validator, context)
-        except lifecycle.ValidationUnavailableError:
-            return None
-
-    def _handle_matches(self, result: AssignmentResult, detections: list[Detection],
-                        frame_input: FrameInput) -> set[int]:
-        matched: set[int] = set()
-        for ti, dj, dist in result.matches:
-            track = self.tracks[ti]
-            det = detections[dj]
-            prob = self._validator_prob(track, det, frame_input)
-            lifecycle.on_match(track, (det.x, det.y), det.conf, prob, self.config.lifecycle,
-                               classification_enabled=self._cls_enabled)
-            self.summary.match_count += 1
+    def _handle_matches(self, result: AssignmentResult, points: np.ndarray,
+                        frame_input: FrameInput) -> np.ndarray:
+        """Apply the match rule to the matched rows, maintain the filters of
+        the confirmed ones and correct their Kalman states; returns the mask
+        of matched rows."""
+        tracks, detections = self.tracks, frame_input.detections
+        rows = np.array([ti for ti, _, _ in result.matches], dtype=np.intp)
+        dets = [dj for _, dj, _ in result.matches]
+        probs = np.full(len(rows), np.nan)
+        if self._cls_enabled:
+            # only the rows inside the classification window are scored
+            window = ((tracks.state[rows] != TrackState.CONFIRMED)
+                      & lifecycle.classification_gate_active(tracks.hits[rows] + 1, self.config.lifecycle))
+            for i in np.flatnonzero(window):
+                det = detections[dets[i]]
+                context = ValidationContext(frame_input.frame, np.array([det.x, det.y]), det.score,
+                                            frame_input.features)
+                try:
+                    probs[i] = lifecycle.validate(self.validator, context)
+                except lifecycle.ValidationUnavailableError:
+                    pass  # no context for this detection, so no score
+        lifecycle.on_match(tracks, rows, points[dets], [detections[dj].conf for dj in dets], probs,
+                           self.config.lifecycle, classification_enabled=self._cls_enabled)
+        self.summary.match_count += len(rows)
+        for _, _, dist in result.matches:
             self.summary.match_distance_sum += dist
-            if track.is_confirmed:
-                matched.add(track.track_id)
-                self._maintain_filter(track, det, frame_input)
-        self._correct([ti for ti, _, _ in result.matches],
-                      [(detections[dj].x, detections[dj].y) for _, dj, _ in result.matches])
+        if self.config.use_ddcf and frame_input.features is not None:
+            for k in np.flatnonzero(tracks.state[rows] == TrackState.CONFIRMED).tolist():
+                self._maintain_filter(rows[k], points[dets[k]], frame_input.features)
+        self._correct(rows)
+        matched = np.zeros(len(tracks), dtype=bool)
+        matched[rows] = True
         return matched
 
     @staticmethod
@@ -224,49 +227,47 @@ class PointTracker:
         return (0.0 <= x < features.width * features.stride
                 and 0.0 <= y < features.height * features.stride)
 
-    def _maintain_filter(self, track: Track, det: Detection, frame_input: FrameInput):
-        cfg = self.config
-        if not cfg.use_ddcf or frame_input.features is None:
+    def _maintain_filter(self, row: int, point: np.ndarray, features: FeatureMap):
+        if not self._in_coverage(features, point):
             return
-        if not self._in_coverage(frame_input.features, (det.x, det.y)):
-            return
+        filters, dcf = self.tracks.filters, self.config.dcf
         try:
-            patch = extract_patch(frame_input.features, (det.x, det.y), cfg.dcf.patch_cells)
-            if track.filter is None:
-                track.filter = train_filter(patch, cfg.dcf)
+            patch = extract_patch(features, point, dcf.patch_cells)
+            if filters[row] is None:
+                filters[row] = train_filter(patch, dcf)
             else:
-                track.filter = update_filter(track.filter, patch, cfg.dcf)
+                filters[row] = update_filter(filters[row], patch, dcf)
         except InvalidInputError:
             pass  # degenerate patch; keep whatever model we had
 
     def _recover(self, result: AssignmentResult, frame_input: FrameInput,
-                 claimed: np.ndarray, gate: float) -> set[int]:
-        recovered: set[int] = set()
-        cfg = self.config
+                 matched: np.ndarray, gate: float) -> np.ndarray:
+        """Re-localize the unmatched confirmed rows with their filters and
+        correct the recovered ones; returns the mask of recovered rows."""
+        tracks, cfg = self.tracks, self.config
+        recovered = np.zeros(len(tracks), dtype=bool)
         if not cfg.use_ddcf or frame_input.features is None:
             return recovered
         # each track reads only its own predicted row, so the accepted
         # recoveries can all be applied in one update after the loop
-        rows, points = [], []
-        for ti in result.unmatched_tracks:
-            track = self.tracks[ti]
-            if not track.is_confirmed:
-                continue
-            if track.filter is None and self._prev_features is not None:
+        claimed = tracks.last_position[matched]  # this frame's matched detections
+        unmatched = np.asarray(result.unmatched_tracks, dtype=np.intp)
+        for ti in unmatched[tracks.state[unmatched] == TrackState.CONFIRMED].tolist():
+            if tracks.filters[ti] is None and self._prev_features is not None:
                 # no model yet: build it from the last measured position
                 try:
-                    patch = extract_patch(self._prev_features, track.last_position,
+                    patch = extract_patch(self._prev_features, tracks.last_position[ti],
                                           cfg.dcf.patch_cells)
-                    track.filter = train_filter(patch, cfg.dcf)
+                    tracks.filters[ti] = train_filter(patch, cfg.dcf)
                 except InvalidInputError:
                     continue
-            if track.filter is None:
+            if tracks.filters[ti] is None:
                 continue
-            predicted = self.kalman.position[ti]
+            predicted = tracks.mean[ti, :2]
             if not self._in_coverage(frame_input.features, predicted):
                 continue  # target outside the feature map; let it age out
             patch = extract_patch(frame_input.features, predicted, cfg.dcf.patch_cells)
-            offset, psr = localize(track.filter, patch)
+            offset, psr = localize(tracks.filters[ti], patch)
             if psr < cfg.dcf.psr_min:
                 continue
             point = patch.origin + offset
@@ -274,54 +275,23 @@ class PointTracker:
                 # the spot is explained by a detection or a recovery another
                 # track already owns; recovering here would duplicate it
                 continue
-            track.last_position = np.asarray(point)
-            recovered.add(track.track_id)
+            tracks.last_position[ti] = point
+            recovered[ti] = True
             claimed = np.vstack([claimed, point])
-            rows.append(ti)
-            points.append(point)
-        self._correct(rows, points)
+        self._correct(np.flatnonzero(recovered))
         return recovered
 
-    def _spawn(self, result: AssignmentResult, detections: list[Detection]) -> int:
-        points = np.array([(detections[dj].x, detections[dj].y)
-                           for dj in result.unmatched_detections]).reshape(-1, 2)
-        born = motion.init_state(points, self.config.motion)
-        self.kalman = KalmanState(np.concatenate([self.kalman.mean, born.mean]),
-                                  np.concatenate([self.kalman.covariance, born.covariance]))
-        for dj, point in zip(result.unmatched_detections, points):
-            self.tracks.append(Track(track_id=self._next_id, last_position=point,
-                                     last_confidence=detections[dj].conf))
-            self._next_id += 1
-        return len(result.unmatched_detections)
-
-    def _handle_misses(self, result: AssignmentResult) -> int:
-        """Age the unmatched tracks, then drop every track deleted this frame
-        (by a miss or by the classification decision); returns their count.
-        A frame starts with no deleted track and spawned tracks are tentative,
-        so the dropped tracks are exactly this frame's deaths."""
-        for ti in result.unmatched_tracks:
-            lifecycle.on_miss(self.tracks[ti], self.config.lifecycle)
-        live = [not t.is_deleted for t in self.tracks]
-        deaths = live.count(False)
-        self.tracks = [t for t, keep in zip(self.tracks, live) if keep]
-        self.kalman = KalmanState(self.kalman.mean[live], self.kalman.covariance[live])
-        return deaths
-
-    def _emit(self, frame: int, matched: set[int], recovered: set[int]) -> list[TrackRow]:
-        records = []
-        for track, (x, y) in zip(self.tracks, self.kalman.position.tolist()):
-            if not track.is_confirmed:
-                continue
-            if track.track_id in matched:
-                source = SOURCE_DETECTION
-            elif track.track_id in recovered:
-                source = SOURCE_DDCF
-            elif self.config.emit_coasted:
-                source = SOURCE_COASTED
-            else:
-                continue
-            records.append(TrackRow(frame, track.track_id, x, y, track.last_confidence, source))
-        return records
+    def _emit(self, frame: int, matched: np.ndarray, recovered: np.ndarray) -> list[TrackRow]:
+        """One record per confirmed row that was matched or recovered this
+        frame, or per confirmed row with emit_coasted."""
+        tracks = self.tracks
+        rows = np.flatnonzero((tracks.state == TrackState.CONFIRMED)
+                              & (matched | recovered | self.config.emit_coasted))
+        # an object array hands out the shared source strings, not a copy per record
+        sources = np.array([SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION], dtype=object)
+        return [TrackRow(frame, *values) for values in zip(
+            tracks.id[rows].tolist(), tracks.mean[rows, 0].tolist(), tracks.mean[rows, 1].tolist(),
+            tracks.last_confidence[rows].tolist(), sources[2 * matched[rows] + recovered[rows]])]
 
 
 @dataclass

@@ -210,6 +210,24 @@ class TestBadInput:
         assert f"altitude {float(altitude)!r} " in err
 
 
+    def test_huge_coordinate_exits_zero(self, capsys, tmp_path):
+        """A finite detection far off the feature map is tracked: a confirmed
+        track that loses it trains its late filter on edge cells."""
+        scen = write_scenario(tmp_path, SCENARIO.replace("frames = 90", "frames = 5")
+                              .replace("feature_channels = 0", "feature_channels = 2"))
+        bundle = tmp_path / "bundle"
+        assert run(capsys, "simulate", "--config", str(scen), "--out", str(bundle))[0] == 0
+        (bundle / "detections.csv").write_text(
+            "frame,x,y,conf,score\n" + "".join(f"{f},1e300,1e300,0.9,1\n" for f in range(3)))
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("min_hits = 2\ncls_lead = 1\n")
+        out = tmp_path / "t.csv"
+        code, _, err = run(capsys, "track", "--bundle", str(bundle), "--config", str(cfg),
+                           "--out", str(out), "--disable", "cls", "--disable", "cmc")
+        assert code == 0, err
+        assert [(r.frame, r.x) for r in parse_tracks(out.read_text())] == [(1, 1e300), (2, 1e300)]
+
+
 @pytest.fixture(scope="module")
 def small_bundle(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("small")

@@ -78,6 +78,23 @@ class TestExtractPatch:
             extract_patch(fmap, (np.nan, 0), 32)
         with pytest.raises(InvalidInputError):
             extract_patch(fmap, (0, 0), 4)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            extract_patch(FeatureMap(data=fmap.data, stride=1e-45), (1e300, 0), 32)
+
+    @pytest.mark.parametrize("stride, far", [(STRIDE, 1e300), (1e-45, 1.0)])
+    def test_far_centre_is_all_edge_cells(self, stride, far):
+        """A centre any number of cells outside the map gives the window of
+        the nearest edge cells, whose origin is still the snapped centre."""
+        rng = np.random.default_rng(4)
+        fmap = FeatureMap(data=rng.normal(size=(20, 30, 2)), stride=stride)
+        for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+            p = extract_patch(fmap, (sx * far, sy * far), 8)
+            corner = fmap.data[0 if sy < 0 else -1, 0 if sx < 0 else -1]
+            assert np.array_equal(p.data, np.broadcast_to(corner, (8, 8, 2)))
+            assert np.array_equal(p.origin, np.floor(np.array([sx, sy]) * far / stride + 0.5) * stride)
+        # just past the clamp the window is the same edge window
+        near = extract_patch(fmap, ((30 + 8 + 1) * stride, 0.0), 8)
+        assert np.array_equal(near.data, extract_patch(fmap, (far, 0.0), 8).data)
 
 
 class TestTrainFilter:

@@ -1,23 +1,44 @@
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointtrack.ddcf import FeatureMap
 from pointtrack.errors import ConfigError, InvalidInputError, ValidationUnavailableError
 from pointtrack.lifecycle import (
     FeatureEnergyValidator, LifecycleConfig, OracleValidator,
-    ScoreColumnValidator, Track, TrackState, ValidationContext,
+    ScoreColumnValidator, TrackState, TrackTable, ValidationContext,
     classification_gate_active, on_match, on_miss, validate,
 )
+from pointtrack.motion import MotionConfig, init_state
 
 CFG = LifecycleConfig()
 
 
-def make_track(pos=(0.0, 0.0), **kwargs) -> Track:
-    return Track(track_id=1, last_position=np.array(pos, dtype=float), **kwargs)
+def make_track(pos=(0.0, 0.0), cls_scores=(), **columns) -> TrackTable:
+    """A one-row table: a newborn track, with the given columns overridden."""
+    track = TrackTable.born(1, [pos], [0.0], init_state([pos], MotionConfig()))
+    track.cls_scores[0] = list(cls_scores)
+    for name, value in columns.items():
+        getattr(track, name)[0] = value
+    return track
 
 
 def match(track, pos=(0.0, 0.0), prob=None, cls=True, conf=0.9):
-    return on_match(track, pos, conf, prob, CFG, classification_enabled=cls)
+    on_match(track, [0], [pos], [conf], [np.nan if prob is None else prob], CFG,
+             classification_enabled=cls)
+    return track
+
+
+def miss(track):
+    on_miss(track, [0], CFG)
+
+
+def state_of(track) -> int:
+    return int(track.state[0])
 
 
 class TestClassificationGate:
@@ -40,70 +61,70 @@ class TestConfirmDecision:
     def test_confirm(self):
         t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=29, cls_scores=[0.9])
         match(t, prob=0.9)
-        assert t.hits == 30
-        assert t.state is TrackState.CONFIRMED
+        assert t.hits[0] == 30
+        assert state_of(t) == TrackState.CONFIRMED
 
     def test_keep_pending_before_min_hits(self):
         t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=27, cls_scores=[0.95])
         match(t, prob=0.95)
-        assert t.state is TrackState.PENDING_CLASSIFICATION
-        assert t.pending_failures == 0
+        assert state_of(t) == TrackState.PENDING_CLASSIFICATION
+        assert t.pending_failures[0] == 0
 
     def test_terminate_after_patience(self):
         t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=29,
                        cls_scores=[0.5], pending_failures=9)
         match(t, prob=0.5)
-        assert t.pending_failures == 10
-        assert t.is_deleted
+        assert t.pending_failures[0] == 10
+        assert state_of(t) == TrackState.DELETED
 
     def test_threshold_is_strict(self):
         t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=29, cls_scores=[0.8])
         match(t, prob=0.8)
-        assert t.state is TrackState.PENDING_CLASSIFICATION
-        assert t.pending_failures == 1
+        assert state_of(t) == TrackState.PENDING_CLASSIFICATION
+        assert t.pending_failures[0] == 1
 
 
 class TestOnMatch:
     def test_gate_activation_transitions_state(self):
         t = make_track(hits=26)
         match(t, prob=1.0)
-        assert t.hits == 27
-        assert t.state is TrackState.PENDING_CLASSIFICATION
-        assert t.cls_scores == [1.0]
+        assert t.hits[0] == 27
+        assert state_of(t) == TrackState.PENDING_CLASSIFICATION
+        assert t.cls_scores[0] == [1.0]
 
     def test_confirmed_is_absorbing(self):
-        t = make_track(state=TrackState.CONFIRMED, hits=40, consecutive_misses=2)
+        t = make_track(state=TrackState.CONFIRMED, hits=40, misses=2)
         match(t, prob=None)
-        assert t.state is TrackState.CONFIRMED
-        assert t.consecutive_misses == 0
+        assert state_of(t) == TrackState.CONFIRMED
+        assert t.misses[0] == 0
 
     def test_thirty_clean_matches_confirm_at_thirty(self):
         t = make_track(hits=1)
         for k in range(2, 31):
             match(t, prob=1.0)
-            assert t.hits == k
+            assert t.hits[0] == k
             if k < 30:
-                assert not t.is_confirmed
-        assert t.state is TrackState.CONFIRMED
+                assert state_of(t) != TrackState.CONFIRMED
+        assert state_of(t) == TrackState.CONFIRMED
 
     def test_no_transition_without_score(self):
         t = make_track(hits=26)
         match(t, prob=None)
-        assert t.state is TrackState.TENTATIVE
+        assert state_of(t) == TrackState.TENTATIVE
 
     def test_low_scores_terminate_after_patience(self):
         t = make_track(hits=26)
         for _ in range(3 + 10):
             match(t, prob=0.2)
-            if t.is_deleted:
+            if state_of(t) == TrackState.DELETED:
                 break
-        assert t.is_deleted
+        assert state_of(t) == TrackState.DELETED
 
     def test_classification_disabled_confirms_on_hits(self):
         t = make_track(hits=29)
         match(t, prob=None, cls=False)
-        assert t.state is TrackState.CONFIRMED
-        assert t.cls_scores == []
+        assert state_of(t) == TrackState.CONFIRMED
+        assert t.cls_scores[0] == []
 
     def test_invalid_probability(self):
         t = make_track(hits=27)
@@ -111,33 +132,33 @@ class TestOnMatch:
             match(t, prob=1.5)
 
     def test_misses_reset(self):
-        t = make_track(hits=5, consecutive_misses=2)
+        t = make_track(hits=5, misses=2)
         match(t)
-        assert t.consecutive_misses == 0
+        assert t.misses[0] == 0
 
 
 class TestOnMiss:
     def test_confirmed_deleted_past_max_age(self):
-        t = make_track(state=TrackState.CONFIRMED, hits=100, consecutive_misses=60)
-        on_miss(t, CFG)
-        assert t.consecutive_misses == 61
-        assert t.is_deleted
+        t = make_track(state=TrackState.CONFIRMED, hits=100, misses=60)
+        miss(t)
+        assert t.misses[0] == 61
+        assert state_of(t) == TrackState.DELETED
 
     def test_tentative_tolerance(self):
-        t = make_track(hits=2, consecutive_misses=3)
-        on_miss(t, CFG)
-        assert t.is_deleted
+        t = make_track(hits=2, misses=3)
+        miss(t)
+        assert state_of(t) == TrackState.DELETED
 
     def test_confirmed_kept_below_max_age(self):
-        t = make_track(state=TrackState.CONFIRMED, hits=100, consecutive_misses=10)
-        on_miss(t, CFG)
-        assert not t.is_deleted
+        t = make_track(state=TrackState.CONFIRMED, hits=100, misses=10)
+        miss(t)
+        assert state_of(t) != TrackState.DELETED
 
     def test_pending_uses_tentative_tolerance(self):
         t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=28,
-                       cls_scores=[0.9], consecutive_misses=3)
-        on_miss(t, CFG)
-        assert t.is_deleted
+                       cls_scores=[0.9], misses=3)
+        miss(t)
+        assert state_of(t) == TrackState.DELETED
 
 
 class TestValidators:
@@ -197,35 +218,35 @@ class TestInvariantProperties:
         for _ in range(50):
             t = make_track()
             for _ in range(100):
-                if t.is_deleted:
+                if state_of(t) == TrackState.DELETED:
                     break
                 if rng.random() < 0.7:
                     match(t, prob=float(rng.random()))
-                    if t.is_confirmed:
-                        assert t.hits >= CFG.min_hits
+                    if state_of(t) == TrackState.CONFIRMED:
+                        assert t.hits[0] >= CFG.min_hits
                         break
                 else:
-                    on_miss(t, CFG)
+                    miss(t)
 
     def test_zero_validator_never_confirms(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             t = make_track()
             for _ in range(200):
-                if t.is_deleted:
+                if state_of(t) == TrackState.DELETED:
                     break
                 if rng.random() < 0.9:
                     match(t, prob=0.0)
                 else:
-                    on_miss(t, CFG)
-                assert not t.is_confirmed
-            assert t.is_deleted  # patience or miss limits always fire
+                    miss(t)
+                assert state_of(t) != TrackState.CONFIRMED
+            assert state_of(t) == TrackState.DELETED  # patience or miss limits always fire
 
     def test_confirmed_never_demoted(self):
         t = make_track(state=TrackState.CONFIRMED, hits=60)
         for _ in range(50):
             match(t, prob=0.0)
-        assert t.is_confirmed
+        assert state_of(t) == TrackState.CONFIRMED
 
     def test_deletion_reachable_from_every_state(self):
         for state, scores in ((TrackState.TENTATIVE, []),
@@ -233,8 +254,114 @@ class TestInvariantProperties:
                               (TrackState.CONFIRMED, [])):
             t = make_track(state=state, hits=35, cls_scores=list(scores))
             for _ in range(CFG.max_age + 2):
-                on_miss(t, CFG)
-            assert t.is_deleted
+                miss(t)
+            assert state_of(t) == TrackState.DELETED
+
+
+def reference_match(row: dict, prob, config, cls: bool):
+    """The per-track match rule, one track as a dict; prob None = no score."""
+    row.update(hits=row["hits"] + 1, misses=0)
+    if row["state"] == TrackState.CONFIRMED:
+        return
+    if not cls:
+        if row["hits"] >= config.min_hits:
+            row["state"] = TrackState.CONFIRMED
+        return
+    if (row["state"] == TrackState.TENTATIVE and classification_gate_active(row["hits"], config)
+            and prob is not None):
+        row["state"] = TrackState.PENDING_CLASSIFICATION
+    if row["state"] == TrackState.PENDING_CLASSIFICATION:
+        if prob is not None:
+            row["cls_scores"].append(prob)
+        if row["hits"] >= config.min_hits:
+            if float(np.mean(row["cls_scores"])) > config.cls_confirm_threshold:
+                row["state"] = TrackState.CONFIRMED
+            else:
+                row["pending_failures"] += 1
+                if row["pending_failures"] >= config.pending_fail_patience:
+                    row["state"] = TrackState.DELETED
+
+
+def reference_miss(row: dict, config):
+    """The per-track miss rule, one track as a dict."""
+    row["misses"] += 1
+    if ((row["state"] != TrackState.CONFIRMED and row["misses"] > config.tentative_miss_tolerance)
+            or row["misses"] > config.max_age):
+        row["state"] = TrackState.DELETED
+
+
+def as_rows(table: TrackTable) -> list[dict]:
+    return [{"state": int(table.state[i]), "hits": int(table.hits[i]),
+             "misses": int(table.misses[i]), "pending_failures": int(table.pending_failures[i]),
+             "cls_scores": list(table.cls_scores[i])} for i in range(len(table))]
+
+
+def assert_tables_equal(a: TrackTable, b: TrackTable):
+    for f in fields(TrackTable):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+SCORES = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def lifecycle_cases(draw):
+    """A config with small budgets, a table whose columns straddle them, a
+    set of matched rows with their scores (None = no score), and the rest."""
+    min_hits = draw(st.integers(1, 6))
+    config = LifecycleConfig(
+        min_hits=min_hits, cls_lead=draw(st.integers(0, min_hits - 1)),
+        max_age=draw(st.integers(1, 4)),
+        cls_confirm_threshold=draw(st.sampled_from([0.3, 0.5, 0.8])),
+        tentative_miss_tolerance=draw(st.integers(0, 3)),
+        pending_fail_patience=draw(st.integers(1, 3)))
+    n = draw(st.integers(0, 10))
+    points = np.arange(2.0 * n).reshape(n, 2)
+    table = TrackTable.born(1, points, np.full(n, 0.5), init_state(points, MotionConfig()))
+    for i in range(n):
+        table.state[i] = state = draw(st.sampled_from(
+            [TrackState.TENTATIVE, TrackState.PENDING_CLASSIFICATION, TrackState.CONFIRMED]))
+        table.hits[i] = draw(st.integers(1, min_hits + 1))
+        table.misses[i] = draw(st.integers(0, max(config.max_age, config.tentative_miss_tolerance) + 1))
+        table.pending_failures[i] = draw(st.integers(0, config.pending_fail_patience - 1))
+        table.cls_scores[i] = draw(st.lists(SCORES, min_size=int(state == TrackState.PENDING_CLASSIFICATION),
+                                            max_size=3))
+    matched = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+    probs = [draw(st.one_of(st.none(), SCORES)) for _ in matched]
+    return config, table, matched, probs, [i for i in range(n) if i not in matched]
+
+
+class TestBatchedRules:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(case=lifecycle_cases(), cls=st.booleans())
+    def test_one_call_over_rows_equals_one_row_calls(self, case, cls):
+        """One on_match / on_miss call over k rows equals k one-row calls,
+        and both follow the per-track rule at every budget boundary."""
+        config, table, matched, probs, unmatched = case
+        reference = as_rows(table)
+        batched, single = copy.deepcopy(table), copy.deepcopy(table)
+        points = np.array([[10.0 * r, 1.0] for r in matched]).reshape(-1, 2)
+        confs = [0.25] * len(matched)
+        nan_probs = [np.nan if p is None else p for p in probs]
+        on_match(batched, matched, points, confs, nan_probs, config, cls)
+        on_miss(batched, unmatched, config)
+        for k, row in enumerate(matched):
+            on_match(single, [row], points[k:k + 1], confs[k:k + 1], nan_probs[k:k + 1], config, cls)
+            reference_match(reference[row], probs[k], config, cls)
+        for row in unmatched:
+            on_miss(single, [row], config)
+            reference_miss(reference[row], config)
+        assert_tables_equal(batched, single)
+        assert as_rows(batched) == reference
+        assert np.array_equal(batched.last_position[matched], points)
+        assert np.all(batched.last_confidence[matched] == 0.25)
+
+    def test_no_rows_change_nothing(self):
+        t = make_track(hits=3, misses=1)
+        before = copy.deepcopy(t)
+        on_match(t, [], np.zeros((0, 2)), [], [], CFG)
+        on_miss(t, [], CFG)
+        assert_tables_equal(t, before)
 
 
 class TestConfigValidation:

@@ -1,15 +1,15 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from pointtrack import motion
+from pointtrack import lifecycle, motion
 from pointtrack.ddcf import FeatureMap, extract_patch, localize
 from pointtrack.errors import InvalidInputError, SequencingError
 from pointtrack.formats import CorrespondenceRow, Detection
-from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator
+from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator, TrackState, TrackTable
 from pointtrack.pipeline import FrameInput, PointTracker, TrackerConfig, run_sequence
 from pointtrack.simulate import ScenarioConfig, generate
 
@@ -308,23 +308,23 @@ class TestDdcfBranches:
         for f in range(6):
             tracker.process_frame(FrameInput(f, [Detection(f, *self.POINT, conf=0.9)],
                                              features=confirm_features))
-        assert [t.is_confirmed for t in tracker.tracks] == [True]
+        assert tracker.tracks.state.tolist() == [TrackState.CONFIRMED]
         out = tracker.process_frame(FrameInput(6, [], features=lost_features))
         return tracker, out
 
     def test_all_zero_patch_leaves_the_match_without_a_model(self):
         tracker, out = self.confirm_then_lose(self.ZEROS, None)
-        assert tracker.tracks[0].filter is None
+        assert tracker.tracks.filters[0] is None
         assert out.recoveries == 0
 
     def test_all_zero_previous_map_trains_no_late_model(self):
         tracker, out = self.confirm_then_lose(self.ZEROS, self.blob_features())
-        assert tracker.tracks[0].filter is None
+        assert tracker.tracks.filters[0] is None
         assert out.recoveries == 0
 
     def test_no_model_and_no_previous_map_skips_recovery(self):
         tracker, out = self.confirm_then_lose(None, self.blob_features())
-        assert tracker.tracks[0].filter is None
+        assert tracker.tracks.filters[0] is None
         assert out.recoveries == 0
 
     def test_low_psr_rejects_recovery(self):
@@ -332,9 +332,8 @@ class TestDdcfBranches:
         assert self.confirm_then_lose(self.blob_features(), self.blob_features(seed=1))[1].recoveries == 1
         inverted = self.blob_features(seed=1, sign=-1.0)
         tracker, out = self.confirm_then_lose(self.blob_features(), inverted)
-        track = tracker.tracks[0]
-        patch = extract_patch(inverted, tracker.kalman.position[0], tracker.config.dcf.patch_cells)
-        assert localize(track.filter, patch)[1] < tracker.config.dcf.psr_min
+        patch = extract_patch(inverted, tracker.tracks.mean[0, :2], tracker.config.dcf.patch_cells)
+        assert localize(tracker.tracks.filters[0], patch)[1] < tracker.config.dcf.psr_min
         assert out.recoveries == 0
 
 
@@ -369,7 +368,8 @@ class TestDeterminism:
 class TestKalmanTable:
     def test_few_stacked_motion_calls_per_frame(self, monkeypatch):
         """One predict, affine and init_state per frame and at most two
-        updates (matches, recoveries), each over a stack of table rows."""
+        updates (matches, recoveries), each over a stack of table rows; one
+        on_match and one on_miss over row sets; one table row per track."""
         calls = Counter()
 
         def counting(name, fn):
@@ -380,6 +380,8 @@ class TestKalmanTable:
 
         for name in ("predict", "apply_affine", "update", "init_state"):
             monkeypatch.setattr(motion, name, counting(name, getattr(motion, name)))
+        for name in ("on_match", "on_miss"):
+            monkeypatch.setattr(lifecycle, name, counting(name, getattr(lifecycle, name)))
         cfg = ScenarioConfig(n_agents=5, frames=80, fn_rate=0.15, jitter_sigma=0.4,
                              fp_clutter_rate=1.0, camera_rotation_deg=0.1,
                              camera_translation_x=1.0, feature_channels=4, seed=13)
@@ -390,8 +392,12 @@ class TestKalmanTable:
             recoveries += tracker.process_frame(frame_input).recoveries
             assert calls["predict"] <= 1 and calls["apply_affine"] <= 1
             assert calls["init_state"] <= 1 and calls["update"] <= 2
-            assert tracker.kalman.mean.shape == (len(tracker.tracks), 4)
-            assert tracker.kalman.covariance.shape == (len(tracker.tracks), 4, 4)
+            assert calls["on_match"] <= 1 and calls["on_miss"] <= 1
+            tracks = tracker.tracks
+            assert tracks.mean.shape == (len(tracks), 4)
+            assert tracks.covariance.shape == (len(tracks), 4, 4)
+            assert all(len(getattr(tracks, f.name)) == len(tracks) for f in fields(TrackTable))
+            assert len(set(tracks.id.tolist())) == len(tracks) and np.all(np.diff(tracks.id) > 0)
             per_frame.update(calls)
         # the scene exercises every path: camera motion and recoveries
         assert per_frame["apply_affine"] > 0 and recoveries > 0

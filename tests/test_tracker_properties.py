@@ -1,13 +1,15 @@
 """Tracker invariants over random small scenarios, checked after every frame."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pointtrack import lifecycle
 from pointtrack.formats import SOURCE_DDCF, SOURCE_DETECTION
-from pointtrack.lifecycle import LifecycleConfig, ScoreColumnValidator
+from pointtrack.lifecycle import LifecycleConfig, ScoreColumnValidator, TrackState, TrackTable
 from pointtrack.pipeline import FrameOutput, PointTracker, TrackerConfig, run_sequence
 from pointtrack.simulate import ScenarioConfig, generate
 
@@ -42,7 +44,7 @@ def assert_recoveries_spaced(out: FrameOutput, tracker: PointTracker):
     on the measured points (each emitted track's last_position), the points
     the recovery claim compares; a record holds the Kalman posterior, which
     may sit closer to another record than its measured point does."""
-    measured = {t.track_id: t.last_position for t in tracker.tracks}
+    measured = dict(zip(tracker.tracks.id.tolist(), tracker.tracks.last_position))
 
     def points(source):
         return np.array([measured[r.track_id] for r in out.records
@@ -76,21 +78,26 @@ def test_tracker_invariants_hold_every_frame(scenario, flags, min_hits):
     tracker = PointTracker(config, ScoreColumnValidator())
     outputs, live, gone, last_id = [], set(), set(), 0
     for frame_input in bundle.frames:
-        out = tracker.process_frame(frame_input)
+        with mock.patch.object(lifecycle, "on_match", wraps=lifecycle.on_match) as on_match, \
+                mock.patch.object(lifecycle, "on_miss", wraps=lifecycle.on_miss) as on_miss:
+            out = tracker.process_frame(frame_input)
+        assert on_match.call_count <= 1 and on_miss.call_count <= 1, "a rule ran per row"
         outputs.append(out)
         emitted = [r.track_id for r in out.records]
         assert len(emitted) == len(set(emitted)), "an id emitted twice in one frame"
-        now = {t.track_id for t in tracker.tracks}
-        assert len(now) == len(tracker.tracks)
+        tracks = tracker.tracks
+        assert all(len(getattr(tracks, f.name)) == len(tracks) for f in fields(TrackTable))
+        assert np.all(np.diff(tracks.id) > 0), "table ids not strictly increasing in row order"
+        assert not np.any(tracks.state == TrackState.DELETED), "a deleted row left in the table"
+        now = set(tracks.id.tolist())
         assert not now & gone, "a track id came back after leaving the tracker"
         born = now - live
         assert not born or min(born) > last_id, "a new id does not exceed every earlier id"
         last_id = max(born | {last_id})
         gone |= live - now
         live = now
-        assert set(emitted) <= {t.track_id for t in tracker.tracks if t.is_confirmed}
-        assert tracker.summary.births - tracker.summary.deaths == len(tracker.tracks)
-        assert len(tracker.kalman.mean) == len(tracker.tracks)
+        assert set(emitted) <= set(tracks.id[tracks.state == TrackState.CONFIRMED].tolist())
+        assert tracker.summary.births - tracker.summary.deaths == len(tracks)
         assert_recoveries_spaced(out, tracker)
     rerun = run_sequence(bundle.frames, config, ScoreColumnValidator())
     assert [o.records for o in rerun.outputs] == [o.records for o in outputs]
