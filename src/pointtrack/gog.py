@@ -3,10 +3,20 @@
 Each detection becomes an entry/exit node pair in a DAG ordered by frame;
 trajectories are extracted by repeatedly taking the cheapest source-to-sink
 path via dynamic programming while its total cost stays negative (the
-sequential-shortest-path scheme without residual-edge reversal).
+sequential-shortest-path scheme without residual-edge reversal; Pirsiavash
+et al., CVPR 2011).
+
+The DP runs in full once. After each extracted path only the detections it
+invalidated are recomputed: removing detections can only raise dp, so a
+detection whose chosen predecessor kept its dp keeps its dp and pred (every
+option before that predecessor in tie order stays strictly worse, every
+later one stays no better). Walking forward from the path's first frame,
+a detection is recomputed only when its predecessor was removed or its dp
+rose, which gives bitwise the same paths as a full DP rerun per path.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +24,9 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .formats import Detection
 from .metrics import TrajectorySet
+
+# cells per (detections x predecessor window) block, bounding DP temporaries
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -37,7 +50,7 @@ class GogConfig:
 @dataclass
 class FlowGraph:
     """Flattened detection DAG; transition edges are implicit in the
-    admission rule (see transition_cost)."""
+    admission rule (see link_costs)."""
 
     frames: np.ndarray     # (n,) int, sorted non-decreasing
     xs: np.ndarray         # (n,)
@@ -51,16 +64,22 @@ class FlowGraph:
     def __len__(self) -> int:
         return len(self.frames)
 
+    def link_costs(self, i, j) -> np.ndarray:
+        """Cost of linking detections i to later detections j, broadcast
+        over the index arrays; inf where the edge is inadmissible (gap
+        outside [1, max_gap] or distance beyond the gate of i's frame)."""
+        gap = self.frames[j] - self.frames[i]
+        dist = np.hypot(self.xs[j] - self.xs[i], self.ys[j] - self.ys[i])
+        gate = self.gates[i]
+        cost = dist / gate + self.config.gap_penalty * (gap - 1)
+        admissible = (gap >= 1) & (gap <= self.config.max_gap) & (dist <= gate * gap)
+        return np.where(admissible, cost, np.inf)
+
     def transition_cost(self, i: int, j: int) -> float | None:
         """Cost of linking detection i to a later detection j, or None when
-        the edge is inadmissible (gap or distance out of range)."""
-        gap = int(self.frames[j] - self.frames[i])
-        if gap < 1 or gap > self.config.max_gap:
-            return None
-        dist = math.hypot(self.xs[j] - self.xs[i], self.ys[j] - self.ys[i])
-        if dist > self.gates[i] * gap:
-            return None
-        return dist / self.gates[i] + self.config.gap_penalty * (gap - 1)
+        the edge is inadmissible."""
+        cost = float(self.link_costs(i, j))
+        return cost if cost != math.inf else None
 
 
 def build_graph(detections: list[Detection], config: GogConfig = GogConfig(),
@@ -101,71 +120,80 @@ def build_graph(detections: list[Detection], config: GogConfig = GogConfig(),
                      frame_slices=slices)
 
 
-def _cheapest_path(graph: FlowGraph, alive: np.ndarray) -> tuple[float, list[int]]:
-    """DP over the DAG restricted to alive detections.
-
-    Returns (total cost, detection indices) of the cheapest full path,
-    (inf, []) when no detection is alive.
-    """
-    cfg = graph.config
-    n = len(graph)
-    dp = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=int)
-    frame_list = sorted(graph.frame_slices)
-
-    for fi, frame in enumerate(frame_list):
-        lo, hi = graph.frame_slices[frame]
-        cur = np.arange(lo, hi)[alive[lo:hi]]
-        if cur.size == 0:
-            continue
-        best_prev_cost = np.full(cur.size, cfg.entry_cost)
-        best_prev_idx = np.full(cur.size, -1, dtype=int)
-        for pframe in reversed(frame_list[:fi]):
-            gap = frame - pframe
-            if gap > cfg.max_gap:
-                break
-            plo, phi = graph.frame_slices[pframe]
-            prev = np.arange(plo, phi)[alive[plo:phi] & np.isfinite(dp[plo:phi])]
-            if prev.size == 0:
-                continue
-            dx = graph.xs[cur][:, None] - graph.xs[prev][None, :]
-            dy = graph.ys[cur][:, None] - graph.ys[prev][None, :]
-            dist = np.hypot(dx, dy)
-            trans = dist / graph.gates[prev][None, :] + cfg.gap_penalty * (gap - 1)
-            total = dp[prev][None, :] + np.where(dist <= graph.gates[prev][None, :] * gap,
-                                                 trans, np.inf)
-            k = np.argmin(total, axis=1)
-            cand = total[np.arange(cur.size), k]
-            better = cand < best_prev_cost
-            best_prev_cost = np.where(better, cand, best_prev_cost)
-            best_prev_idx = np.where(better, prev[k], best_prev_idx)
-        dp[cur] = graph.det_costs[cur] + best_prev_cost
-        pred[cur] = best_prev_idx
-
-    totals = dp + cfg.exit_cost
-    totals[~alive] = np.inf
-    if not np.any(np.isfinite(totals)):
-        return float("inf"), []
-    end = int(np.argmin(totals))
-    path = []
-    node = end
-    while node != -1:
-        path.append(node)
-        node = int(pred[node])
-    path.reverse()
-    return float(totals[end]), path
-
-
 def _extract(graph: FlowGraph):
     """Yield (cost, path) of each negative-cost path, removing its
-    detections before the next search, until none remains."""
-    alive = np.ones(len(graph), dtype=bool)
-    while alive.any():
-        cost, path = _cheapest_path(graph, alive)
-        if cost >= 0.0 or not path:
+    detections before the next search, until none remains.
+
+    One full DP pass, then after each path an exact repair of only the
+    detections it invalidated (see the module docstring).
+    """
+    n = len(graph)
+    cfg = graph.config
+    dp = np.full(n, np.inf)                  # inf marks a removed detection
+    pred = np.full(n, -1, dtype=int)         # -1: the path enters here
+    changed = np.zeros(n + 1, dtype=bool)    # changed[-1] is the entry, never set
+    frame_list = sorted(graph.frame_slices)
+    if not frame_list:
+        return
+    # Predecessor candidates in tie order: nearest frame first, then
+    # ascending index, so each frame's window is one slice of `order`.
+    order = np.lexsort((np.arange(n), -graph.frames))
+    span = min(cfg.max_gap, frame_list[-1] - frame_list[0])  # stays within int64
+    window_lo = np.searchsorted(graph.frames, np.array(frame_list) - span)
+
+    def relax(fi: int, rows: np.ndarray) -> None:
+        lo, _ = graph.frame_slices[frame_list[fi]]
+        window = order[n - lo:n - window_lo[fi]]
+        best = np.full(rows.size, cfg.entry_cost, dtype=float)
+        via = np.full(rows.size, -1)
+        if window.size:
+            step = max(1, _BLOCK // window.size)
+            for a in range(0, rows.size, step):
+                cur = rows[a:a + step]
+                total = dp[window] + graph.link_costs(window, cur[:, None])
+                k = np.argmin(total, axis=1)
+                cand = total[np.arange(cur.size), k]
+                # the entry cost wins ties: a link must be strictly cheaper
+                better = cand < cfg.entry_cost
+                best[a:a + step] = np.where(better, cand, cfg.entry_cost)
+                via[a:a + step] = np.where(better, window[k], -1)
+        dp[rows] = graph.det_costs[rows] + best
+        pred[rows] = via
+
+    for fi, frame in enumerate(frame_list):
+        relax(fi, np.arange(*graph.frame_slices[frame]))
+
+    while True:
+        totals = dp + cfg.exit_cost
+        end = int(np.argmin(totals))
+        if not totals[end] < 0.0:  # also when every detection is removed (inf)
             return
-        alive[path] = False
-        yield cost, path
+        path = [end]
+        while pred[path[-1]] != -1:
+            path.append(int(pred[path[-1]]))
+        path.reverse()
+        yield float(totals[end]), path
+
+        # Repair forward from the path's first frame; a frame more than
+        # max_gap past the last change has no changed predecessor.
+        changed[:] = False
+        changed[path] = True
+        dp[path] = np.inf
+        last_change = int(graph.frames[path[-1]])
+        for fi in range(bisect_right(frame_list, graph.frames[path[0]]), len(frame_list)):
+            frame = frame_list[fi]
+            if frame - last_change > cfg.max_gap:
+                break
+            lo, hi = graph.frame_slices[frame]
+            rows = lo + np.flatnonzero(np.isfinite(dp[lo:hi]) & changed[pred[lo:hi]])
+            if rows.size == 0:
+                continue
+            before = dp[rows]
+            relax(fi, rows)
+            moved = rows[dp[rows] != before]
+            if moved.size:
+                changed[moved] = True
+                last_change = max(last_change, frame)
 
 
 def solve(graph: FlowGraph) -> TrajectorySet:

@@ -1,12 +1,17 @@
 import itertools
 import math
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointtrack.errors import ConfigError, InvalidInputError
 from pointtrack.formats import Detection
-from pointtrack.gog import FlowGraph, GogConfig, build_graph, solve, solve_total_cost
+from pointtrack.gog import FlowGraph, GogConfig, _extract, build_graph, solve, solve_total_cost
+from pointtrack.metrics import TrajectorySet
 
 
 def det(frame, x, y, conf=0.9):
@@ -54,6 +59,92 @@ def best_disjoint_family(graph: FlowGraph):
             if cost < best[0] - 1e-12:
                 best = (cost, r)
     return best
+
+
+# --- reference: one full DP pass per extracted path ---
+
+def reference_cheapest_path(graph: FlowGraph, alive: np.ndarray) -> tuple[float, list[int]]:
+    """DP over the DAG restricted to alive detections, from scratch.
+
+    Returns (total cost, detection indices) of the cheapest full path,
+    (inf, []) when no detection is alive. Ties go to the nearest frame,
+    then the lowest index; the entry cost wins a tie with any link.
+    """
+    cfg = graph.config
+    n = len(graph)
+    dp = np.full(n, np.inf)
+    pred = np.full(n, -1, dtype=int)
+    frame_list = sorted(graph.frame_slices)
+
+    for fi, frame in enumerate(frame_list):
+        lo, hi = graph.frame_slices[frame]
+        cur = np.arange(lo, hi)[alive[lo:hi]]
+        if cur.size == 0:
+            continue
+        best_prev_cost = np.full(cur.size, cfg.entry_cost)
+        best_prev_idx = np.full(cur.size, -1, dtype=int)
+        for pframe in reversed(frame_list[:fi]):
+            gap = frame - pframe
+            if gap > cfg.max_gap:
+                break
+            plo, phi = graph.frame_slices[pframe]
+            prev = np.arange(plo, phi)[alive[plo:phi] & np.isfinite(dp[plo:phi])]
+            if prev.size == 0:
+                continue
+            dx = graph.xs[cur][:, None] - graph.xs[prev][None, :]
+            dy = graph.ys[cur][:, None] - graph.ys[prev][None, :]
+            dist = np.hypot(dx, dy)
+            trans = dist / graph.gates[prev][None, :] + cfg.gap_penalty * (gap - 1)
+            total = dp[prev][None, :] + np.where(dist <= graph.gates[prev][None, :] * gap,
+                                                 trans, np.inf)
+            k = np.argmin(total, axis=1)
+            cand = total[np.arange(cur.size), k]
+            better = cand < best_prev_cost
+            best_prev_cost = np.where(better, cand, best_prev_cost)
+            best_prev_idx = np.where(better, prev[k], best_prev_idx)
+        dp[cur] = graph.det_costs[cur] + best_prev_cost
+        pred[cur] = best_prev_idx
+
+    totals = dp + cfg.exit_cost
+    totals[~alive] = np.inf
+    if not np.any(np.isfinite(totals)):
+        return float("inf"), []
+    end = int(np.argmin(totals))
+    path = []
+    node = end
+    while node != -1:
+        path.append(node)
+        node = int(pred[node])
+    path.reverse()
+    return float(totals[end]), path
+
+
+def reference_extract(graph: FlowGraph):
+    """(cost, path) of each negative-cost path, rerunning the full DP after
+    each removal."""
+    alive = np.ones(len(graph), dtype=bool)
+    found = []
+    while alive.any():
+        cost, path = reference_cheapest_path(graph, alive)
+        if cost >= 0.0 or not path:
+            break
+        alive[path] = False
+        found.append((cost, path))
+    return found
+
+
+def assert_matches_reference(graph: FlowGraph):
+    """solve and solve_total_cost are bitwise equal to the reference."""
+    found = reference_extract(graph)
+    rows = np.array([i for _, path in found for i in path], dtype=int)
+    ids = np.repeat(np.arange(1, len(found) + 1), [len(path) for _, path in found])
+    expected = TrajectorySet(graph.frames[rows], ids, graph.xs[rows], graph.ys[rows],
+                             graph.confs[rows])
+    result = solve(graph)
+    for got, want in zip(result.columns, expected.columns):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    total = solve_total_cost(graph)
+    assert np.float64(total).tobytes() == np.float64(sum((c for c, _ in found), 0.0)).tobytes()
 
 
 class TestBuildGraph:
@@ -200,13 +291,57 @@ class TestOracleHarness:
         rng = np.random.default_rng(8)
         for _ in range(60):
             g = self._random_instance(rng)
-            # replay extraction manually to observe per-path costs
-            from pointtrack.gog import _cheapest_path
-            alive = np.ones(len(g), dtype=bool)
-            while alive.any():
-                cost, path = _cheapest_path(g, alive)
-                if cost >= 0 or not path:
-                    break
+            used = set()
+            for cost, path in _extract(g):
                 assert cost < 0
-                for i in path:
-                    alive[i] = False
+                assert used.isdisjoint(path)
+                used.update(path)
+
+
+@st.composite
+def tie_prone_graphs(draw):
+    """Small graphs on integer coordinates with few distinct confidences,
+    costs and gates, so DP ties are common; frame numbers are sparse."""
+    frames = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=8)))
+    dets = [det(f, draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+                conf=draw(st.sampled_from([0.5, 0.75, 0.9])))
+            for f in frames for _ in range(draw(st.integers(0, 5)))]
+    cfg = GogConfig(entry_cost=draw(st.sampled_from([0.5, 1, 2.0, 3])),
+                    exit_cost=draw(st.sampled_from([0.5, 1, 2.0])),
+                    gap_penalty=draw(st.sampled_from([0, 0.25, 0.5])),
+                    max_gap=draw(st.integers(1, 8)),
+                    gate=draw(st.sampled_from([2.0, 4.0, 8.0])))
+    gates = {f: float(draw(st.sampled_from([1, 2, 4, 8]))) for f in frames
+             if draw(st.booleans())}
+    return build_graph(dets, cfg, gates)
+
+
+class TestIncrementalRepair:
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(tie_prone_graphs())
+    def test_equals_full_rerun_per_path(self, graph):
+        assert_matches_reference(graph)
+
+    @pytest.mark.parametrize("dets,cfg", [
+        ([], GogConfig()),
+        ([det(0, 5, 5)], GogConfig()),
+        ([det(0, 5, 5), det(3_000_000, 5, 5)], GogConfig(entry_cost=1, exit_cost=1)),
+        ([det(f, f, 0) for f in range(5)], GogConfig(entry_cost=1, exit_cost=1, max_gap=10**30)),
+        ([det(7, x, 0) for x in range(0, 200, 5)], GogConfig(entry_cost=1, exit_cost=1)),
+    ], ids=["empty", "one_detection", "frame_3e6", "max_gap_beyond_sequence", "single_frame"])
+    def test_hostile_sequences(self, dets, cfg):
+        start = time.perf_counter()
+        assert_matches_reference(build_graph(dets, cfg))
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("dets,cfg", [
+        # a link that costs exactly the entry cost loses to it
+        ([det(0, 0, 0, conf=0.5), det(1, 0, 0)], GogConfig(entry_cost=1, exit_cost=1)),
+        # equal links from one frame: the lower index wins
+        ([det(0, 0, 1), det(0, 1, 0), det(1, 0, 0)], GogConfig(entry_cost=1, exit_cost=1)),
+        # equal links from two frames: the nearer frame wins
+        ([det(0, 0, 10), det(1, 10, 0), det(2, 0, 0)],
+         GogConfig(entry_cost=1, exit_cost=1, gap_penalty=0.0)),
+    ], ids=["entry_tie", "tie_within_frame", "tie_across_frames"])
+    def test_tie_order(self, dets, cfg):
+        assert_matches_reference(build_graph(dets, cfg))
