@@ -159,15 +159,14 @@ def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTrans
     hypotheses are solved and scored as arrays, _SCORE_BLOCK at a time, so
     memory stays O(_SCORE_BLOCK * n) whatever config.iterations is.
 
-    pairs are rows with prev_x, prev_y, cur_x and cur_y in px
-    (formats.CorrespondenceRow). Raises InvalidInputError on a non-finite
-    value, and NoMotionEstimateError when fewer than 3 pairs are given, a
-    3-point fit overflows, no consensus reaches config.min_inliers points
-    or a refit is rank deficient or degenerate; callers are expected to
-    fall back to the identity transform.
+    pairs is an (m, 4) array of prev_x, prev_y, cur_x and cur_y in px, the
+    columns of correspondences.csv after the frame. Raises
+    InvalidInputError on a non-finite value, and NoMotionEstimateError when
+    fewer than 3 pairs are given, a 3-point fit overflows, no consensus
+    reaches config.min_inliers points or a refit is rank deficient or
+    degenerate; callers are expected to fall back to the identity transform.
     """
-    pts = np.array([(c.prev_x, c.prev_y, 1.0, c.cur_x, c.cur_y) for c in pairs],
-                   dtype=float).reshape(-1, 5)
+    pts = np.insert(np.asarray(pairs, dtype=float).reshape(-1, 4), 2, 1.0, axis=1)
     if not np.isfinite(pts).all():
         raise InvalidInputError("non-finite correspondence")
     n = len(pts)

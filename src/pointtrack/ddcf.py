@@ -9,7 +9,7 @@ extract small patches from it.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,13 +82,20 @@ class FeaturePatch:
 
 @dataclass(frozen=True)
 class CorrelationFilter:
-    """Frequency-domain filter plus the running model statistics it came
-    from; the DcfConfig that trained it supplies label, regularization and
+    """The running model statistics of a filter and the regularization of
+    the DcfConfig that trained it; that config also supplies label and
     learning rate to every update."""
 
-    freq: np.ndarray         # (s, s, c) complex
     numerator: np.ndarray    # (s, s, c) complex
     denominator: np.ndarray  # (s, s) real
+    regularization: float
+
+    @cached_property
+    def freq(self) -> np.ndarray:
+        """The (s, s, c) frequency-domain filter, numerator / (denominator
+        + regularization); built on the first localization, as a filter that
+        is only updated never needs it."""
+        return self.numerator / (self.denominator + self.regularization)[:, :, None]
 
 
 @lru_cache(maxsize=8)
@@ -147,24 +154,19 @@ def _sample_stats(patch: FeaturePatch, config: DcfConfig) -> tuple[np.ndarray, n
     return y[:, :, None] * np.conj(x), np.sum(x * np.conj(x), axis=2).real
 
 
-def _model(numerator: np.ndarray, denominator: np.ndarray, config: DcfConfig) -> CorrelationFilter:
-    freq = numerator / (denominator + config.regularization)[:, :, None]
-    return CorrelationFilter(freq=freq, numerator=numerator, denominator=denominator)
-
-
 def train_filter(patch: FeaturePatch, config: DcfConfig = DcfConfig()) -> CorrelationFilter:
     """Closed-form ridge-regression filter for one patch: its sample
-    statistics, and the filter numerator / (denominator + regularization).
+    statistics, whose filter is numerator / (denominator + regularization).
     """
     if not np.any(patch.data):
         raise InvalidInputError("all-zero patch cannot train a filter")
-    return _model(*_sample_stats(patch, config), config)
+    return CorrelationFilter(*_sample_stats(patch, config), config.regularization)
 
 
 def _check_shapes(filt: CorrelationFilter, patch: FeaturePatch):
-    if filt.freq.shape != patch.data.shape:
+    if filt.numerator.shape != patch.data.shape:
         raise InvalidInputError(
-            f"filter shape {filt.freq.shape} does not match patch shape {patch.data.shape}")
+            f"filter shape {filt.numerator.shape} does not match patch shape {patch.data.shape}")
 
 
 def response(filt: CorrelationFilter, patch: FeaturePatch) -> np.ndarray:
@@ -224,5 +226,5 @@ def update_filter(filt: CorrelationFilter, patch: FeaturePatch, config: DcfConfi
     _check_shapes(filt, patch)
     eta = config.learning_rate
     num_new, den_new = _sample_stats(patch, config)
-    return _model((1.0 - eta) * filt.numerator + eta * num_new,
-                  (1.0 - eta) * filt.denominator + eta * den_new, config)
+    return CorrelationFilter((1.0 - eta) * filt.numerator + eta * num_new,
+                             (1.0 - eta) * filt.denominator + eta * den_new, config.regularization)

@@ -99,6 +99,7 @@ def _split_lines(text: str) -> list[str]:
 # The checks of a column, by its header name. Every other float column only
 # has to be finite.
 _INT_MINIMUM = {"frame": 0, "id": 1}
+_INT_MAXIMUM = np.iinfo(np.int64).max  # int columns are parsed into int64 arrays
 _UNIT_INTERVAL = ("conf", "score")
 _VOCABULARY = {"source": TRACK_SOURCES}
 
@@ -116,15 +117,16 @@ def _converter(name: str, kind: type):
         return convert
 
     if kind is int:
-        minimum = _INT_MINIMUM[name]
+        minimum, maximum = _INT_MINIMUM[name], _INT_MAXIMUM
 
         def convert(raw):
             try:
                 v = int(raw)
             except ValueError:
                 raise ValueError(f"non-numeric {name} {raw!r}") from None
-            if v < minimum:
-                raise ValueError(f"{name} must be >= {minimum}, got {v}")
+            if not minimum <= v <= maximum:
+                raise ValueError(f"{name} must be >= {minimum}, got {v}" if v < minimum
+                                 else f"{name} {v} exceeds {maximum}")
             return v
         return convert
 
@@ -159,10 +161,67 @@ class Table:
         self.required = sum(f.default is not None for f in fields)
         self.headers = tuple(",".join(self.columns[:n]) for n in sorted({self.required, len(fields)}))
         self._converters = [_converter(c, k) for c, k in zip(self.columns, kinds)]
+        self._dtypes = [{int: np.int64, float: np.float64, str: object}[k] for k in kinds]
         self._cells = [FLOAT_CELL if k is float else "{}" for k in kinds]
 
     def parse(self, text: str) -> list:
         return self.parse_lines(_split_lines(text))
+
+    def parse_columns(self, text: str) -> list:
+        """The table as one array per column, in header order: int64,
+        float64, or object for text. An optional column the header leaves
+        out is None.
+
+        One vectorised pass splits the text and converts and checks each
+        column whole. When any of that fails, parse_lines runs instead, so
+        every ParseError is the row parser's, with its message and line, and
+        every accepted text gives the row parser's values."""
+        lines = _split_lines(text)
+        try:
+            return self._convert_columns(lines)
+        except (ValueError, OverflowError):
+            return self.to_columns(self.parse_lines(lines), lines[0].count(",") + 1)
+
+    def _convert_columns(self, lines: list[str]) -> list:
+        if not lines or lines[0] not in self.headers:
+            raise ValueError("bad header")
+        n, rows = lines[0].count(",") + 1, len(lines) - 1
+        # a "\n" cell between the lines: with the right cell count, a line of
+        # the wrong length moves a marker into a column, where no converter
+        # accepts it
+        cells = ",\n,".join(lines[1:]).split(",") if rows else []
+        if len(cells) != max((n + 1) * rows - 1, 0):
+            raise ValueError("field count")
+        out = []
+        for j, (name, dtype) in enumerate(zip(self.columns[:n], self._dtypes)):
+            column = np.array(cells[j::n + 1], dtype=dtype)
+            if dtype is np.int64:
+                ok = not rows or column.min() >= _INT_MINIMUM[name]
+            elif dtype is np.float64:
+                ok = np.isfinite(column).all() and (
+                    name not in _UNIT_INTERVAL or ((column >= 0.0) & (column <= 1.0)).all())
+            else:
+                ok = set(column) <= set(_VOCABULARY[name])
+            if not ok:
+                raise ValueError(f"bad {name}")
+            out.append(column)
+        return out + [None] * (len(self.names) - n)
+
+    def to_columns(self, rows: list, width: int | None = None) -> list:
+        """rows as parse_columns gives them: one array per column, and None
+        for each optional column from width on; by default width leaves out
+        the optional columns no row sets."""
+        n = self._width(rows) if width is None else width
+        return ([np.array([getattr(r, name) for r in rows], dtype=dtype)
+                 for name, dtype in zip(self.names[:n], self._dtypes)]
+                + [None] * (len(self.names) - n))
+
+    def _width(self, rows: list) -> int:
+        """The number of columns rows fill: all of them when any row sets an
+        optional column, else the required ones."""
+        k = self.required
+        return len(self.names) if any(getattr(r, name) is not None
+                                      for name in self.names[k:] for r in rows) else k
 
     def parse_lines(self, lines: list[str]) -> list:
         """Rows of a header line plus one line per row; the first bad line
@@ -190,9 +249,7 @@ class Table:
     def format_lines(self, rows: list) -> list[str]:
         """The header line and one line per row. The optional columns are
         written when any row sets one, as 0 where a row leaves it None."""
-        k = self.required
-        n = len(self.names) if any(getattr(r, name) is not None
-                                   for name in self.names[k:] for r in rows) else k
+        k, n = self.required, self._width(rows)
         get = attrgetter(*self.names[:n])
         line = ",".join(self._cells[:n]).format
         lines = [",".join(self.columns[:n])]

@@ -24,8 +24,8 @@ from .cmc import AffineTransform, RansacConfig, estimate_affine
 from .ddcf import DcfConfig, FeatureMap, extract_patch, localize, train_filter, update_filter
 from .errors import InvalidInputError, NoMotionEstimateError, SequencingError
 from .formats import (
-    SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION, CorrespondenceRow, Detection, SequenceBundlePaths,
-    TrackRow, parse_correspondences, parse_detections, parse_metadata, read_feature_map,
+    CORRESPONDENCES, DETECTIONS, METADATA, SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION,
+    CorrespondenceRow, Detection, SequenceBundlePaths, TrackRow, read_feature_map,
 )
 from .lifecycle import LifecycleConfig, TrackState, TrackTable, TrajectoryValidator, ValidationContext
 from .metrics import TrajectorySet
@@ -50,11 +50,41 @@ class TrackerConfig:
 
 @dataclass
 class FrameInput:
+    """One frame's input as columns: the detections' points (k, 2), conf
+    (k,) and score (k,), or None when they carry no score column; and the
+    background correspondences (m, 4) as prev_x, prev_y, cur_x, cur_y.
+    Detection rows keep their file order, which sets assignment ties and the
+    order of births."""
+
     frame: int
-    detections: list[Detection] = field(default_factory=list)
+    points: np.ndarray = ()
+    conf: np.ndarray = ()
+    score: np.ndarray | None = None
     altitude: float | None = None
-    correspondences: list[CorrespondenceRow] = field(default_factory=list)
+    correspondences: np.ndarray = ()
     features: FeatureMap | None = None
+
+    def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        self.conf = np.asarray(self.conf, dtype=float)
+        if self.score is not None:
+            self.score = np.asarray(self.score, dtype=float)
+        if self.conf.shape != (len(self.points),) or (self.score is not None
+                                                      and self.score.shape != self.conf.shape):
+            raise InvalidInputError(f"frame {self.frame}: {len(self.points)} points need as many "
+                                    "conf and score values")
+        self.correspondences = np.asarray(self.correspondences, dtype=float).reshape(-1, 4)
+
+    @classmethod
+    def from_rows(cls, frame: int, detections: list[Detection] = (), altitude: float | None = None,
+                  correspondences: list[CorrespondenceRow] = (),
+                  features: FeatureMap | None = None) -> "FrameInput":
+        """A FrameInput from formats.Detection and CorrespondenceRow rows;
+        their frame fields are not read. score is None when no row sets
+        one, and NaN for a row without one beside rows with one."""
+        _, x, y, conf, score = DETECTIONS.to_columns(list(detections))
+        corr = CORRESPONDENCES.to_columns(list(correspondences))[1:]
+        return cls(frame, np.column_stack([x, y]), conf, score, altitude, np.column_stack(corr), features)
 
 
 @dataclass
@@ -114,18 +144,22 @@ class PointTracker:
                 f"frame {frame} does not follow frame {self._last_frame}")
         if self._last_frame is None and frame < 0:
             raise SequencingError(f"negative frame index {frame}")
-        for det in frame_input.detections:
-            # the range checks of the detections table; x and y are checked
-            # where they are used
-            if not (0.0 <= det.conf <= 1.0 and (det.score is None or 0.0 <= det.score <= 1.0)):
-                raise InvalidInputError(f"frame {frame}: detection {det} needs conf and score in [0, 1]")
+        # the range checks of the detections table, written so that NaN fails
+        # them; x and y are checked where they are used
+        conf, score = frame_input.conf, frame_input.score
+        bad = ~((conf >= 0.0) & (conf <= 1.0))
+        if score is not None:
+            bad |= ~((score >= 0.0) & (score <= 1.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidInputError(f"frame {frame}: detection {i} (conf {conf[i]!r}, score "
+                                    f"{None if score is None else score[i]!r}) needs both in [0, 1]")
 
         gate = self._gate(frame_input)
         affine = self._camera_motion(frame_input)
         self._predict(affine)
 
-        detections = frame_input.detections
-        points = np.array([(d.x, d.y) for d in detections], dtype=float).reshape(-1, 2)
+        points = frame_input.points
         result = solve_assignment(build_cost_matrix(self.tracks.mean[:, :2], points), gate)
         matched = self._handle_matches(result, points, frame_input)
         recovered = self._recover(result, frame_input, matched, gate)
@@ -137,7 +171,7 @@ class PointTracker:
         # drop the deleted rows, append one tentative row per unmatched detection
         born = result.unmatched_detections
         self.tracks = self.tracks.keep_and_append(~deleted, TrackTable.born(
-            self._next_id, points[born], [detections[dj].conf for dj in born],
+            self._next_id, points[born], conf[born],
             motion.init_state(points[born], self.config.motion)))
         self._next_id += len(born)
         births, deaths, recoveries = len(born), int(deleted.sum()), int(recovered.sum())
@@ -165,7 +199,7 @@ class PointTracker:
         return dynamic_threshold(altitude, self.config.gating)
 
     def _camera_motion(self, frame_input: FrameInput) -> AffineTransform:
-        if not self.config.use_cmc or not frame_input.correspondences:
+        if not self.config.use_cmc or not len(frame_input.correspondences):
             return AffineTransform.identity()
         try:
             return estimate_affine(frame_input.correspondences, self.config.ransac)
@@ -192,23 +226,23 @@ class PointTracker:
         """Apply the match rule to the matched rows, maintain the filters of
         the confirmed ones and correct their Kalman states; returns the mask
         of matched rows."""
-        tracks, detections = self.tracks, frame_input.detections
+        tracks, score = self.tracks, frame_input.score
         rows = np.array([ti for ti, _, _ in result.matches], dtype=np.intp)
-        dets = [dj for _, dj, _ in result.matches]
+        dets = np.array([dj for _, dj, _ in result.matches], dtype=np.intp)
         probs = np.full(len(rows), np.nan)
         if self._cls_enabled:
             # only the rows inside the classification window are scored
             window = ((tracks.state[rows] != TrackState.CONFIRMED)
                       & lifecycle.classification_gate_active(tracks.hits[rows] + 1, self.config.lifecycle))
-            for i in np.flatnonzero(window):
-                det = detections[dets[i]]
-                context = ValidationContext(frame_input.frame, np.array([det.x, det.y]), det.score,
+            for i, dj in zip(np.flatnonzero(window).tolist(), dets[window].tolist()):
+                context = ValidationContext(frame_input.frame, points[dj],
+                                            None if score is None else float(score[dj]),
                                             frame_input.features)
                 try:
                     probs[i] = lifecycle.validate(self.validator, context)
                 except lifecycle.ValidationUnavailableError:
                     pass  # no context for this detection, so no score
-        lifecycle.on_match(tracks, rows, points[dets], [detections[dj].conf for dj in dets], probs,
+        lifecycle.on_match(tracks, rows, points[dets], frame_input.conf[dets], probs,
                            self.config.lifecycle, classification_enabled=self._cls_enabled)
         self.summary.match_count += len(rows)
         for _, _, dist in result.matches:
@@ -315,36 +349,46 @@ def run_sequence(frame_inputs, config: TrackerConfig | None = None,
     return SequenceResult(outputs=outputs, summary=tracker.summary)
 
 
+def _by_frame(frame: np.ndarray, *columns):
+    """The frame column and each column (None stays None) in one stable
+    order by frame, so that every frame keeps its file row order."""
+    order = np.argsort(frame, kind="stable")
+    return [frame[order]] + [None if c is None else c[order] for c in columns]
+
+
 def frame_inputs_from_bundle(paths: SequenceBundlePaths):
-    """Generate FrameInputs from a bundle directory, features loaded lazily."""
-    detections = parse_detections(paths.detections.read_text())
-    dets_by_frame: dict[int, list[Detection]] = {}
-    for d in detections:
-        dets_by_frame.setdefault(d.frame, []).append(d)
+    """Generate FrameInputs from a bundle directory, features loaded lazily.
+    Each table is parsed into columns once; a frame's detections and
+    correspondences are slices of them."""
+    det_frame, x, y, conf, score = DETECTIONS.parse_columns(paths.detections.read_text())
+    det_frame, points, conf, score = _by_frame(det_frame, np.column_stack([x, y]), conf, score)
 
     alt_by_frame: dict[int, float] = {}
     if paths.metadata is not None:
-        for row in parse_metadata(paths.metadata.read_text()):
-            alt_by_frame[row.frame] = row.altitude
+        alt_frame, altitude = METADATA.parse_columns(paths.metadata.read_text())
+        alt_by_frame = dict(zip(alt_frame.tolist(), altitude.tolist()))
 
-    corr_by_frame: dict[int, list[CorrespondenceRow]] = {}
+    corr_frame, corr = np.zeros(0, dtype=np.int64), np.zeros((0, 4))
     if paths.correspondences is not None:
-        for row in parse_correspondences(paths.correspondences.read_text()):
-            corr_by_frame.setdefault(row.frame, []).append(row)
+        corr_frame, *cells = CORRESPONDENCES.parse_columns(paths.correspondences.read_text())
+        corr_frame, corr = _by_frame(corr_frame, np.column_stack(cells))
 
     feature_files = paths.feature_files()
-    last = max((max(source) for source in (dets_by_frame, alt_by_frame, corr_by_frame, feature_files)
-                if source), default=-1)
+    last = max([int(f[-1]) for f in (det_frame, corr_frame) if len(f)] + list(alt_by_frame)
+               + list(feature_files), default=-1)
     if last < 0:
         raise InvalidInputError(f"bundle {paths.root} contains no frames")
 
     for frame in range(last + 1):
+        d0, d1 = np.searchsorted(det_frame, (frame, frame + 1)).tolist()
+        c0, c1 = np.searchsorted(corr_frame, (frame, frame + 1)).tolist()
         fpath = feature_files.get(frame)
-        features = read_feature_map(fpath.read_bytes()) if fpath is not None else None
         yield FrameInput(
             frame=frame,
-            detections=dets_by_frame.get(frame, []),
+            points=points[d0:d1],
+            conf=conf[d0:d1],
+            score=None if score is None else score[d0:d1],
             altitude=alt_by_frame.get(frame),
-            correspondences=corr_by_frame.get(frame, []),
-            features=features,
+            correspondences=corr[c0:c1],
+            features=read_feature_map(fpath.read_bytes()) if fpath is not None else None,
         )

@@ -206,7 +206,7 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
         agents_img = project(world) if cfg.n_agents else np.zeros((0, 2))
         ghosts_img = project(ghosts) if cfg.persistent_fp_count else np.zeros((0, 2))
 
-        detections: list[Detection] = []
+        detections: list[tuple[float, float, float, float]] = []  # x, y, conf, score
         blob_centers: list[np.ndarray] = []
         blob_signatures: list[np.ndarray] = []
         for a in range(cfg.n_agents):
@@ -221,8 +221,7 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
             if dropped or _occluded(cfg, agent_id, t):
                 continue
             p = pos + noise
-            detections.append(Detection(frame=t, x=float(p[0]), y=float(p[1]),
-                                        conf=conf, score=1.0))
+            detections.append((p[0], p[1], conf, 1.0))
         for g in range(cfg.persistent_fp_count):
             pos = ghosts_img[g]
             noise = rng.normal(0.0, 1.0, size=2) * cfg.jitter_sigma
@@ -230,27 +229,18 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
             p = pos + noise
             blob_centers.append(pos)
             blob_signatures.append(ghost_signatures[g])
-            detections.append(Detection(frame=t, x=float(p[0]), y=float(p[1]),
-                                        conf=conf, score=0.0))
+            detections.append((p[0], p[1], conf, 0.0))
         n_clutter = int(rng.poisson(cfg.fp_clutter_rate))
         for _ in range(n_clutter):
             p = rng.uniform(0.0, 1.0, size=2) * bounds
             conf = float(rng.uniform(0.55, 0.75))
-            detections.append(Detection(frame=t, x=float(p[0]), y=float(p[1]),
-                                        conf=conf, score=0.0))
+            detections.append((p[0], p[1], conf, 0.0))
 
-        correspondences: list[CorrespondenceRow] = []
+        correspondences = np.zeros((0, 4))
         if t > 0:
             background_img = project(background)
             noise = rng.normal(0.0, CORRESPONDENCE_NOISE, size=(N_BACKGROUND_POINTS, 4))
-            for i in range(N_BACKGROUND_POINTS):
-                correspondences.append(CorrespondenceRow(
-                    frame=t,
-                    prev_x=float(prev_background_img[i, 0] + noise[i, 0]),
-                    prev_y=float(prev_background_img[i, 1] + noise[i, 1]),
-                    cur_x=float(background_img[i, 0] + noise[i, 2]),
-                    cur_y=float(background_img[i, 1] + noise[i, 3]),
-                ))
+            correspondences = np.c_[prev_background_img, background_img] + noise
             prev_background_img = background_img
         else:
             prev_background_img = project(background)
@@ -259,8 +249,9 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
         if cfg.feature_channels >= 1:
             features = _render_features(rng, cfg, blob_centers, blob_signatures)
 
+        det = np.array(detections, dtype=float).reshape(-1, 4)
         frame_inputs.append(FrameInput(
-            frame=t, detections=detections, altitude=_altitude(cfg, t),
+            frame=t, points=det[:, :2], conf=det[:, 2], score=det[:, 3], altitude=_altitude(cfg, t),
             correspondences=correspondences, features=features))
 
     gt = TrajectorySet.from_rows(gt_rows)
@@ -285,11 +276,14 @@ def write_bundle(bundle: ScenarioBundle, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    detections = [d for fi in bundle.frames for d in fi.detections]
+    detections = [Detection(fi.frame, x, y, conf, score) for fi in bundle.frames
+                  for (x, y), conf, score in zip(fi.points.tolist(), fi.conf.tolist(),
+                                                 fi.score.tolist())]
     (out / DETECTIONS_NAME).write_text(write_detections(detections))
     metadata = [MetadataRow(fi.frame, fi.altitude) for fi in bundle.frames]
     (out / METADATA_NAME).write_text(write_metadata(metadata))
-    corr_rows = [c for fi in bundle.frames for c in fi.correspondences]
+    corr_rows = [CorrespondenceRow(fi.frame, *c) for fi in bundle.frames
+                 for c in fi.correspondences.tolist()]
     (out / CORRESPONDENCES_NAME).write_text(write_correspondences(corr_rows))
 
     gt_rows = [GtRow(frame, tid, x, y) for frame, tid, x, y, _ in bundle.gt.frame_major()]

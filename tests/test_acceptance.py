@@ -136,7 +136,7 @@ def test_criterion_4_cmc(record):
     truth = pt.AffineTransform(np.cos(th), -np.sin(th), np.sin(th), np.cos(th), 4.0, -2.0)
     pts = rng.uniform(-300, 300, (10, 2))
     cur = pts @ truth.linear.T + truth.translation
-    pairs = [pt.CorrespondenceRow(1, p[0], p[1], c[0], c[1]) for p, c in zip(pts, cur)]
+    pairs = np.c_[pts, cur]  # prev_x, prev_y, cur_x, cur_y
     got = pt.estimate_affine(pairs, pt.RansacConfig(min_inliers=3))
     err = np.max(np.abs(np.array([got.m11, got.m12, got.m21, got.m22, got.t1, got.t2])
                         - np.array([truth.m11, truth.m12, truth.m21, truth.m22, truth.t1, truth.t2])))
@@ -146,11 +146,9 @@ def test_criterion_4_cmc(record):
     for _ in range(50):
         pts = rng.uniform(-500, 500, (100, 2))
         cur = pts @ truth.linear.T + truth.translation + rng.normal(0, 0.2, (100, 2))
-        pairs = [pt.CorrespondenceRow(1, p[0], p[1], c[0], c[1]) for p, c in zip(pts, cur)]
+        pairs = np.c_[pts, cur]
         for i in rng.choice(100, 30, replace=False):
-            p = pairs[i]
-            pairs[i] = pt.CorrespondenceRow(p.frame, p.prev_x, p.prev_y,
-                                            rng.uniform(-500, 500), rng.uniform(-500, 500))
+            pairs[i, 2:] = rng.uniform(-500, 500), rng.uniform(-500, 500)
         got = pt.estimate_affine(pairs, pt.RansacConfig(seed=int(rng.integers(1 << 32))))
         worst = max(worst, abs(got.t1 - truth.t1), abs(got.t2 - truth.t2))
     assert worst <= 0.1
@@ -311,7 +309,8 @@ def test_criterion_11_gog(record, occlusion_runs):
     assert exact_subset > 0
 
     bundle, runs = occlusion_runs
-    dets = [d for fi in bundle.frames for d in fi.detections]
+    dets = [pt.Detection(fi.frame, x, y, conf) for fi in bundle.frames
+            for (x, y), conf in zip(fi.points.tolist(), fi.conf.tolist())]
     gates = {fi.frame: dynamic_threshold(fi.altitude) for fi in bundle.frames}
     gog_metrics = compute_sequence_metrics(
         bundle.gt, gog_solve(build_graph(dets, GogConfig(), gates)))

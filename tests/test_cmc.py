@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +9,16 @@ from hypothesis import strategies as st
 from pointtrack import cmc
 from pointtrack.cmc import AffineTransform, RansacConfig, estimate_affine, warp_point
 from pointtrack.errors import ConfigError, InvalidInputError, NoMotionEstimateError
-from pointtrack.formats import CorrespondenceRow
+
+COLUMNS = ("prev_x", "prev_y", "cur_x", "cur_y")  # of a correspondence array
 
 
 def make_pairs(transform: AffineTransform, prev_pts: np.ndarray,
-               noise: float = 0.0, rng=None) -> list[CorrespondenceRow]:
+               noise: float = 0.0, rng=None) -> np.ndarray:
     cur = prev_pts @ transform.linear.T + transform.translation
     if noise:
         cur = cur + rng.normal(0, noise, cur.shape)
-    return [CorrespondenceRow(1, p[0], p[1], c[0], c[1]) for p, c in zip(prev_pts, cur)]
+    return np.c_[prev_pts, cur]
 
 
 def rotation(deg: float, tx: float = 0.0, ty: float = 0.0) -> AffineTransform:
@@ -33,8 +33,7 @@ def params(t: AffineTransform) -> np.ndarray:
 def loop_estimate_affine(pairs, config: RansacConfig) -> AffineTransform:
     """Reference: estimate_affine with one 3-row lstsq fit and one residual
     pass per hypothesis, over the same sample rows."""
-    pts = np.array([(c.prev_x, c.prev_y, c.cur_x, c.cur_y) for c in pairs],
-                   dtype=float).reshape(-1, 4)
+    pts = np.asarray(pairs, dtype=float).reshape(-1, 4)
     if not np.isfinite(pts).all():
         raise InvalidInputError("non-finite correspondence")
     n = len(pts)
@@ -143,9 +142,7 @@ class TestEstimateAffine:
             n_out = 30
             idx = rng.choice(100, n_out, replace=False)
             for i in idx:
-                p = pairs[i]
-                pairs[i] = CorrespondenceRow(p.frame, p.prev_x, p.prev_y,
-                                             rng.uniform(-500, 500), rng.uniform(-500, 500))
+                pairs[i, 2:] = rng.uniform(-500, 500), rng.uniform(-500, 500)
             got = estimate_affine(pairs, RansacConfig(seed=int(rng.integers(1 << 32))))
             errs.append(max(abs(got.t1 - truth.t1), abs(got.t2 - truth.t2)))
             lin_err = np.max(np.abs(params(got)[:4] - params(truth)[:4]))
@@ -157,17 +154,17 @@ class TestEstimateAffine:
     def test_non_finite_row_rejected(self, column, bad):
         rng = np.random.default_rng(6)
         pairs = make_pairs(rotation(1.0, 2.0, 3.0), rng.uniform(0, 300, (12, 2)))
-        pairs[5] = replace(pairs[5], **{column: bad})
+        pairs[5, COLUMNS.index(column)] = bad
         with pytest.raises(InvalidInputError):
             estimate_affine(pairs, RansacConfig(min_inliers=3))
 
     def test_too_few_pairs(self):
         with pytest.raises(NoMotionEstimateError):
-            estimate_affine([CorrespondenceRow(1, 0, 0, 1, 1), CorrespondenceRow(1, 1, 0, 2, 1)])
+            estimate_affine([(0, 0, 1, 1), (1, 0, 2, 1)])
 
     def test_no_consensus(self):
         rng = np.random.default_rng(3)
-        pairs = [CorrespondenceRow(1, *rng.uniform(0, 100, 4)) for _ in range(20)]
+        pairs = rng.uniform(0, 100, (20, 4))
         with pytest.raises(NoMotionEstimateError):
             estimate_affine(pairs, RansacConfig(min_inliers=18, inlier_threshold=0.001))
 
@@ -187,15 +184,14 @@ class TestEstimateAffine:
         pairs = make_pairs(truth, pts, noise=0.3, rng=rng)
         cfg = RansacConfig()
         got = estimate_affine(pairs, cfg)
-        prev = np.array([[c.prev_x, c.prev_y] for c in pairs])
-        cur = np.array([[c.cur_x, c.cur_y] for c in pairs])
+        prev, cur = pairs[:, :2], pairs[:, 2:]
         residuals = np.linalg.norm(prev @ got.linear.T + got.translation - cur, axis=1)
         # a healthy consensus fits inside the threshold
         assert (residuals <= cfg.inlier_threshold).sum() >= cfg.min_inliers
 
 
 @st.composite
-def correspondence_sets(draw) -> list[CorrespondenceRow]:
+def correspondence_sets(draw) -> np.ndarray:
     """Continuous correspondences: an affine motion with noise, outliers,
     an optional collinear block, an optional block whose motion flattens it
     onto a line, optional duplicated rows, and optionally two motions whose
@@ -234,7 +230,7 @@ def correspondence_sets(draw) -> list[CorrespondenceRow]:
         for rows in (slice(0, h), slice(n - h, n)):
             cur[rows] = prev[:h] @ rng.uniform(-2, 2, (2, 2)).T + rng.uniform(-50, 50, 2)
         cur[h:n - h] = 1e4
-    return [CorrespondenceRow(1, *p, *c) for p, c in zip(prev, cur)]
+    return np.c_[prev, cur]
 
 
 class TestBatchedHypotheses:
@@ -261,7 +257,7 @@ class TestBatchedHypotheses:
             "near_1e150": (1e150 + pts * 1e148, 1e150 + pts * 1e148),
             "det_1e-16": (pts, pts * 1e-8 + [3.0, -2.0]),
         }[case]
-        pairs = [CorrespondenceRow(1, *p, *c) for p, c in zip(prev, cur)]
+        pairs = np.c_[prev, cur]
         with pytest.raises(NoMotionEstimateError):
             estimate_affine(pairs, RansacConfig(min_inliers=3))
 
@@ -269,7 +265,7 @@ class TestBatchedHypotheses:
         rng = np.random.default_rng(8)
         prev = rng.uniform(0, 100, (20, 2))
         cur = 1.7e308 * rng.choice([-1.0, 1.0], (20, 2))
-        pairs = [CorrespondenceRow(1, *p, *c) for p, c in zip(prev, cur)]
+        pairs = np.c_[prev, cur]
         with pytest.raises(NoMotionEstimateError), np.errstate(over="ignore", invalid="ignore"):
             estimate_affine(pairs, RansacConfig(min_inliers=3))
 
@@ -283,8 +279,8 @@ class TestBatchedHypotheses:
     def test_tie_across_blocks_keeps_the_first_hypothesis(self):
         # two equally large motions: hypotheses of either tie on 10 inliers
         rng = np.random.default_rng(10)
-        pairs = (make_pairs(rotation(3.0, 5.0, 1.0), rng.uniform(0, 400, (10, 2)))
-                 + make_pairs(rotation(-4.0, -6.0, 2.0), rng.uniform(0, 400, (10, 2))))
+        pairs = np.r_[make_pairs(rotation(3.0, 5.0, 1.0), rng.uniform(0, 400, (10, 2))),
+                      make_pairs(rotation(-4.0, -6.0, 2.0), rng.uniform(0, 400, (10, 2)))]
         for seed in range(5):
             cfg = RansacConfig(iterations=2500, min_inliers=3, seed=seed)
             assert outcome(estimate_affine, pairs, cfg) == outcome(loop_estimate_affine, pairs, cfg)
@@ -319,7 +315,7 @@ class TestBatchedHypotheses:
         rng = np.random.default_rng(0)
         prev = rng.uniform(0, 500, (50, 2))
         cur = np.c_[prev[:, 0] + 2, 100 + rng.normal(0, 1e-4, 50)]
-        pairs = [CorrespondenceRow(1, *p, *c) for p, c in zip(prev, cur)]
+        pairs = np.c_[prev, cur]
         with pytest.raises(NoMotionEstimateError, match="fitted transform is degenerate"):
             estimate_affine(pairs)
 

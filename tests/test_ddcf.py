@@ -212,6 +212,17 @@ class TestUpdateFilter:
         fresh = train_filter(p2, cfg)
         assert np.allclose(updated.freq, fresh.freq, atol=1e-12)
 
+    def test_filter_built_once_and_only_when_read(self):
+        rng = np.random.default_rng(16)
+        p = center_patch(blob_map(rng, 32, 32))
+        cfg = DcfConfig(regularization=0.5)
+        f = update_filter(train_filter(p, cfg), p, cfg)
+        assert "freq" not in vars(f)  # updates never divide
+        freq = f.freq
+        assert f.freq is freq
+        expected = f.numerator / (f.denominator + 0.5)[:, :, None]
+        assert freq.tobytes() == expected.tobytes()
+
     def test_fixed_point_on_identical_patches(self):
         rng = np.random.default_rng(14)
         p = center_patch(blob_map(rng, 32, 32))

@@ -1,7 +1,11 @@
+import dataclasses
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pointtrack.assignment import GatingPolicy
 from pointtrack.cmc import RansacConfig
@@ -10,7 +14,7 @@ from pointtrack.ddcf import DcfConfig, FeatureMap
 from pointtrack.errors import ConfigError, FormatError, ParseError
 from pointtrack.formats import (
     CORRESPONDENCES, DETECTIONS, GT, METADATA, TRACKS,
-    CorrespondenceRow, Detection, GtRow, MetadataRow, TrackRow,
+    CorrespondenceRow, Table, Detection, GtRow, MetadataRow, TrackRow,
     parse_correspondences, parse_detections, parse_gt, parse_kv_text, parse_metadata,
     parse_tracks, read_feature_map, write_correspondences, write_detections,
     write_feature_map, write_gt, write_kv_text, write_metadata, write_tracks,
@@ -131,6 +135,112 @@ class TestCsvRoundTrips:
     def test_six_significant_decimals(self):
         text = write_detections([Detection(0, 123456.789, 0.000123456789, 0.5)])
         assert "123457" in text and "0.000123457" in text
+
+
+# Cells the row converters accept, mostly, and cells that are odd or that
+# they reject: both parsers must agree on every one of them.
+INT_CELLS = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(
+    ["007", "+1", "1_0", " 1", "1 ", "-0", "-1", "1.0", "", "abc", "9" * 20]))
+FLOAT_CELLS = st.one_of(st.floats(-1e6, 1e6).map(repr), st.sampled_from(
+    ["0", "00.5", "+1", "1_0", " 1", "1e400", "-1e400", "1e-400", "nan", "inf", "-inf",
+     "1.0000001", "-0.0", ".5", "1.", "", "abc"]))
+UNIT_CELLS = st.one_of(st.floats(0, 1).map(repr), st.sampled_from(
+    ["0", "1", "01", "+1", " 0.5", "1.0000001", "-0.0", "-1e-9", "nan", "inf", ""]))
+SOURCE_CELLS = st.sampled_from(["detection", "ddcf", "coasted", "Detection", "ddcf ", ""])
+
+
+def _cells(column: str):
+    """Valid cells 19 times in 20, a hostile one otherwise."""
+    if column == "source":
+        return SOURCE_CELLS
+    if column in ("frame", "id"):
+        valid, cells = st.integers(1, 10**6).map(str), INT_CELLS
+    elif column in ("conf", "score"):
+        valid, cells = st.floats(0, 1).map(repr), UNIT_CELLS
+    else:
+        valid, cells = st.floats(-1e6, 1e6).map(repr), FLOAT_CELLS
+    return st.integers(0, 19).flatmap(lambda k: cells if k == 0 else valid)
+
+
+@st.composite
+def table_texts(draw) -> tuple[Table, str]:
+    """A text for one table: either of its headers, 0-6 rows of which a few
+    are short or long, LF or CRLF line ends, with or without the last one."""
+    table = draw(st.sampled_from([DETECTIONS, CORRESPONDENCES, METADATA, GT, TRACKS]))
+    header = draw(st.sampled_from(table.headers))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(_cells(column)) for column in header.split(",")]
+        shape = draw(st.integers(0, 19))
+        cells = cells[:-1] if shape == 0 else cells + ["1"] if shape == 1 else cells
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return table, end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def row_columns(table: Table, text: str) -> list:
+    """The columns of parse_lines' rows, None for an optional column the
+    header leaves out; or the ParseError's message and line."""
+    try:
+        rows = table.parse(text)
+    except ParseError as exc:
+        return [str(exc), exc.line]
+    width = text.split("\n")[0].rstrip("\r").count(",") + 1
+    kinds = {int: np.int64, str: object}
+    return [np.array([getattr(r, f.name) for r in rows], dtype=kinds.get(f.type, np.float64))
+            if i < width else None for i, f in enumerate(dataclasses.fields(table.row))]
+
+
+def column_parse(table: Table, text: str) -> list:
+    try:
+        return table.parse_columns(text)
+    except ParseError as exc:
+        return [str(exc), exc.line]
+
+
+def same_columns(a: list, b: list) -> bool:
+    """Equal messages, or equal columns: dtype, shape and bytes (the list,
+    for text columns)."""
+    if isinstance(a[0], str) or isinstance(b[0], str):
+        return a == b
+    return len(a) == len(b) and all(
+        x is None and y is None
+        or x is not None and y is not None and x.dtype == y.dtype and x.shape == y.shape
+        and (x.tolist() == y.tolist() if x.dtype == object else x.tobytes() == y.tobytes())
+        for x, y in zip(a, b))
+
+
+class TestColumnParse:
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(case=table_texts())
+    @example(case=(DETECTIONS, "frame,x,y,conf,score\r\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf,score\n0,1,2,0.5,0.9\n\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n-1,1,2,0.5\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n0,1,2,1.0000001\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n0,1,2\n0,1,2,0.5,0.5\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n0,1,2,0.5,0.5\n0,1,2\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n0,1,2,0.5\n0,1,2,0.5,0.5\n"))
+    @example(case=(DETECTIONS, ""))
+    @example(case=(DETECTIONS, "frame,y,x,conf\n"))
+    def test_equals_the_row_parser(self, case):
+        table, text = case
+        assert same_columns(column_parse(table, text), row_columns(table, text))
+
+    def test_valid_text_takes_the_column_pass(self):
+        text = "frame,x,y,conf,score\r\n007,+1,1_0, 1,0.5\r\n2,1e-3,-0.0,1,0\r\n"
+        with mock.patch.object(Table, "parse_lines", side_effect=AssertionError("row parse")):
+            frame, x, y, conf, score = DETECTIONS.parse_columns(text)
+        assert frame.tolist() == [7, 2] and x.tolist() == [1.0, 0.001]
+        assert y.tolist() == [10.0, -0.0] and conf.tolist() == [1.0, 1.0]
+        assert score.tolist() == [0.5, 0.0]
+        assert DETECTIONS.parse_columns("frame,x,y,conf\n0,1,2,0.5\n")[4] is None
+
+    def test_int_beyond_int64_names_its_line(self):
+        for parse in (DETECTIONS.parse, DETECTIONS.parse_columns):
+            with pytest.raises(ParseError, match="exceeds") as err:
+                parse("frame,x,y,conf\n0,1,2,0.5\n9223372036854775808,1,2,0.5\n")
+            assert err.value.line == 3
 
 
 class TestFeatureMapBinary:

@@ -8,10 +8,15 @@ from scipy.optimize import linear_sum_assignment
 from pointtrack import lifecycle, motion
 from pointtrack.ddcf import FeatureMap, extract_patch, localize
 from pointtrack.errors import InvalidInputError, SequencingError
-from pointtrack.formats import CorrespondenceRow, Detection
+from pointtrack.formats import (
+    CORRESPONDENCES, DETECTIONS, Detection, SequenceBundlePaths, parse_correspondences,
+    parse_detections, parse_metadata, read_feature_map, write_tracks,
+)
 from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator, TrackState, TrackTable
-from pointtrack.pipeline import FrameInput, PointTracker, TrackerConfig, run_sequence
-from pointtrack.simulate import ScenarioConfig, generate
+from pointtrack.pipeline import (
+    FrameInput, PointTracker, TrackerConfig, frame_inputs_from_bundle, run_sequence,
+)
+from pointtrack.simulate import ScenarioConfig, generate, write_bundle
 
 BASELINE = TrackerConfig(use_cmc=False, use_alt=False, use_cls=False,
                          use_ddcf=False)
@@ -23,7 +28,7 @@ def frames_from_points(points_per_frame, start=0):
     for i, pts in enumerate(points_per_frame):
         dets = [Detection(frame=start + i, x=float(x), y=float(y), conf=0.9)
                 for x, y in pts]
-        out.append(FrameInput(frame=start + i, detections=dets))
+        out.append(FrameInput.from_rows(start + i, dets))
     return out
 
 
@@ -168,11 +173,131 @@ class TestLibraryInput:
                                             (0.9, 1.5), (0.9, float("inf"))])
     def test_detection_outside_unit_interval_rejected(self, conf, score):
         # the values parse_detections would reject must not reach tracks.csv
-        frames = [FrameInput(frame=f, detections=[Detection(f, 10.0, 10.0, conf, score)])
+        frames = [FrameInput.from_rows(f, [Detection(f, 10.0, 10.0, conf, score)])
                   for f in range(5)]
         cfg = replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=2, cls_lead=1))
         with pytest.raises(InvalidInputError):
             run_sequence(frames, cfg)
+
+
+class TestBundleInput:
+    """frame_inputs_from_bundle against FrameInputs built with from_rows from
+    the same files, parsed row by row and grouped by frame in file order."""
+
+    SCENE = ScenarioConfig(n_agents=6, frames=60, arena_width=256, arena_height=256,
+                           camera_rotation_deg=0.2, camera_translation_x=1.0, fn_rate=0.1,
+                           fp_clutter_rate=1.0, persistent_fp_count=2, jitter_sigma=0.3,
+                           occlusion_windows=((2, 35, 45),), feature_channels=4, seed=31)
+
+    @staticmethod
+    def row_inputs(paths):
+        dets, corr = {}, {}
+        for d in parse_detections(paths.detections.read_text()):
+            dets.setdefault(d.frame, []).append(d)
+        for c in [] if paths.correspondences is None else parse_correspondences(
+                paths.correspondences.read_text()):
+            corr.setdefault(c.frame, []).append(c)
+        altitude = {m.frame: m.altitude for m in parse_metadata(paths.metadata.read_text())}
+        files = paths.feature_files()
+        return [FrameInput.from_rows(f, dets.get(f, []), altitude.get(f), corr.get(f, []),
+                                     read_feature_map(files[f].read_bytes()) if f in files else None)
+                for f in range(max(altitude) + 1)]
+
+    @staticmethod
+    def tracks(frame_inputs) -> bytes:
+        result = run_sequence(frame_inputs, TrackerConfig(), ScoreColumnValidator())
+        return write_tracks([r for out in result.outputs for r in out.records]).encode()
+
+    @pytest.mark.parametrize("order", ["as_written", "frames_descending"])
+    def test_bundle_path_equals_row_path(self, tmp_path, order):
+        paths = SequenceBundlePaths.from_dir(write_bundle(generate(self.SCENE), tmp_path / "b"))
+        if order == "frames_descending":
+            # the rows of later frames first, each frame's rows in their order
+            for path, table in ((paths.detections, DETECTIONS),
+                                (paths.correspondences, CORRESPONDENCES)):
+                rows = table.parse(path.read_text())
+                path.write_text(table.write(sorted(rows, key=lambda r: -r.frame)))
+        from_bundle = list(frame_inputs_from_bundle(paths))
+        assert len(from_bundle) == self.SCENE.frames
+        assert any(len(fi.correspondences) for fi in from_bundle)
+        expected = self.tracks(self.row_inputs(paths))
+        assert expected.count(b"\n") > 100 and b",ddcf" in expected
+        assert self.tracks(from_bundle) == expected
+
+    def test_frames_without_rows_are_empty_blocks(self, tmp_path):
+        # detections only in frames 0-39 and 50-59: frames 40-49 are zero-row
+        # column blocks, and live tracks miss through them
+        bundle = tmp_path / "b"
+        write_bundle(generate(replace(self.SCENE, feature_channels=0)), bundle)
+        paths = SequenceBundlePaths.from_dir(bundle)
+        rows = [d for d in parse_detections(paths.detections.read_text())
+                if not 40 <= d.frame < 50]
+        paths.detections.write_text(DETECTIONS.write(rows))
+        paths.correspondences.unlink()
+        paths = SequenceBundlePaths.from_dir(bundle)
+        inputs = list(frame_inputs_from_bundle(paths))
+        gap = inputs[40:50]
+        assert all(fi.points.shape == (0, 2) and fi.conf.shape == (0,) and fi.score.shape == (0,)
+                   and fi.correspondences.shape == (0, 4) for fi in gap)
+        tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=5)),
+                               ScoreColumnValidator())
+        outs = [tracker.process_frame(fi) for fi in inputs]
+        assert all(out.records == [] for out in outs[40:50])
+        assert sum(out.deaths for out in outs[40:50]) > 0
+        assert self.tracks(inputs) == self.tracks(self.row_inputs(paths))
+
+
+class TestHostileLibraryInput:
+    def test_feature_map_smaller_than_the_patch(self):
+        # a 2 x 2 map under 32-cell patches: every patch is edge cells, and
+        # the filters still train, update and localise on it
+        rng = np.random.default_rng(3)
+        tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=5)))
+        records = recoveries = 0
+        for f in range(60):
+            fmap = FeatureMap(data=rng.normal(0.0, 1.0, (2, 2, 4)), stride=4.0)
+            point = [(1.0 + 0.05 * f, 6.0)] if f % 10 < 7 else []
+            out = tracker.process_frame(FrameInput.from_rows(
+                f, [Detection(f, x, y, conf=0.9) for x, y in point], features=fmap))
+            records += len(out.records)
+            recoveries += out.recoveries
+        assert tracker.config.dcf.patch_cells == 32
+        assert records > 0 and recoveries > 0
+
+    def test_run_of_empty_frames(self):
+        tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=4)))
+        for f in range(5):
+            tracker.process_frame(FrameInput.from_rows(f, [Detection(f, 10.0 + f, 10.0, 0.9)]))
+        empty = [FrameInput(f), FrameInput.from_rows(f + 1),
+                 FrameInput(f + 2, np.zeros((0, 2)), np.zeros(0), np.zeros(0),
+                            correspondences=np.zeros((0, 4)))]
+        outs = [tracker.process_frame(replace(fi, frame=5 + i)) for i, fi in enumerate(empty * 2)]
+        assert [len(out.records) for out in outs] == [0] * 6
+        assert tracker.summary.births == 1 and len(tracker.tracks) == 1
+        assert tracker.tracks.misses.tolist() == [6]
+        assert tracker.tracks.state.tolist() == [TrackState.CONFIRMED]
+
+    def test_rows_take_their_own_detection_confidence(self):
+        tracker = PointTracker(BASELINE)
+        tracker.process_frame(FrameInput(0, [(10, 10), (50, 50), (90, 90)], [0.6, 0.7, 0.8]))
+        assert tracker.tracks.last_confidence.tolist() == [0.6, 0.7, 0.8]
+        # the middle detection is matched, the other two are born
+        tracker.process_frame(FrameInput(1, [(200, 200), (50, 51), (300, 300)], [0.95, 0.71, 0.5]))
+        assert tracker.tracks.id.tolist() == [1, 2, 3, 4, 5]
+        assert tracker.tracks.last_confidence.tolist() == [0.6, 0.71, 0.8, 0.95, 0.5]
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(InvalidInputError):
+            FrameInput(0, np.zeros((3, 2)), np.full(2, 0.5))
+        with pytest.raises(InvalidInputError):
+            FrameInput(0, np.zeros((2, 2)), np.full(2, 0.5), np.full(3, 0.5))
+
+    def test_missing_score_beside_a_score_is_nan(self):
+        fi = FrameInput.from_rows(0, [Detection(0, 1.0, 2.0, 0.5, 0.9), Detection(0, 3.0, 4.0, 0.5)])
+        assert np.isnan(fi.score[1])
+        with pytest.raises(InvalidInputError):
+            PointTracker().process_frame(fi)
+        assert FrameInput.from_rows(0, [Detection(0, 1.0, 2.0, 0.5)]).score is None
 
 
 class TestBaselineEquivalence:
@@ -186,7 +311,7 @@ class TestBaselineEquivalence:
         mini = MiniSort()
         mine, theirs = [], []
         for fi, out in zip(bundle.frames, result.outputs):
-            emitted = mini.step([(d.x, d.y) for d in fi.detections])
+            emitted = mini.step(fi.points.tolist())
             theirs.append(sorted((tid, round(x, 6), round(y, 6)) for tid, x, y in emitted))
             mine.append(sorted((r.track_id, round(r.x, 6), round(r.y, 6))
                                for r in out.records))
@@ -264,9 +389,9 @@ class TestDdcfRecovery:
         tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=5)))
         for f in range(6):
             dets = [Detection(f, *a, conf=0.9), Detection(f, *b, conf=0.9)]
-            tracker.process_frame(FrameInput(f, dets, features=features([a, b])))
+            tracker.process_frame(FrameInput.from_rows(f, dets, features=features([a, b])))
         assert len(tracker.summary.lifespans) == 2
-        out = tracker.process_frame(FrameInput(6, [], features=features([(128.0, 128.0)])))
+        out = tracker.process_frame(FrameInput(6, features=features([(128.0, 128.0)])))
         assert out.recoveries == 1
         assert [r.source for r in out.records] == ["ddcf"]
 
@@ -306,10 +431,10 @@ class TestDdcfBranches:
     def confirm_then_lose(self, confirm_features, lost_features):
         tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=5)))
         for f in range(6):
-            tracker.process_frame(FrameInput(f, [Detection(f, *self.POINT, conf=0.9)],
-                                             features=confirm_features))
+            tracker.process_frame(FrameInput.from_rows(f, [Detection(f, *self.POINT, conf=0.9)],
+                                                       features=confirm_features))
         assert tracker.tracks.state.tolist() == [TrackState.CONFIRMED]
-        out = tracker.process_frame(FrameInput(6, [], features=lost_features))
+        out = tracker.process_frame(FrameInput(6, features=lost_features))
         return tracker, out
 
     def test_all_zero_patch_leaves_the_match_without_a_model(self):
@@ -417,7 +542,7 @@ class TestGateAndCmcWiring:
             PointTracker(TrackerConfig()).process_frame(FrameInput(frame=0, altitude=-4.0))
 
     def test_cmc_failure_falls_back_to_identity(self):
-        pairs = [CorrespondenceRow(0, 0, 0, 50, 50), CorrespondenceRow(0, 1, 0, -30, 2)]
+        pairs = [(0, 0, 50, 50), (1, 0, -30, 2)]  # prev_x, prev_y, cur_x, cur_y
         out = PointTracker(TrackerConfig()).process_frame(
             FrameInput(frame=0, correspondences=pairs))
         assert out.affine.is_identity()
@@ -427,7 +552,7 @@ class TestGateAndCmcWiring:
         rng = np.random.default_rng(8)
         prev = rng.uniform(0, 100, (20, 2))
         cur = 1.7e308 * rng.choice([-1.0, 1.0], (20, 2))
-        pairs = [CorrespondenceRow(0, *p, *c) for p, c in zip(prev, cur)]
+        pairs = np.c_[prev, cur]
         with np.errstate(over="ignore", invalid="ignore"):
             out = PointTracker(TrackerConfig()).process_frame(
                 FrameInput(frame=0, correspondences=pairs))
@@ -440,7 +565,7 @@ class TestGateAndCmcWiring:
         rng = np.random.default_rng(0)
         prev = rng.uniform(0, 500, (50, 2))
         cur = np.c_[prev[:, 0] + 2, 100 + rng.normal(0, 1e-4, 50)]
-        pairs = [CorrespondenceRow(0, *p, *c) for p, c in zip(prev, cur)]
+        pairs = np.c_[prev, cur]
         out = PointTracker(TrackerConfig()).process_frame(FrameInput(frame=0, correspondences=pairs))
         assert out.affine.is_identity()
         assert "fitted transform is degenerate" in caplog.text

@@ -18,14 +18,13 @@ CLEAN = ScenarioConfig(n_agents=4, frames=60, arena_width=256, arena_height=256,
 
 
 def bundle_fingerprint(bundle) -> tuple:
-    det = tuple((d.frame, d.x, d.y, d.conf, d.score)
-                for fi in bundle.frames for d in fi.detections)
+    det = tuple((fi.frame, fi.points.tobytes(), fi.conf.tobytes(), fi.score.tobytes())
+                for fi in bundle.frames)
     gt = tuple((tid, p.frame, p.x, p.y)
                for tid in bundle.gt.ids for p in bundle.gt.tracks[tid])
     feats = tuple(fi.features.data.tobytes() for fi in bundle.frames
                   if fi.features is not None)
-    corr = tuple((fi.frame, c.prev_x, c.prev_y, c.cur_x, c.cur_y)
-                 for fi in bundle.frames for c in fi.correspondences)
+    corr = tuple((fi.frame, fi.correspondences.tobytes()) for fi in bundle.frames)
     return det, gt, feats, corr
 
 
@@ -61,7 +60,7 @@ class TestGroundTruth:
                              feature_channels=0, seed=2)
         bundle = generate(cfg)
         assert len(bundle.gt) == 0
-        assert sum(len(fi.detections) for fi in bundle.frames) > 0
+        assert sum(len(fi.points) for fi in bundle.frames) > 0
 
 
 class TestCorruptionModel:
@@ -71,7 +70,7 @@ class TestCorruptionModel:
             rows = bundle.gt.frame_groups[fi.frame]
             gt_here = {(round(x, 9), round(y, 9))
                        for x, y in zip(bundle.gt.x[rows].tolist(), bundle.gt.y[rows].tolist())}
-            det_here = {(round(d.x, 9), round(d.y, 9)) for d in fi.detections}
+            det_here = {(round(x, 9), round(y, 9)) for x, y in fi.points.tolist()}
             assert det_here == gt_here
 
     def test_occlusion_window_drops_detections(self):
@@ -80,18 +79,18 @@ class TestCorruptionModel:
         bundle = generate(cfg)
         for fi in bundle.frames:
             n_expected = 4 - (1 if 10 <= fi.frame <= 20 else 0)
-            assert len(fi.detections) == n_expected
+            assert len(fi.points) == n_expected
 
     def test_fn_rate_one_drops_everything(self):
         from dataclasses import replace
         bundle = generate(replace(CLEAN, fn_rate=1.0, feature_channels=0))
-        assert all(not fi.detections for fi in bundle.frames)
+        assert all(len(fi.points) == 0 for fi in bundle.frames)
 
     def test_persistent_ghosts_every_frame(self):
         from dataclasses import replace
         bundle = generate(replace(CLEAN, persistent_fp_count=3, feature_channels=0))
         for fi in bundle.frames:
-            scores = [d.score for d in fi.detections]
+            scores = fi.score.tolist()
             assert scores.count(0.0) == 3
             assert scores.count(1.0) == 4
 
@@ -133,8 +132,7 @@ class TestCameraModel:
         for t in (1, 20, 39):
             fi = bundle.frames[t]
             assert len(fi.correspondences) == 50
-            prev = np.array([[c.prev_x, c.prev_y] for c in fi.correspondences])
-            cur = np.array([[c.cur_x, c.cur_y] for c in fi.correspondences])
+            prev, cur = fi.correspondences[:, :2], fi.correspondences[:, 2:]
             # prev/cur follow the recorded cumulative transforms within noise
             mapped = warp_points(bundle.camera_transforms[t],
                                  warp_points(bundle.camera_transforms[t - 1].inverse(), prev))
@@ -202,7 +200,7 @@ class TestBundleWriting:
         loaded = list(frame_inputs_from_bundle(SequenceBundlePaths.from_dir(out)))
         assert len(loaded) == len(bundle.frames)
         for mem, disk in zip(bundle.frames, loaded):
-            assert len(mem.detections) == len(disk.detections)
+            assert len(mem.points) == len(disk.points)
             assert disk.altitude == pytest.approx(mem.altitude, rel=1e-5)
             assert np.array_equal(disk.features.data, mem.features.data)
 

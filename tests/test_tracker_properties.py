@@ -17,7 +17,10 @@ from pointtrack.simulate import ScenarioConfig, generate
 @st.composite
 def scenarios(draw) -> ScenarioConfig:
     """Up to 8 agents over 1-60 frames, with misses, clutter, ghosts,
-    occlusion windows, camera motion and feature maps each on or off."""
+    occlusion windows, camera motion and feature maps each on or off. A miss
+    rate of 1 gives runs of frames without detections (zero-row columns when
+    there is no clutter or ghost either), and a 64 px stride gives a 2 x 2
+    feature map, smaller than the 32-cell DDCF patch."""
     n_agents = draw(st.integers(0, 8))
     frames = draw(st.integers(1, 60))
     windows = draw(st.lists(st.tuples(st.integers(1, 8), st.integers(0, 59), st.integers(0, 20)),
@@ -27,13 +30,14 @@ def scenarios(draw) -> ScenarioConfig:
         agent_speed_sigma=draw(st.sampled_from([0.5, 2.0])),
         camera_rotation_deg=draw(st.sampled_from([0.0, 0.5])),
         camera_translation_x=draw(st.sampled_from([0.0, 1.5])),
-        fn_rate=draw(st.sampled_from([0.0, 0.2, 0.6])),
+        fn_rate=draw(st.sampled_from([0.0, 0.2, 0.6, 1.0])),
         fp_clutter_rate=draw(st.sampled_from([0.0, 1.0])),
         persistent_fp_count=draw(st.integers(0, 2)),
         jitter_sigma=draw(st.sampled_from([0.0, 0.5])),
         occlusion_windows=tuple((min(agent, n_agents), start, start + length)
                                 for agent, start, length in windows),
         feature_channels=draw(st.sampled_from([0, 2])),
+        feature_stride=draw(st.sampled_from([4.0, 64.0])),
         seed=draw(st.integers(0, 2**16)),
     )
 
