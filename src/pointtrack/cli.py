@@ -15,9 +15,8 @@ from .assignment import dynamic_threshold
 from .config import ToolkitConfig, load_toolkit_config
 from .errors import ParseError, TrackingError
 from .formats import (
-    DETECTIONS, SOURCE_DETECTION, SequenceBundlePaths, TrackRow,
-    format_float, parse_detections, parse_gt, parse_kv_text, parse_metadata,
-    parse_tracks, write_kv_text, write_tracks,
+    DETECTIONS, GT, SOURCE_DETECTION, TRACKS, SequenceBundlePaths, TrackRow,
+    format_float, parse_detections, parse_kv_text, parse_metadata, write_kv_text, write_tracks,
 )
 from .gog import build_graph, solve
 from .lifecycle import ScoreColumnValidator
@@ -126,9 +125,9 @@ def _cmd_gog(args) -> int:
 
 
 def _load_trajectories(path: Path, gt: bool) -> TrajectorySet:
-    rows = (parse_gt if gt else parse_tracks)(path.read_text())
-    columns = ("frame", "track_id", "x", "y") + (() if gt else ("conf",))
-    return TrajectorySet(*([getattr(r, name) for r in rows] for name in columns))
+    """gt.csv's frame, id, x and y columns, or tracks.csv's and its conf."""
+    columns = (GT if gt else TRACKS).parse_columns(path.read_text())
+    return TrajectorySet(*columns[:4 if gt else 5])
 
 
 def _cmd_evaluate(args) -> int:

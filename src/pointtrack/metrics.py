@@ -179,7 +179,7 @@ def id_switches(gt: TrajectorySet, pred: TrajectorySet, gate: float = 10.0) -> i
     for frame in sorted(gt.frame_groups.keys() & pred.frame_groups.keys()):
         g_rows, p_rows = gt.frame_groups[frame], pred.frame_groups[frame]
         costs = build_cost_matrix(np.column_stack((gt.x[g_rows], gt.y[g_rows])),
-                                  np.column_stack((pred.x[p_rows], pred.y[p_rows])))
+                                  np.column_stack((pred.x[p_rows], pred.y[p_rows])), gate)
         for gi, pj, _ in solve_assignment(costs, gate).matches:
             gt_id, pred_id = int(gt.id[g_rows[gi]]), int(pred.id[p_rows[pj]])
             if gt_id in last_partner and last_partner[gt_id] != pred_id:

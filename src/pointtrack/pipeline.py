@@ -160,7 +160,7 @@ class PointTracker:
         self._predict(affine)
 
         points = frame_input.points
-        result = solve_assignment(build_cost_matrix(self.tracks.mean[:, :2], points), gate)
+        result = solve_assignment(build_cost_matrix(self.tracks.mean[:, :2], points, gate), gate)
         matched = self._handle_matches(result, points, frame_input)
         recovered = self._recover(result, frame_input, matched, gate)
         lifecycle.on_miss(self.tracks, result.unmatched_tracks, self.config.lifecycle)

@@ -2,10 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
-from pointtrack.assignment import GatingPolicy, build_cost_matrix, dynamic_threshold, solve_assignment
+from pointtrack.assignment import (
+    GatedCosts, GatingPolicy, build_cost_matrix, dynamic_threshold, solve_assignment,
+)
 from pointtrack.errors import ConfigError, InvalidInputError
 
 
@@ -31,6 +35,49 @@ def brute_force(costs: np.ndarray, gate: float):
         if card > best[0] or (card == best[0] and (card == 0 or total < best[1])):
             best = (card, total)
     return best
+
+
+def dense_solve(costs: np.ndarray, gate: float):
+    """Reference: one linear_sum_assignment over the whole padded matrix, as
+    solve_assignment worked before the gate graph was split. Returns
+    (matches, unmatched_tracks, unmatched_detections)."""
+    n_rows, n_cols = costs.shape
+    admissible = costs < gate
+    big = float(costs[admissible].sum()) + 1.0 if admissible.any() else 1.0
+    rows, cols = linear_sum_assignment(np.where(admissible, costs, big))
+    keep = admissible[rows, cols]
+    rows, cols = rows[keep], cols[keep]
+    return (list(zip(rows.tolist(), cols.tolist(), costs[rows, cols].tolist())),
+            sorted(set(range(n_rows)) - set(rows.tolist())),
+            sorted(set(range(n_cols)) - set(cols.tolist())))
+
+
+def as_tuple(result):
+    return result.matches, result.unmatched_tracks, result.unmatched_detections
+
+
+def scene(seed: int, n: int, m: int, layout: str, integer: bool = False):
+    """Predicted (n, 2) and detected (m, 2) points, about one per 30 x 30
+    px: spread uniformly, in three dense clusters, or as noisy copies of
+    the predicted points, a third of them exactly on them. integer rounds
+    them onto the pixel grid."""
+    rng = np.random.default_rng(seed)
+    side = 30.0 * np.sqrt(max(n, m, 1))
+    if layout == "uniform":
+        p, d = rng.uniform(0, side, (n, 2)), rng.uniform(0, side, (m, 2))
+    elif layout == "clusters":
+        centres = rng.uniform(0, side, (3, 2))
+        p = centres[rng.integers(0, 3, n)] + rng.normal(0, 6.0, (n, 2))
+        d = centres[rng.integers(0, 3, m)] + rng.normal(0, 6.0, (m, 2))
+    else:  # "tracked"
+        p = rng.uniform(0, side, (n, 2))
+        d = rng.uniform(0, side, (m, 2))
+        k = min(n, m)
+        d[:k] = p[rng.permutation(n)[:k]] + rng.normal(0, 2.0, (k, 2))
+        d[: k // 3] = p[: k // 3]  # coincident points cost exactly 0
+    if integer:
+        p, d = np.round(p), np.round(d)
+    return p, d
 
 
 class TestDynamicThreshold:
@@ -66,31 +113,49 @@ class TestDynamicThreshold:
             GatingPolicy(base_radius=0)
 
 
+def dense(cells: GatedCosts) -> np.ndarray:
+    """The cells as a matrix, inf outside the gate."""
+    out = np.full(cells.shape, np.inf)
+    out[cells.rows, cells.cols] = cells.costs
+    return out
+
+
 class TestBuildCostMatrix:
     def test_three_four_five(self):
-        assert build_cost_matrix([(0, 0)], [(3, 4)])[0, 0] == 5.0
+        c = build_cost_matrix([(0, 0)], [(3, 4)], gate=10.0)
+        assert (c.rows.tolist(), c.cols.tolist(), c.costs.tolist()) == ([0], [0], [5.0])
 
     def test_empty_detections(self):
-        assert build_cost_matrix([(0, 0)], []).shape == (1, 0)
+        c = build_cost_matrix([(0, 0)], [], gate=10.0)
+        assert c.shape == (1, 0) and len(c.costs) == 0
 
     def test_symmetric_layout(self):
-        c = build_cost_matrix([(0, 0), (1, 1)], [(0, 0), (1, 1)])
-        assert np.allclose(c, c.T)
+        c = dense(build_cost_matrix([(0, 0), (1, 1)], [(0, 0), (1, 1)], gate=10.0))
+        assert np.array_equal(c, c.T)
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidInputError):
-            build_cost_matrix([(np.nan, 0)], [(0, 0)])
+            build_cost_matrix([(np.nan, 0)], [(0, 0)], gate=10.0)
 
-    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
-    @given(n=st.integers(0, 60), m=st.integers(0, 60), seed=st.integers(0, 2**32 - 1),
-           scale=st.floats(-3, 6), offset=st.floats(-1e6, 1e6))
-    def test_equals_norm_of_differences(self, n, m, seed, scale, offset):
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(n=st.integers(0, 120), m=st.integers(0, 120), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(-3, 6), offset=st.floats(-1e6, 1e6), gate_scale=st.floats(-2, 1))
+    @example(n=90, m=80, seed=0, scale=1.0, offset=0.0, gate_scale=1e9)  # every pair in gate
+    def test_equals_norm_of_differences(self, n, m, seed, scale, offset, gate_scale):
+        """The in-gate cells, by the band search above DENSE_CELLS cells and
+        by cdist below, are the entries of the norm matrix below the gate,
+        bit for bit and in row-major order."""
         rng = np.random.default_rng(seed)
         p = offset + rng.normal(0, 10.0 ** scale, (n, 2))
         d = offset + rng.normal(0, 10.0 ** scale, (m, 2))
         d[: min(n, m) // 3] = p[: min(n, m) // 3]  # exact coincidences give zeros
+        gate = gate_scale if gate_scale > 1e3 else 10.0 ** (scale + gate_scale)
         expected = np.linalg.norm(p[:, None] - d[None], axis=2)
-        assert np.array_equal(build_cost_matrix(p, d), expected)
+        cells = build_cost_matrix(p, d, gate)
+        rows, cols = np.nonzero(expected < gate)
+        assert cells.shape == (n, m) and cells.gate == gate
+        assert np.array_equal(cells.rows, rows) and np.array_equal(cells.cols, cols)
+        assert np.array_equal(cells.costs, expected[rows, cols])
 
 
 class TestSolveAssignment:
@@ -107,6 +172,14 @@ class TestSolveAssignment:
     def test_exact_gate_distance_not_matched(self):
         r = solve_assignment(np.array([[10.0]]), gate=10)
         assert r.matches == []
+        # the in-gate cells, found by cdist and, beyond DENSE_CELLS cells, by
+        # the band search: every row is 10 from its column and far from the rest
+        for n in (1, 80):
+            x = np.arange(n) * 100.0
+            cells = build_cost_matrix(np.column_stack([x, np.zeros(n)]),
+                                      np.column_stack([x + 6, np.full(n, 8.0)]), 10.0)
+            assert len(cells.costs) == 0
+            assert solve_assignment(cells, gate=10).matches == []
 
     def test_empty(self):
         r = solve_assignment(np.zeros((0, 0)), gate=1)
@@ -183,3 +256,59 @@ class TestSolveAssignment:
     def test_invalid_gate(self):
         with pytest.raises(InvalidInputError):
             solve_assignment(np.zeros((1, 1)), gate=0.0)
+
+
+    @pytest.mark.parametrize("gate", [6.0, 20.0])
+    def test_cells_of_another_gate_rejected(self, gate):
+        with pytest.raises(InvalidInputError, match="cannot be solved"):
+            solve_assignment(build_cost_matrix([(0, 0)], [(3, 4)], gate=10.0), gate)
+
+
+# side lengths on both sides of DENSE_CELLS: 66 x 66 is just above it
+SIDES = st.one_of(st.integers(0, 12), st.integers(66, 90))
+
+
+class TestAgainstDenseSolve:
+    """The split solve (lone pairs, then one contested block) against the
+    dense padded solve of the whole matrix."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(n=SIDES, m=SIDES, seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["uniform", "clusters", "tracked"]),
+           gate=st.sampled_from([3.0, 10.0, 25.0, 1e9]))
+    @example(n=0, m=12, seed=1, layout="tracked", gate=10.0)
+    @example(n=12, m=0, seed=1, layout="tracked", gate=10.0)
+    @example(n=80, m=75, seed=2, layout="clusters", gate=1e9)
+    def test_continuous_points_give_the_same_result(self, n, m, seed, layout, gate):
+        """Continuous points have a unique optimum, so every match, distance
+        and unmatched index is the dense solve's, by either input form."""
+        p, d = scene(seed, n, m, layout)
+        expected = dense_solve(cdist(p, d), gate)
+        assert as_tuple(solve_assignment(build_cost_matrix(p, d, gate), gate)) == expected
+        assert as_tuple(solve_assignment(cdist(p, d), gate)) == expected
+
+    def test_thousand_agents(self):
+        rng = np.random.default_rng(11)
+        p, d = scene(11, 1000, 1000, "tracked")
+        d = np.vstack([d[rng.random(1000) > 0.1], rng.uniform(0, 30.0 * np.sqrt(1000), (30, 2))])
+        costs = cdist(p, d)
+        expected = dense_solve(costs, 10.0)
+        got = as_tuple(solve_assignment(build_cost_matrix(p, d, 10.0), 10.0))
+        assert len(got[0]) > 700 and got == expected
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(n=SIDES, m=SIDES, seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["uniform", "clusters", "tracked"]),
+           gate=st.sampled_from([1.5, 5.0, 10.0, 1e9]))
+    def test_integer_points_give_an_equal_optimum(self, n, m, seed, layout, gate):
+        """Integer points tie often; the split may choose another optimum,
+        of the same cardinality and total cost."""
+        p, d = scene(seed, n, m, layout, integer=True)
+        matches, _, _ = dense_solve(cdist(p, d), gate)
+        got = solve_assignment(build_cost_matrix(p, d, gate), gate)
+        assert len(got.matches) == len(matches)
+        assert sum(c for _, _, c in got.matches) == pytest.approx(sum(c for _, _, c in matches),
+                                                                   abs=1e-9)
+        assert all(c < gate for _, _, c in got.matches)
+        assert sorted([i for i, _, _ in got.matches] + got.unmatched_tracks) == list(range(n))
+        assert sorted([j for _, j, _ in got.matches] + got.unmatched_detections) == list(range(m))

@@ -4,12 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pointtrack import cli
 from pointtrack.cli import main
 from pointtrack.config import _KINDS
 from pointtrack.formats import (
-    CorrespondenceRow, parse_correspondences, parse_kv_text, parse_tracks, write_correspondences,
-    write_tracks,
+    CorrespondenceRow, parse_correspondences, parse_gt, parse_kv_text, parse_tracks,
+    write_correspondences, write_tracks,
 )
+from pointtrack.metrics import TrajectorySet
 
 SCENARIO = """
 n_agents = 6
@@ -289,6 +291,41 @@ class TestCameraMotion:
             return out
         with_cmc, without = self.track_with_and_without_cmc(capsys, tmp_path, flatten)
         assert with_cmc == without
+
+
+class TestEvaluateReadsColumns:
+    @staticmethod
+    def load_by_rows(path: Path, gt: bool) -> TrajectorySet:
+        """Trajectories built from one parsed row object per line."""
+        rows = (parse_gt if gt else parse_tracks)(path.read_text())
+        return TrajectorySet.from_rows((r.frame, r.track_id, r.x, r.y) + (() if gt else (r.conf,))
+                                       for r in rows)
+
+    def test_table_and_report_equal_the_row_parse(self, capsys, tmp_path, monkeypatch):
+        scen = write_scenario(tmp_path, SCENARIO.replace("fn_rate = 0", "fn_rate = 0.2")
+                              .replace("fp_clutter_rate = 0", "fp_clutter_rate = 3"))
+        bundle, tracks = tmp_path / "bundle", tmp_path / "tracks.csv"
+        assert run(capsys, "simulate", "--config", str(scen), "--out", str(bundle))[0] == 0
+        assert run(capsys, "track", "--bundle", str(bundle), "--out", str(tracks))[0] == 0
+        outputs = []
+        for name in ("columns", "rows"):
+            if name == "rows":
+                monkeypatch.setattr(cli, "_load_trajectories", self.load_by_rows)
+            report = tmp_path / f"report-{name}.txt"
+            code, out, _ = run(capsys, "evaluate", "--gt", str(bundle / "gt.csv"),
+                               "--pred", str(tracks), "--report", str(report))
+            assert code == 0
+            outputs.append((out, report.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert parse_kv_text(outputs[0][1].decode())["id_sw"] != "0"  # a table worth comparing
+
+    def test_conf_out_of_range_names_the_line(self, capsys, tmp_path):
+        gt, pred = tmp_path / "gt.csv", tmp_path / "tracks.csv"
+        gt.write_text("frame,id,x,y\n0,1,5,5\n")
+        pred.write_text("frame,id,x,y,conf,source\n0,1,5,5,1.5,detection\n")
+        code, _, err = run(capsys, "evaluate", "--gt", str(gt), "--pred", str(pred))
+        assert code == 1
+        assert "line 2: conf 1.5 outside [0.0, 1.0]" in err
 
 
 class TestDeterminism:

@@ -96,6 +96,32 @@ class TestExtractPatch:
         near = extract_patch(fmap, ((30 + 8 + 1) * stride, 0.0), 8)
         assert np.array_equal(near.data, extract_patch(fmap, (far, 0.0), 8).data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("center", [
+        (60.0, 40.0),      # inside
+        (16.0, 16.0),      # inside, on the top and left edges
+        (104.0, 64.0),     # inside, on the bottom and right edges
+        (12.0, 40.0),      # one cell over the left edge
+        (108.0, 68.0),     # one cell over the bottom and right edges
+        (-3.0, 200.0),     # outside
+        (1e6, -1e6),       # far outside
+    ])
+    def test_equals_the_clamped_index_cut(self, center, dtype):
+        """Whether the window is a slice of the map or crosses its edge, the
+        patch is the cut by clamped indices, bit for bit, as a float64 copy."""
+        rng = np.random.default_rng(5)
+        fmap = FeatureMap(data=rng.normal(size=(20, 30, 3)).astype(dtype), stride=4.0)
+        size = 8
+        cx, cy = (int(np.floor(v / fmap.stride + 0.5)) for v in center)
+        x0 = min(max(cx, -size), fmap.width + size) - size // 2
+        y0 = min(max(cy, -size), fmap.height + size) - size // 2
+        rows = np.clip(np.arange(y0, y0 + size), 0, fmap.height - 1)
+        cols = np.clip(np.arange(x0, x0 + size), 0, fmap.width - 1)
+        p = extract_patch(fmap, center, size)
+        assert p.data.dtype == np.float64 and not np.shares_memory(p.data, fmap.data)
+        assert np.array_equal(p.data, fmap.data[np.ix_(rows, cols)].astype(float))
+        assert np.array_equal(p.origin, [cx * 4.0, cy * 4.0])
+
 
 class TestTrainFilter:
     def test_self_localization_at_center(self):

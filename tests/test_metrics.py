@@ -67,7 +67,7 @@ def loop_id_switches(gt: LoopTrajectorySet, pred: LoopTrajectorySet, gate: float
         if not gt_here or not pred_here:
             continue
         costs = build_cost_matrix([(p.x, p.y) for _, p in gt_here],
-                                  [(p.x, p.y) for _, p in pred_here])
+                                  [(p.x, p.y) for _, p in pred_here], gate)
         for gi, pj, _ in solve_assignment(costs, gate).matches:
             gt_id = gt_here[gi][0]
             pred_id = pred_here[pj][0]
