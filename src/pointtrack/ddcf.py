@@ -5,6 +5,10 @@ windowed feature patch against a Gaussian target label, then used to
 re-localize the target when its detection is missing. The whole-frame
 feature map is computed once upstream (or synthesized); tracks only
 extract small patches from it.
+
+Patches, label and response are real, so every spectrum in the closed form
+is Hermitian; the model is kept on the half spectrum of the real FFT, the
+first s//2 + 1 columns of each full (s, s) spectrum.
 """
 
 import math
@@ -12,10 +16,15 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigError, InvalidInputError
 
 MIN_PATCH_CELLS = 8
+# localize's exclusion window is 2 * PSR_EXCLUSION + 1 cells wide; a filter
+# patch must leave sidelobe cells outside it
+PSR_EXCLUSION = 5
+MIN_FILTER_CELLS = 2 * PSR_EXCLUSION + 2
 
 
 @dataclass(frozen=True)
@@ -27,8 +36,8 @@ class DcfConfig:
     psr_min: float = 5.0         # acceptance gate for recoveries
 
     def __post_init__(self):
-        if self.patch_cells < MIN_PATCH_CELLS:
-            raise ConfigError(f"patch_cells must be >= {MIN_PATCH_CELLS}")
+        if self.patch_cells < MIN_FILTER_CELLS:
+            raise ConfigError(f"patch_cells must be >= {MIN_FILTER_CELLS}")
         if not (math.isfinite(self.regularization) and self.regularization > 0):
             raise ConfigError("regularization must be finite and > 0")
         if not (0.0 < self.learning_rate <= 1.0):
@@ -86,13 +95,13 @@ class CorrelationFilter:
     the DcfConfig that trained it; that config also supplies label and
     learning rate to every update."""
 
-    numerator: np.ndarray    # (s, s, c) complex
-    denominator: np.ndarray  # (s, s) real
+    numerator: np.ndarray    # (s, s//2 + 1, c) complex, half spectrum
+    denominator: np.ndarray  # (s, s//2 + 1) real
     regularization: float
 
     @cached_property
     def freq(self) -> np.ndarray:
-        """The (s, s, c) frequency-domain filter, numerator / (denominator
+        """The (s, s//2 + 1, c) half-spectrum filter, numerator / (denominator
         + regularization); built on the first localization, as a filter that
         is only updated never needs it."""
         return self.numerator / (self.denominator + self.regularization)[:, :, None]
@@ -106,19 +115,19 @@ def _hann2d(size: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _gaussian_label_fft(size: int, sigma: float) -> np.ndarray:
-    """FFT of a Gaussian peak at the centre cell, wrapped circularly."""
+    """Half-spectrum FFT of a Gaussian peak at the centre cell, wrapped
+    circularly."""
     c = size // 2
     # circular distance of each index to the centre cell
     d = np.minimum(np.abs(np.arange(size) - c), size - np.abs(np.arange(size) - c))
     g = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2.0 * sigma ** 2))
-    return np.fft.fft2(g)
+    return scipy.fft.rfft2(g)
 
 
 def _windowed_fft(patch: FeaturePatch) -> np.ndarray:
+    """(s, s//2 + 1, c) half spectrum of the Hann-windowed patch."""
     windowed = patch.data * _hann2d(patch.size)[:, :, None]
-    # fft2 over axes (0, 1) is these two passes; on a complex copy they give
-    # its bits in less time
-    return np.fft.fft(np.fft.fft(windowed.astype(complex), axis=1), axis=0)
+    return scipy.fft.rfftn(windowed, axes=(0, 1))
 
 
 def extract_patch(fmap: FeatureMap, center, size: int) -> FeaturePatch:
@@ -152,8 +161,8 @@ def extract_patch(fmap: FeatureMap, center, size: int) -> FeaturePatch:
 
 
 def _sample_stats(patch: FeaturePatch, config: DcfConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A patch's model statistics: with X = fft2(windowed patch) and
-    Y = fft2(Gaussian label), numerator_c = Y * conj(X_c) per channel and
+    """A patch's model statistics: with X = rfft2(windowed patch) and
+    Y = rfft2(Gaussian label), numerator_c = Y * conj(X_c) per channel and
     denominator = sum_c |X_c|^2."""
     x = _windowed_fft(patch)
     conj_x = np.conj(x)
@@ -171,9 +180,10 @@ def train_filter(patch: FeaturePatch, config: DcfConfig = DcfConfig()) -> Correl
 
 
 def _check_shapes(filt: CorrelationFilter, patch: FeaturePatch):
-    if filt.numerator.shape != patch.data.shape:
+    h, w, c = patch.data.shape
+    if filt.numerator.shape != (h, w // 2 + 1, c):
         raise InvalidInputError(
-            f"filter shape {filt.numerator.shape} does not match patch shape {patch.data.shape}")
+            f"filter shape {filt.numerator.shape} is not the half spectrum of patch shape {patch.data.shape}")
 
 
 def response(filt: CorrelationFilter, patch: FeaturePatch) -> np.ndarray:
@@ -181,7 +191,7 @@ def response(filt: CorrelationFilter, patch: FeaturePatch) -> np.ndarray:
     _check_shapes(filt, patch)
     z = _windowed_fft(patch)
     spectrum = np.sum(filt.freq * z, axis=2)
-    return np.fft.ifft2(spectrum).real
+    return scipy.fft.irfft2(spectrum, s=patch.data.shape[:2])
 
 
 def localize(filt: CorrelationFilter, patch: FeaturePatch) -> tuple[np.ndarray, float]:
@@ -190,10 +200,14 @@ def localize(filt: CorrelationFilter, patch: FeaturePatch) -> tuple[np.ndarray, 
     Returns (offset, psr): offset is the displacement from patch.origin in
     image pixels (circular-shift convention, refined to sub-cell precision
     by a quadratic fit around the peak); psr is the peak-to-sidelobe ratio
-    with an 11x11 exclusion window.
+    with an 11x11 exclusion window. A patch that the window covers whole
+    has no sidelobe and raises InvalidInputError.
     """
-    r = response(filt, patch)
     s = patch.size
+    if s < MIN_FILTER_CELLS:
+        raise InvalidInputError(
+            f"a {s}-cell patch leaves no sidelobe outside the PSR window; need >= {MIN_FILTER_CELLS}")
+    r = response(filt, patch)
     c = s // 2
     peak_flat = int(np.argmax(r))
     py, px = np.unravel_index(peak_flat, r.shape)
@@ -213,10 +227,9 @@ def localize(filt: CorrelationFilter, patch: FeaturePatch) -> tuple[np.ndarray, 
     off_y = ((py - c + s // 2) % s) - s // 2 + dy
     off_x = ((px - c + s // 2) % s) - s // 2 + dx
 
-    excl = 5  # 11x11 window around the peak
     yy = (np.arange(s)[:, None] - py + s // 2) % s - s // 2
     xx = (np.arange(s)[None, :] - px + s // 2) % s - s // 2
-    sidelobe = r[(np.abs(yy) > excl) | (np.abs(xx) > excl)]
+    sidelobe = r[(np.abs(yy) > PSR_EXCLUSION) | (np.abs(xx) > PSR_EXCLUSION)]
     sd = float(sidelobe.std())
     if sd < 1e-12:
         psr = float("inf")

@@ -249,6 +249,19 @@ class TestConfigValues:
         assert code == 1
         assert key in err
 
+    def test_patch_without_psr_sidelobe_exits_one(self, capsys, tmp_path, small_bundle):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("dcf_patch_cells = 11\n")
+        out = tmp_path / "t.csv"
+        code, _, err = run(capsys, "track", "--bundle", str(small_bundle), "--config", str(cfg),
+                           "--out", str(out))
+        assert code == 1
+        assert "patch_cells must be >= 12" in err
+        assert not out.exists()
+        cfg.write_text("dcf_patch_cells = 12\n")
+        assert run(capsys, "track", "--bundle", str(small_bundle), "--config", str(cfg),
+                   "--out", str(out))[0] == 0
+
 
 class TestCameraMotion:
     @staticmethod

@@ -1,13 +1,81 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointtrack.ddcf import (
-    DcfConfig, FeatureMap, extract_patch, localize, response, train_filter, update_filter,
+    DcfConfig, FeatureMap, FeaturePatch, extract_patch, localize, response, train_filter,
+    update_filter,
 )
 from pointtrack.errors import ConfigError, InvalidInputError
 
 STRIDE = 4.0
 CHANNELS = 8
+
+
+class FullSpectrum:
+    """Reference DDCF on the full (s, s) complex spectrum, which the
+    half-spectrum model must match up to rounding."""
+
+    @staticmethod
+    def windowed_fft(patch):
+        win = np.hanning(patch.size)
+        return np.fft.fft2(patch.data * np.outer(win, win)[:, :, None], axes=(0, 1))
+
+    @staticmethod
+    def label_fft(size, sigma):
+        c = size // 2
+        d = np.minimum(np.abs(np.arange(size) - c), size - np.abs(np.arange(size) - c))
+        return np.fft.fft2(np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2.0 * sigma ** 2)))
+
+    @classmethod
+    def stats(cls, patch, config):
+        x = cls.windowed_fft(patch)
+        numerator = cls.label_fft(patch.size, config.label_sigma)[:, :, None] * np.conj(x)
+        return numerator, np.sum(x * np.conj(x), axis=2).real
+
+    train = stats
+
+    @classmethod
+    def update(cls, model, patch, config):
+        eta = config.learning_rate
+        num_new, den_new = cls.stats(patch, config)
+        return ((1.0 - eta) * model[0] + eta * num_new, (1.0 - eta) * model[1] + eta * den_new)
+
+    @classmethod
+    def raw_response(cls, model, patch, config):
+        freq = model[0] / (model[1] + config.regularization)[:, :, None]
+        return np.fft.ifft2(np.sum(freq * cls.windowed_fft(patch), axis=2))
+
+    @classmethod
+    def localize(cls, model, patch, config):
+        r = cls.raw_response(model, patch, config).real
+        s = patch.size
+        c = s // 2
+        py, px = np.unravel_index(int(np.argmax(r)), r.shape)
+
+        def _subcell(prev_v, peak_v, next_v):
+            denom = prev_v - 2.0 * peak_v + next_v
+            if denom >= -1e-12:
+                return 0.0
+            return float(np.clip(0.5 * (prev_v - next_v) / denom, -0.5, 0.5))
+
+        dy = _subcell(r[(py - 1) % s, px], r[py, px], r[(py + 1) % s, px])
+        dx = _subcell(r[py, (px - 1) % s], r[py, px], r[py, (px + 1) % s])
+        off_y = ((py - c + s // 2) % s) - s // 2 + dy
+        off_x = ((px - c + s // 2) % s) - s // 2 + dx
+        yy = (np.arange(s)[:, None] - py + s // 2) % s - s // 2
+        xx = (np.arange(s)[None, :] - px + s // 2) % s - s // 2
+        sidelobe = r[(np.abs(yy) > 5) | (np.abs(xx) > 5)]
+        sd = float(sidelobe.std())
+        psr = float("inf") if sd < 1e-12 else float((r[py, px] - sidelobe.mean()) / sd)
+        return np.array([off_x * patch.stride, off_y * patch.stride]), psr
+
+
+def max_rel_diff(half, full):
+    """Largest difference between a half spectrum and the matching columns
+    of a full one, relative to the full one's largest magnitude."""
+    return np.max(np.abs(half - full[:, :half.shape[1]])) / np.max(np.abs(full))
 
 
 def blob_map(rng, cx_cell: float, cy_cell: float, h=64, w=64, c=CHANNELS,
@@ -182,12 +250,20 @@ class TestLocalize:
         assert hits >= 0.95 * trials
 
     def test_response_is_real(self):
+        """The half-spectrum response is the real part of the full-spectrum
+        inverse FFT, whose imaginary part is rounding only."""
         rng = np.random.default_rng(9)
-        p = center_patch(blob_map(rng, 32, 32))
-        f = train_filter(p)
-        win = np.outer(np.hanning(32), np.hanning(32))[:, :, None]
-        raw = np.fft.ifft2(np.sum(f.freq * np.fft.fft2(p.data * win, axes=(0, 1)), axis=2))
-        assert np.abs(raw.imag).max() <= 1e-9
+        cfg = DcfConfig()
+        for size in (32, 33):
+            p_train = center_patch(blob_map(rng, 32, 32), size)
+            p_test = center_patch(blob_map(rng, 33, 31), size)
+            f = update_filter(train_filter(p_train, cfg), p_test, cfg)
+            oracle = FullSpectrum.update(FullSpectrum.train(p_train, cfg), p_test, cfg)
+            raw = FullSpectrum.raw_response(oracle, p_test, cfg)
+            r = response(f, p_test)
+            assert r.shape == (size, size) and r.dtype == np.float64
+            assert np.abs(raw.imag).max() <= 1e-9
+            assert np.max(np.abs(r - raw.real)) <= 1e-12 * np.max(np.abs(raw.real))
 
     def test_matched_beats_unrelated_psr(self):
         rng = np.random.default_rng(10)
@@ -225,6 +301,25 @@ class TestLocalize:
         small = extract_patch(blob_map(rng, 32, 32), (128, 128), 16)
         with pytest.raises(InvalidInputError):
             localize(f, small)
+        odd = extract_patch(blob_map(rng, 32, 32), (128, 128), 33)
+        with pytest.raises(InvalidInputError, match="half spectrum"):
+            update_filter(f, odd, DcfConfig())
+
+    @pytest.mark.parametrize("size", [8, 11])
+    def test_patch_without_sidelobe_rejected(self, size):
+        """The 11 x 11 exclusion window covers a whole patch of up to 11
+        cells; its PSR would be NaN and pass any psr_min gate."""
+        rng = np.random.default_rng(17)
+        p = center_patch(blob_map(rng, 32, 32), size)
+        f = train_filter(p)
+        with pytest.raises(InvalidInputError, match="sidelobe"):
+            localize(f, p)
+
+    def test_smallest_filter_patch_has_finite_psr(self):
+        rng = np.random.default_rng(18)
+        p = center_patch(blob_map(rng, 32, 32), 12)
+        _, psr = localize(train_filter(p, DcfConfig(patch_cells=12)), p)
+        assert np.isfinite(psr)
 
 
 class TestUpdateFilter:
@@ -281,3 +376,46 @@ class TestUpdateFilter:
     def test_learning_rate_validation(self):
         with pytest.raises(ConfigError):
             DcfConfig(learning_rate=0.0)
+
+    def test_patch_cells_validation(self):
+        with pytest.raises(ConfigError, match="patch_cells must be >= 12"):
+            DcfConfig(patch_cells=11)
+        assert DcfConfig(patch_cells=12).patch_cells == 12
+
+
+class TestAgainstFullSpectrum:
+    """The half-spectrum model against the full-spectrum reference: the
+    model statistics are its first s//2 + 1 columns, and training, updates
+    and localization give the same answers up to rounding."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(size=st.sampled_from([12, 13, 31, 32, 33]), channels=st.integers(1, 8),
+           updates=st.integers(0, 5), learning_rate=st.sampled_from([0.02, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, size, channels, updates, learning_rate, seed):
+        rng = np.random.default_rng(seed)
+        cfg = DcfConfig(patch_cells=size, learning_rate=learning_rate)
+
+        def patch():
+            return FeaturePatch(data=rng.normal(size=(size, size, channels)),
+                                origin=np.array([40.0, 24.0]), stride=STRIDE)
+
+        first = patch()
+        f = train_filter(first, cfg)
+        model = FullSpectrum.train(first, cfg)
+        r = response(f, first)
+        assert np.unravel_index(np.argmax(r), r.shape) == (size // 2, size // 2)
+        for _ in range(updates):
+            p = patch()
+            f = update_filter(f, p, cfg)
+            model = FullSpectrum.update(model, p, cfg)
+        half = size // 2 + 1
+        assert f.numerator.shape == (size, half, channels)
+        assert f.denominator.shape == (size, half)
+        assert max_rel_diff(f.numerator, model[0]) <= 1e-12
+        assert max_rel_diff(f.denominator, model[1]) <= 1e-12
+        probe = patch()
+        offset, psr = localize(f, probe)
+        ref_offset, ref_psr = FullSpectrum.localize(model, probe, cfg)
+        assert np.max(np.abs(offset - ref_offset)) <= 1e-9
+        assert abs(psr - ref_psr) <= 1e-9 * abs(ref_psr)

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -475,6 +476,23 @@ class TestDeterminism:
         rb = [(o.frame, r.track_id, r.x, r.y, r.conf, r.source)
               for o in b.outputs for r in o.records]
         assert ra == rb
+
+    def test_golden_digest(self):
+        """tracks.csv of a small scene with occlusions, clutter and camera
+        drift, pinned to a committed digest: a change that moves a single
+        output byte (DDCF recoveries included) fails here, not only a change
+        that makes two reruns differ."""
+        cfg = ScenarioConfig(n_agents=6, frames=120, arena_width=300, arena_height=300,
+                             fn_rate=0.1, jitter_sigma=0.3, fp_clutter_rate=0.5,
+                             occlusion_windows=((1, 40, 75), (4, 60, 90)),
+                             camera_translation_x=0.5, feature_channels=8, feature_stride=4.0,
+                             seed=29)
+        result = run_sequence(generate(cfg).frames, TrackerConfig(),
+                              validator=ScoreColumnValidator())
+        text = write_tracks([r for out in result.outputs for r in out.records])
+        assert result.summary.recoveries > 0
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "3c6e06d958d3e3d9046c472721ba4154a14581e955b1bfc6c198257605c862a4"
 
     def test_streaming_matches_run_sequence(self):
         pts = [[(5.0 + f, 5.0)] for f in range(50)]
