@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .assignment import (
     AssignmentResult, GatedCosts, GatingPolicy, build_cost_matrix, dynamic_threshold, solve_assignment,
 )
-from .cmc import AffineTransform, RansacConfig, estimate_affine, warp_point
+from .cmc import AffineTransform, RansacConfig, estimate_affine, warp_points
 from .config import ToolkitConfig, load_toolkit_config
 from .ddcf import (
     CorrelationFilter, DcfConfig, FeatureMap, FeaturePatch,

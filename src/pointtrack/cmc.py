@@ -48,10 +48,8 @@ class AffineTransform:
     def translation(self) -> np.ndarray:
         return np.array([self.t1, self.t2])
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        ref = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        vals = (self.m11, self.m12, self.m21, self.m22, self.t1, self.t2)
-        return all(abs(v - r) <= tol for v, r in zip(vals, ref))
+    def is_identity(self) -> bool:
+        return (self.m11, self.m12, self.m21, self.m22, self.t1, self.t2) == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
     def inverse(self) -> "AffineTransform":
         m = self.linear
@@ -78,13 +76,8 @@ class RansacConfig:
             raise ConfigError("inlier_threshold must be finite and > 0")
         if self.min_inliers < 3:
             raise ConfigError("min_inliers must be >= 3")
-
-
-def warp_point(t: AffineTransform, p) -> np.ndarray:
-    """Apply M p + b to a single point."""
-    m = t.linear
-    p = np.asarray(p, dtype=float).reshape(2)
-    return m @ p + t.translation
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def warp_points(t: AffineTransform, pts: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .formats import Detection
+from .formats import DETECTIONS, Detection
 from .metrics import TrajectorySet
 
 # cells per (detections x predecessor window) block, bounding DP temporaries
@@ -91,11 +91,9 @@ def build_graph(detections: list[Detection], config: GogConfig = GogConfig(),
     outside the open interval (0, 1), a non-finite coordinate, or a
     per-frame gate that is not finite and > 0.
     """
-    ordered = sorted(range(len(detections)), key=lambda k: (detections[k].frame, k))
-    frames = np.array([detections[k].frame for k in ordered], dtype=int)
-    xs = np.array([detections[k].x for k in ordered], dtype=float)
-    ys = np.array([detections[k].y for k in ordered], dtype=float)
-    confs = np.array([detections[k].conf for k in ordered], dtype=float)
+    frame, x, y, conf, _ = DETECTIONS.to_columns(detections, 4)
+    order = np.argsort(frame, kind="stable")
+    frames, xs, ys, confs = frame[order], x[order], y[order], conf[order]
     # written so that NaN fails every check
     if not ((confs > 0.0) & (confs < 1.0)).all():
         raise InvalidInputError("detection confidences must lie strictly in (0, 1)")
@@ -103,18 +101,14 @@ def build_graph(detections: list[Detection], config: GogConfig = GogConfig(),
         raise InvalidInputError("detection coordinates must be finite")
     det_costs = np.log((1.0 - confs) / confs)
     if gates_by_frame:
-        gates = np.array([gates_by_frame.get(int(f), config.gate) for f in frames], dtype=float)
+        gates = np.array([gates_by_frame.get(f, config.gate) for f in frames.tolist()], dtype=float)
         if not (np.isfinite(gates) & (gates > 0.0)).all():
             raise InvalidInputError("per-frame gates must be finite and > 0")
     else:
         gates = np.full(len(frames), config.gate)
 
-    slices: dict[int, tuple[int, int]] = {}
-    start = 0
-    for i in range(1, len(frames) + 1):
-        if i == len(frames) or frames[i] != frames[start]:
-            slices[int(frames[start])] = (start, i)
-            start = i
+    starts = np.flatnonzero(np.diff(frames, prepend=frames[:1] - 1)).tolist()
+    slices = dict(zip(frames[starts].tolist(), zip(starts, starts[1:] + [len(frames)])))
     return FlowGraph(frames=frames, xs=xs, ys=ys, confs=confs,
                      det_costs=det_costs, gates=gates, config=config,
                      frame_slices=slices)

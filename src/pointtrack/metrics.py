@@ -142,24 +142,28 @@ class MetricsReport:
         )
 
 
-def tr_mae(gt_counts, pred_counts) -> float:
-    """Mean absolute trajectory counting error across sequences."""
+def _counts(gt_counts, pred_counts) -> tuple[np.ndarray, np.ndarray]:
+    """Both count lists as float arrays of one length, at least 1, with no
+    negative ground-truth count."""
     y = np.asarray(gt_counts, dtype=float)
     yhat = np.asarray(pred_counts, dtype=float)
     if y.shape != yhat.shape or y.ndim != 1 or y.size < 1:
         raise InvalidInputError("count lists must be equal-length and non-empty")
     if np.any(y < 0):
         raise InvalidInputError("ground-truth counts must be >= 0")
+    return y, yhat
+
+
+def tr_mae(gt_counts, pred_counts) -> float:
+    """Mean absolute trajectory counting error across sequences."""
+    y, yhat = _counts(gt_counts, pred_counts)
     return float(np.mean(np.abs(y - yhat)))
 
 
 def tr_nmae(gt_counts, pred_counts) -> float:
     """Mean relative trajectory counting error across sequences."""
-    y = np.asarray(gt_counts, dtype=float)
-    yhat = np.asarray(pred_counts, dtype=float)
-    if y.shape != yhat.shape or y.ndim != 1 or y.size < 1:
-        raise InvalidInputError("count lists must be equal-length and non-empty")
-    if np.any(y <= 0):
+    y, yhat = _counts(gt_counts, pred_counts)
+    if np.any(y == 0):
         raise InvalidInputError("relative error undefined for ground-truth count 0")
     return float(np.mean(np.abs(y - yhat) / y))
 
@@ -172,7 +176,7 @@ def id_switches(gt: TrajectorySet, pred: TrajectorySet, gate: float = 10.0) -> i
     GT id's partner differs from the partner at its most recent previously
     matched frame.
     """
-    if gate <= 0:
+    if not gate > 0:  # written so that NaN fails it
         raise InvalidInputError("gate must be > 0")
     last_partner: dict[int, int] = {}
     switches = 0
@@ -238,7 +242,7 @@ def t_ap(gt: TrajectorySet, pred: TrajectorySet, tau: float) -> float:
     highest match score at threshold tau and counts as a true positive when
     that score reaches 0.5.
     """
-    if tau <= 0:
+    if not tau > 0:  # written so that NaN fails it
         raise InvalidInputError("tau must be > 0")
     return _t_aps(gt, pred, [tau])[0]
 
@@ -307,7 +311,6 @@ def export_interchange(pred: TrajectorySet) -> list[str]:
 
 def parse_interchange(rows) -> TrajectorySet:
     """Inverse of export_interchange (box centres become points)."""
-    boxes = INTERCHANGE.parse_lines([row.strip() for row in rows])
-    frame, tid, left, top, width, height, conf = (
-        np.array([getattr(b, name) for b in boxes]) for name in INTERCHANGE.names)
+    text = "".join(row.strip() + "\n" for row in rows)
+    frame, tid, left, top, width, height, conf = INTERCHANGE.parse_columns(text)
     return TrajectorySet(frame, tid, left + width / 2, top + height / 2, conf)

@@ -61,10 +61,6 @@ class KalmanState:
     def position(self) -> np.ndarray:
         return self.mean[..., :2]
 
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.mean[..., 2:]
-
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
     return (p + p.swapaxes(-1, -2)) / 2.0

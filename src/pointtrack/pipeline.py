@@ -8,9 +8,8 @@ tracks, births, miss handling, emission.
 Every live track is one row of the tracker's ``lifecycle.TrackTable``, its
 only per-track store. Each frame predicts (and carries through the camera
 motion) the table's Kalman columns in one call, applies the match and miss
-rules to row sets, corrects the matched rows in one call and the recovered
-rows in another, and then drops the deleted rows and appends the births in
-one step.
+rules to row sets, corrects the matched and the recovered rows in one call,
+and then drops the deleted rows and appends the births in one step.
 """
 
 import logging
@@ -24,7 +23,7 @@ from .cmc import AffineTransform, RansacConfig, estimate_affine
 from .ddcf import DcfConfig, FeatureMap, extract_patch, localize, train_filter, update_filter
 from .errors import InvalidInputError, NoMotionEstimateError, SequencingError
 from .formats import (
-    CORRESPONDENCES, DETECTIONS, METADATA, SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION,
+    CORRESPONDENCES, DETECTIONS, METADATA, SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION, TRACKS,
     CorrespondenceRow, Detection, SequenceBundlePaths, TrackRow, read_feature_map,
 )
 from .lifecycle import LifecycleConfig, TrackState, TrackTable, TrajectoryValidator, ValidationContext
@@ -108,10 +107,6 @@ class SequenceSummary:
     match_distance_sum: float = 0.0
 
     @property
-    def confirmed_ids(self) -> list[int]:
-        return list(self.lifespans)
-
-    @property
     def trajectory_count(self) -> int:
         return len(self.lifespans)
 
@@ -163,6 +158,9 @@ class PointTracker:
         result = solve_assignment(build_cost_matrix(self.tracks.mean[:, :2], points, gate), gate)
         matched = self._handle_matches(result, points, frame_input)
         recovered = self._recover(result, frame_input, matched, gate)
+        # _recover reads only the predicted means of unmatched rows, so the
+        # matched rows are corrected with the recovered ones in one call
+        self._correct(np.flatnonzero(matched | recovered))
         lifecycle.on_miss(self.tracks, result.unmatched_tracks, self.config.lifecycle)
         # a frame starts with no deleted row, so the deleted rows are exactly
         # this frame's deaths (by a miss or by the classification decision)
@@ -223,9 +221,8 @@ class PointTracker:
 
     def _handle_matches(self, result: AssignmentResult, points: np.ndarray,
                         frame_input: FrameInput) -> np.ndarray:
-        """Apply the match rule to the matched rows, maintain the filters of
-        the confirmed ones and correct their Kalman states; returns the mask
-        of matched rows."""
+        """Apply the match rule to the matched rows and maintain the filters
+        of the confirmed ones; returns the mask of matched rows."""
         tracks, score = self.tracks, frame_input.score
         rows = np.array([ti for ti, _, _ in result.matches], dtype=np.intp)
         dets = np.array([dj for _, dj, _ in result.matches], dtype=np.intp)
@@ -250,7 +247,6 @@ class PointTracker:
         if self.config.use_ddcf and frame_input.features is not None:
             for k in np.flatnonzero(tracks.state[rows] == TrackState.CONFIRMED).tolist():
                 self._maintain_filter(rows[k], points[dets[k]], frame_input.features)
-        self._correct(rows)
         matched = np.zeros(len(tracks), dtype=bool)
         matched[rows] = True
         return matched
@@ -276,14 +272,14 @@ class PointTracker:
 
     def _recover(self, result: AssignmentResult, frame_input: FrameInput,
                  matched: np.ndarray, gate: float) -> np.ndarray:
-        """Re-localize the unmatched confirmed rows with their filters and
-        correct the recovered ones; returns the mask of recovered rows."""
+        """Re-localize the unmatched confirmed rows with their filters; returns
+        the mask of recovered rows, whose last_position it sets."""
         tracks, cfg = self.tracks, self.config
         recovered = np.zeros(len(tracks), dtype=bool)
         if not cfg.use_ddcf or frame_input.features is None:
             return recovered
         # each track reads only its own predicted row, so the accepted
-        # recoveries can all be applied in one update after the loop
+        # recoveries can all be corrected after the loop
         claimed = tracks.last_position[matched]  # this frame's matched detections
         unmatched = np.asarray(result.unmatched_tracks, dtype=np.intp)
         for ti in unmatched[tracks.state[unmatched] == TrackState.CONFIRMED].tolist():
@@ -312,7 +308,6 @@ class PointTracker:
             tracks.last_position[ti] = point
             recovered[ti] = True
             claimed = np.vstack([claimed, point])
-        self._correct(np.flatnonzero(recovered))
         return recovered
 
     def _emit(self, frame: int, matched: np.ndarray, recovered: np.ndarray) -> list[TrackRow]:
@@ -334,9 +329,8 @@ class SequenceResult:
     summary: SequenceSummary
 
     def to_trajectories(self) -> TrajectorySet:
-        rows = [r for out in self.outputs for r in out.records]
-        return TrajectorySet(*([getattr(r, name) for r in rows]
-                               for name in ("frame", "track_id", "x", "y", "conf")))
+        *columns, _ = TRACKS.to_columns([r for out in self.outputs for r in out.records])
+        return TrajectorySet(*columns)
 
 
 def run_sequence(frame_inputs, config: TrackerConfig | None = None,

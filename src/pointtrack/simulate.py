@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cmc import AffineTransform
+from .cmc import AffineTransform, warp_points
 from .config import decode_kv
 from .ddcf import FeatureMap
 from .errors import ConfigError
@@ -57,6 +57,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.frames < 1:
             raise ConfigError("frames must be >= 1")
         if self.n_agents < 0:
@@ -175,7 +177,6 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
 
     world = positions.copy()
     vel = velocities.copy()
-    prev_background_img = background.copy()
 
     for t in range(cfg.frames):
         if t > 0:
@@ -197,14 +198,8 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
             camera = _compose(step, camera)
             camera_transforms.append(camera)
 
-        cam_m = camera.linear
-        cam_b = camera.translation
-
-        def project(pts: np.ndarray) -> np.ndarray:
-            return pts @ cam_m.T + cam_b
-
-        agents_img = project(world) if cfg.n_agents else np.zeros((0, 2))
-        ghosts_img = project(ghosts) if cfg.persistent_fp_count else np.zeros((0, 2))
+        agents_img = warp_points(camera, world)
+        ghosts_img = warp_points(camera, ghosts)
 
         detections: list[tuple[float, float, float, float]] = []  # x, y, conf, score
         blob_centers: list[np.ndarray] = []
@@ -237,13 +232,11 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
             detections.append((p[0], p[1], conf, 0.0))
 
         correspondences = np.zeros((0, 4))
+        background_img = warp_points(camera, background)
         if t > 0:
-            background_img = project(background)
             noise = rng.normal(0.0, CORRESPONDENCE_NOISE, size=(N_BACKGROUND_POINTS, 4))
             correspondences = np.c_[prev_background_img, background_img] + noise
-            prev_background_img = background_img
-        else:
-            prev_background_img = project(background)
+        prev_background_img = background_img
 
         features = None
         if cfg.feature_channels >= 1:

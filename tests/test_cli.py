@@ -211,6 +211,14 @@ class TestBadInput:
         assert code == 1
         assert f"altitude {float(altitude)!r} " in err
 
+    def test_negative_scenario_seed_exits_one(self, capsys, tmp_path):
+        scen = write_scenario(tmp_path, SCENARIO.replace("seed = 31", "seed = -1"))
+        bundle = tmp_path / "bundle"
+        code, _, err = run(capsys, "simulate", "--config", str(scen), "--out", str(bundle))
+        assert code == 1
+        assert err.startswith("error:")
+        assert "seed must be >= 0" in err
+        assert not bundle.exists()
 
     def test_huge_coordinate_exits_zero(self, capsys, tmp_path):
         """A finite detection far off the feature map is tracked: a confirmed

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointtrack import cmc
-from pointtrack.cmc import AffineTransform, RansacConfig, estimate_affine, warp_point
+from pointtrack.cmc import AffineTransform, RansacConfig, estimate_affine, warp_points
 from pointtrack.errors import ConfigError, InvalidInputError, NoMotionEstimateError
 
 COLUMNS = ("prev_x", "prev_y", "cur_x", "cur_y")  # of a correspondence array
@@ -95,18 +95,18 @@ def outcome(estimate, pairs, config: RansacConfig):
 
 class TestWarpPoint:
     def test_identity(self):
-        assert np.allclose(warp_point(AffineTransform.identity(), (3, 4)), [3, 4])
+        assert np.allclose(warp_points(AffineTransform.identity(), (3, 4)), [[3, 4]])
 
     def test_translation(self):
-        assert np.allclose(warp_point(AffineTransform(t1=1, t2=1), (0, 0)), [1, 1])
+        assert np.allclose(warp_points(AffineTransform(t1=1, t2=1), (0, 0)), [[1, 1]])
 
     def test_half_turn(self):
-        assert np.allclose(warp_point(rotation(180), (2, 0)), [-2, 0], atol=1e-12)
+        assert np.allclose(warp_points(rotation(180), (2, 0)), [[-2, 0]], atol=1e-12)
 
     def test_degenerate(self):
         from pointtrack.errors import DegenerateTransformError
         with pytest.raises(DegenerateTransformError):
-            warp_point(AffineTransform(0, 0, 0, 0), (1, 1))
+            warp_points(AffineTransform(0, 0, 0, 0), (1, 1))
 
 
 class TestEstimateAffine:
@@ -326,6 +326,8 @@ class TestConfigs:
             RansacConfig(min_inliers=2)
         with pytest.raises(ConfigError):
             RansacConfig(inlier_threshold=0)
+        with pytest.raises(ConfigError):
+            RansacConfig(seed=-1)
 
     def test_affine_requires_finite(self):
         with pytest.raises(InvalidInputError):

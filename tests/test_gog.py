@@ -147,7 +147,55 @@ def assert_matches_reference(graph: FlowGraph):
     assert np.float64(total).tobytes() == np.float64(sum((c for c, _ in found), 0.0)).tobytes()
 
 
+def row_sorting_build_graph(detections, config=GogConfig(), gates_by_frame=None) -> FlowGraph:
+    """Reference: build_graph as one Python pass over the detection rows,
+    ordered by (frame, input index)."""
+    ordered = sorted(range(len(detections)), key=lambda k: (detections[k].frame, k))
+    frames = np.array([detections[k].frame for k in ordered], dtype=int)
+    xs = np.array([detections[k].x for k in ordered], dtype=float)
+    ys = np.array([detections[k].y for k in ordered], dtype=float)
+    confs = np.array([detections[k].conf for k in ordered], dtype=float)
+    if gates_by_frame:
+        gates = np.array([gates_by_frame.get(int(f), config.gate) for f in frames], dtype=float)
+    else:
+        gates = np.full(len(frames), config.gate)
+    slices = {}
+    start = 0
+    for i in range(1, len(frames) + 1):
+        if i == len(frames) or frames[i] != frames[start]:
+            slices[int(frames[start])] = (start, i)
+            start = i
+    return FlowGraph(frames=frames, xs=xs, ys=ys, confs=confs,
+                     det_costs=np.log((1.0 - confs) / confs), gates=gates, config=config,
+                     frame_slices=slices)
+
+
+@st.composite
+def shuffled_detections(draw):
+    """Detections in random order on a few frames with repeats and gaps
+    (possibly none), and per-frame gates for some of those frames."""
+    frames = draw(st.lists(st.integers(0, 12).map(lambda f: 3 * f), max_size=30))
+    dets = [det(f, draw(st.floats(-50, 50)), draw(st.floats(-50, 50)),
+                conf=draw(st.floats(0.01, 0.99))) for f in frames]
+    gates = draw(st.none() | st.dictionaries(st.sampled_from(frames or [0]),
+                                             st.floats(0.5, 20.0), max_size=4))
+    return draw(st.permutations(dets)), gates
+
+
 class TestBuildGraph:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(shuffled_detections())
+    def test_equals_row_sorting_reference(self, case):
+        dets, gates = case
+        got = build_graph(dets, gates_by_frame=gates)
+        want = row_sorting_build_graph(dets, gates_by_frame=gates)
+        for name in ("frames", "xs", "ys", "confs", "det_costs", "gates"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got.frame_slices == want.frame_slices
+        assert [type(v) for k, t in got.frame_slices.items() for v in (k, *t)] == \
+            [int] * 3 * len(got.frame_slices)
+
     def test_detection_cost_at_half(self):
         g = build_graph([det(0, 0, 0, conf=0.5)])
         assert g.det_costs[0] == pytest.approx(0.0)

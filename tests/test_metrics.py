@@ -336,6 +336,14 @@ class TestIdSwitches:
         pred = ts([(f, 3, float(f), 30.0, 1.0) for f in range(5)])
         assert id_switches(gt, pred, gate=10.0) == 0
 
+    @pytest.mark.parametrize("gate", [0.0, -1.0, float("nan")])
+    def test_gate_must_be_positive(self, gate):
+        # no shared frame, so a NaN that slipped past the check would give 0
+        gt = ts(line_track(1, range(5)))
+        pred = ts(line_track(1, range(10, 15)))
+        with pytest.raises(InvalidInputError):
+            id_switches(gt, pred, gate=gate)
+
 
 class TestTrackletAP:
     def test_perfect_overlay(self):
@@ -379,6 +387,13 @@ class TestTrackletAP:
         gt = ts(line_track(1, range(30)))
         pred = ts(line_track(1, range(14)))  # 14/30 < 0.5 of the frame union
         assert t_ap(gt, pred, 10) == 0.0
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_tau_must_be_positive(self, tau):
+        gt = ts(line_track(1, range(30)))
+        pred = ts(line_track(4, range(30)))
+        with pytest.raises(InvalidInputError):
+            t_ap(gt, pred, tau)
 
     def test_missing_confidence_rejected(self):
         gt = ts(line_track(1, range(5)))

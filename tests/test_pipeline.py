@@ -117,7 +117,7 @@ class TestSingleObject:
         pts = [[(50.0 + f, 80.0)] for f in range(100)]
         result = run_sequence(frames_from_points(pts), TrackerConfig())
         assert result.summary.trajectory_count == 1
-        tid = result.summary.confirmed_ids[0]
+        tid = next(iter(result.summary.lifespans))
         first, last = result.summary.lifespans[tid]
         assert first == 29  # the 30th frame, min_hits = 30
         assert last == 99
@@ -165,8 +165,9 @@ class TestSequencing:
         result = run_sequence(frames_from_points(pts), TrackerConfig())
         born = result.summary.births
         # all ids handed out are distinct by construction; emitted ids are a subset
-        assert len(set(result.summary.confirmed_ids)) == len(result.summary.confirmed_ids)
-        assert born >= len(result.summary.confirmed_ids)
+        emitted = [r.track_id for out in result.outputs for r in out.records]
+        assert set(emitted) == set(result.summary.lifespans)
+        assert born >= len(result.summary.lifespans)
 
 
 class TestLibraryInput:

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import shutil
 from dataclasses import fields
@@ -39,6 +40,21 @@ class TestDeterminism:
         a = generate(CLEAN)
         b = generate(replace(CLEAN, seed=6))
         assert bundle_fingerprint(a) != bundle_fingerprint(b)
+
+    def test_moving_camera_bundle_bytes_pinned(self, tmp_path):
+        """A bundle with camera rotation and drift, misses, clutter, a ghost,
+        jitter and features, pinned to its bytes: sha256 over each file's
+        relative path and bytes, in sorted path order."""
+        cfg = ScenarioConfig(n_agents=6, frames=40, camera_rotation_deg=0.3,
+                             camera_translation_x=1.0, camera_translation_y=-0.5, fn_rate=0.1,
+                             fp_clutter_rate=1.0, persistent_fp_count=1, jitter_sigma=0.3,
+                             feature_channels=2, seed=5)
+        out = write_bundle(generate(cfg), tmp_path / "bundle")
+        digest = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest.update(str(path.relative_to(out)).encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == "556d700cec230273d56177c89b4aa001abf4aca04aa92974255e1e3c6e41dab4"
 
 
 class TestGroundTruth:
@@ -140,7 +156,7 @@ class TestCameraModel:
 
     def test_identity_camera_keeps_transforms_identity(self):
         bundle = generate(CLEAN)
-        assert all(t.is_identity(tol=1e-12) for t in bundle.camera_transforms)
+        assert all(t.is_identity() for t in bundle.camera_transforms)
 
 
 class TestMetadata:
@@ -181,6 +197,8 @@ class TestConfigParsing:
             ScenarioConfig(frames=0)
         with pytest.raises(ConfigError):
             ScenarioConfig(occlusion_windows=((9, 0, 5),), n_agents=2)
+        with pytest.raises(ConfigError):
+            ScenarioConfig(seed=-1)
 
 
 class TestBundleWriting:
