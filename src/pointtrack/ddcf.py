@@ -201,12 +201,15 @@ def localize(filt: CorrelationFilter, patch: FeaturePatch) -> tuple[np.ndarray, 
     image pixels (circular-shift convention, refined to sub-cell precision
     by a quadratic fit around the peak); psr is the peak-to-sidelobe ratio
     with an 11x11 exclusion window. A patch that the window covers whole
-    has no sidelobe and raises InvalidInputError.
+    has no sidelobe, and an all-zero patch has no target (its flat response
+    would put the peak at cell (0, 0)); both raise InvalidInputError.
     """
     s = patch.size
     if s < MIN_FILTER_CELLS:
         raise InvalidInputError(
             f"a {s}-cell patch leaves no sidelobe outside the PSR window; need >= {MIN_FILTER_CELLS}")
+    if not np.any(patch.data):
+        raise InvalidInputError("all-zero patch has no target to locate")
     r = response(filt, patch)
     c = s // 2
     peak_flat = int(np.argmax(r))

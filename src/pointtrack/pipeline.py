@@ -139,22 +139,22 @@ class PointTracker:
                 f"frame {frame} does not follow frame {self._last_frame}")
         if self._last_frame is None and frame < 0:
             raise SequencingError(f"negative frame index {frame}")
-        # the range checks of the detections table, written so that NaN fails
-        # them; x and y are checked where they are used
-        conf, score = frame_input.conf, frame_input.score
-        bad = ~((conf >= 0.0) & (conf <= 1.0))
+        # the checks of the detections table, written so that NaN fails them;
+        # they run before any track moves, so a rejected frame changes nothing
+        points, conf, score = frame_input.points, frame_input.conf, frame_input.score
+        bad = ~(np.isfinite(points).all(axis=1) & (conf >= 0.0) & (conf <= 1.0))
         if score is not None:
             bad |= ~((score >= 0.0) & (score <= 1.0))
         if bad.any():
             i = int(np.argmax(bad))
-            raise InvalidInputError(f"frame {frame}: detection {i} (conf {conf[i]!r}, score "
-                                    f"{None if score is None else score[i]!r}) needs both in [0, 1]")
+            raise InvalidInputError(f"frame {frame}: detection {i} (x, y {points[i].tolist()}, conf "
+                                    f"{conf[i]!r}, score {None if score is None else score[i]!r}) needs "
+                                    "finite x and y and conf and score in [0, 1]")
 
         gate = self._gate(frame_input)
         affine = self._camera_motion(frame_input)
         self._predict(affine)
 
-        points = frame_input.points
         result = solve_assignment(build_cost_matrix(self.tracks.mean[:, :2], points, gate), gate)
         matched = self._handle_matches(result, points, frame_input)
         recovered = self._recover(result, frame_input, matched, gate)
@@ -297,7 +297,10 @@ class PointTracker:
             if not self._in_coverage(frame_input.features, predicted):
                 continue  # target outside the feature map; let it age out
             patch = extract_patch(frame_input.features, predicted, cfg.dcf.patch_cells)
-            offset, psr = localize(tracks.filters[ti], patch)
+            try:
+                offset, psr = localize(tracks.filters[ti], patch)
+            except InvalidInputError:
+                continue  # an all-zero patch holds no target
             if psr < cfg.dcf.psr_min:
                 continue
             point = patch.origin + offset

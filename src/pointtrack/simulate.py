@@ -121,24 +121,22 @@ def _compose(outer: AffineTransform, inner: AffineTransform) -> AffineTransform:
     return AffineTransform(m[0, 0], m[0, 1], m[1, 0], m[1, 1], b[0], b[1])
 
 
-def _occluded(cfg: ScenarioConfig, agent_id: int, frame: int) -> bool:
-    return any(a == agent_id and start <= frame <= end
-               for a, start, end in cfg.occlusion_windows)
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return a / norms
 
 
 def _render_features(rng: np.random.Generator, cfg: ScenarioConfig,
-                     centers: list[np.ndarray], signatures: list[np.ndarray]) -> FeatureMap:
+                     centers: np.ndarray, signatures: np.ndarray) -> FeatureMap:
+    """Noise plus a Gaussian blob at each row of centers (px), painted with its row of signatures."""
     h = int(math.ceil(cfg.arena_height / cfg.feature_stride))
     w = int(math.ceil(cfg.arena_width / cfg.feature_stride))
     data = rng.normal(0.0, FEATURE_NOISE_SIGMA, size=(h, w, cfg.feature_channels))
     reach = int(math.ceil(4 * BLOB_SIGMA_CELLS))
-    for center, sig in zip(centers, signatures):
-        cx = center[0] / cfg.feature_stride
-        cy = center[1] / cfg.feature_stride
-        x0, x1 = int(math.floor(cx)) - reach, int(math.floor(cx)) + reach + 1
-        y0, y1 = int(math.floor(cy)) - reach, int(math.floor(cy)) + reach + 1
-        x0, x1 = max(x0, 0), min(x1, w)
-        y0, y1 = max(y0, 0), min(y1, h)
+    for (cx, cy), sig in zip((centers / cfg.feature_stride).tolist(), signatures):
+        x0, x1 = max(math.floor(cx) - reach, 0), min(math.floor(cx) + reach + 1, w)
+        y0, y1 = max(math.floor(cy) - reach, 0), min(math.floor(cy) + reach + 1, h)
         if x0 >= x1 or y0 >= y1:
             continue
         yy, xx = np.mgrid[y0:y1, x0:x1]
@@ -149,44 +147,39 @@ def _render_features(rng: np.random.Generator, cfg: ScenarioConfig,
 
 
 def generate(cfg: ScenarioConfig) -> ScenarioBundle:
-    """Build a full scenario bundle, deterministically from cfg.seed."""
+    """Build a full scenario bundle, deterministically from cfg.seed. Only the
+    random draws run per agent, ghost and clutter point, in the order that
+    fixes the PCG64 stream; the rest is array work on the frame."""
     rng = np.random.default_rng(cfg.seed)
     bounds = np.array([cfg.arena_width, cfg.arena_height])
+    n, n_ghosts = cfg.n_agents, cfg.persistent_fp_count
 
-    positions = rng.uniform(0.05, 0.95, size=(cfg.n_agents, 2)) * bounds
-    velocities = rng.normal(0.0, cfg.agent_speed_sigma, size=(cfg.n_agents, 2))
-    signatures = rng.normal(0.0, 1.0, size=(cfg.n_agents, max(cfg.feature_channels, 1)))
-    ghosts = rng.uniform(0.05, 0.95, size=(cfg.persistent_fp_count, 2)) * bounds
-    ghost_signatures = rng.normal(0.0, 1.0, size=(cfg.persistent_fp_count, max(cfg.feature_channels, 1)))
+    world = rng.uniform(0.05, 0.95, size=(n, 2)) * bounds
+    vel = rng.normal(0.0, cfg.agent_speed_sigma, size=(n, 2))
+    signatures = rng.normal(0.0, 1.0, size=(n, max(cfg.feature_channels, 1)))
+    ghosts = rng.uniform(0.05, 0.95, size=(n_ghosts, 2)) * bounds
+    ghost_signatures = rng.normal(0.0, 1.0, size=(n_ghosts, max(cfg.feature_channels, 1)))
     background = rng.uniform(0.0, 1.0, size=(N_BACKGROUND_POINTS, 2)) * bounds
-
-    def _unit_rows(a: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(a, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        return a / norms
-
-    signatures = _unit_rows(signatures)
-    ghost_signatures = _unit_rows(ghost_signatures)
+    # one blob per agent, then one per ghost
+    blob_signatures = np.vstack([_unit_rows(signatures), _unit_rows(ghost_signatures)])
+    # agents score 1, ghosts and clutter 0
+    blob_score = np.repeat([1.0, 0.0], [n, n_ghosts])
+    windows = np.array(cfg.occlusion_windows, dtype=np.int64).reshape(-1, 3)
 
     step = _camera_step(cfg)
     camera = AffineTransform.identity()
     camera_transforms = [camera]
-
-    gt_rows: list[tuple] = []
+    agent_points: list[np.ndarray] = []
     frame_inputs: list[FrameInput] = []
-
-    world = positions.copy()
-    vel = velocities.copy()
 
     for t in range(cfg.frames):
         if t > 0:
             # heading random walk, then move and reflect
-            if cfg.n_agents:
-                turns = rng.normal(0.0, cfg.turn_sigma, size=cfg.n_agents)
+            if n:
+                turns = rng.normal(0.0, cfg.turn_sigma, size=n)
                 cos_t, sin_t = np.cos(turns), np.sin(turns)
-                vx = cos_t * vel[:, 0] - sin_t * vel[:, 1]
-                vy = sin_t * vel[:, 0] + cos_t * vel[:, 1]
-                vel = np.column_stack([vx, vy])
+                vel = np.column_stack([cos_t * vel[:, 0] - sin_t * vel[:, 1],
+                                       sin_t * vel[:, 0] + cos_t * vel[:, 1]])
                 world = world + vel
                 for axis in (0, 1):
                     low = world[:, axis] < 0
@@ -199,57 +192,42 @@ def generate(cfg: ScenarioConfig) -> ScenarioBundle:
             camera_transforms.append(camera)
 
         agents_img = warp_points(camera, world)
-        ghosts_img = warp_points(camera, ghosts)
+        blobs = np.vstack([agents_img, warp_points(camera, ghosts)])
+        agent_points.append(agents_img)
 
-        detections: list[tuple[float, float, float, float]] = []  # x, y, conf, score
-        blob_centers: list[np.ndarray] = []
-        blob_signatures: list[np.ndarray] = []
-        for a in range(cfg.n_agents):
-            agent_id = a + 1
-            pos = agents_img[a]
-            gt_rows.append((t, agent_id, pos[0], pos[1]))
-            blob_centers.append(pos)
-            blob_signatures.append(signatures[a])
-            dropped = rng.random() < cfg.fn_rate
-            noise = rng.normal(0.0, 1.0, size=2) * cfg.jitter_sigma
-            conf = float(np.clip(rng.normal(0.95, 0.02), 0.55, 0.999))
-            if dropped or _occluded(cfg, agent_id, t):
-                continue
-            p = pos + noise
-            detections.append((p[0], p[1], conf, 1.0))
-        for g in range(cfg.persistent_fp_count):
-            pos = ghosts_img[g]
-            noise = rng.normal(0.0, 1.0, size=2) * cfg.jitter_sigma
-            conf = float(np.clip(rng.normal(0.7, 0.05), 0.55, 0.9))
-            p = pos + noise
-            blob_centers.append(pos)
-            blob_signatures.append(ghost_signatures[g])
-            detections.append((p[0], p[1], conf, 0.0))
-        n_clutter = int(rng.poisson(cfg.fp_clutter_rate))
-        for _ in range(n_clutter):
-            p = rng.uniform(0.0, 1.0, size=2) * bounds
-            conf = float(rng.uniform(0.55, 0.75))
-            detections.append((p[0], p[1], conf, 0.0))
+        kept = np.ones(n + n_ghosts, dtype=bool)
+        noise = np.empty((n + n_ghosts, 2))
+        conf = np.empty(n + n_ghosts)
+        for a in range(n):
+            kept[a] = rng.random() >= cfg.fn_rate
+            noise[a] = rng.normal(0.0, 1.0, size=2)
+            conf[a] = min(max(rng.normal(0.95, 0.02), 0.55), 0.999)
+        for g in range(n, n + n_ghosts):
+            noise[g] = rng.normal(0.0, 1.0, size=2)
+            conf[g] = min(max(rng.normal(0.7, 0.05), 0.55), 0.9)
+        clutter = np.empty((int(rng.poisson(cfg.fp_clutter_rate)), 3))  # x, y, conf
+        for row in clutter:
+            row[:2] = rng.uniform(0.0, 1.0, size=2)
+            row[2] = rng.uniform(0.55, 0.75)
+        kept[windows[(windows[:, 1] <= t) & (t <= windows[:, 2]), 0] - 1] = False
 
         correspondences = np.zeros((0, 4))
         background_img = warp_points(camera, background)
         if t > 0:
-            noise = rng.normal(0.0, CORRESPONDENCE_NOISE, size=(N_BACKGROUND_POINTS, 4))
-            correspondences = np.c_[prev_background_img, background_img] + noise
+            correspondences = (np.c_[prev_background_img, background_img]
+                               + rng.normal(0.0, CORRESPONDENCE_NOISE, size=(N_BACKGROUND_POINTS, 4)))
         prev_background_img = background_img
+        features = _render_features(rng, cfg, blobs, blob_signatures) if cfg.feature_channels else None
 
-        features = None
-        if cfg.feature_channels >= 1:
-            features = _render_features(rng, cfg, blob_centers, blob_signatures)
-
-        det = np.array(detections, dtype=float).reshape(-1, 4)
+        points = np.vstack([(blobs + noise * cfg.jitter_sigma)[kept], clutter[:, :2] * bounds])
         frame_inputs.append(FrameInput(
-            frame=t, points=det[:, :2], conf=det[:, 2], score=det[:, 3], altitude=_altitude(cfg, t),
-            correspondences=correspondences, features=features))
+            frame=t, points=points, conf=np.concatenate([conf[kept], clutter[:, 2]]),
+            score=np.concatenate([blob_score[kept], np.zeros(len(clutter))]),
+            altitude=_altitude(cfg, t), correspondences=correspondences, features=features))
 
-    gt = TrajectorySet.from_rows(gt_rows)
-    return ScenarioBundle(config=cfg, gt=gt, frames=frame_inputs,
-                          camera_transforms=camera_transforms)
+    x, y = np.concatenate(agent_points).T
+    gt = TrajectorySet(np.repeat(np.arange(cfg.frames), n), np.tile(np.arange(1, n + 1), cfg.frames), x, y)
+    return ScenarioBundle(cfg, gt, frame_inputs, camera_transforms)
 
 
 def _manifest(cfg: ScenarioConfig) -> dict[str, str]:

@@ -220,6 +220,10 @@ class TestTrainFilter:
         p = extract_patch(fmap, (20, 20), 16)
         with pytest.raises(InvalidInputError):
             train_filter(p)
+        # a flat response would put the peak at cell (0, 0), half a patch off
+        noise = FeatureMap(data=np.random.default_rng(9).normal(size=(40, 40, 2)), stride=1.0)
+        with pytest.raises(InvalidInputError):
+            localize(train_filter(extract_patch(noise, (20, 20), 16)), p)
 
     def test_determinism(self):
         rng = np.random.default_rng(7)

@@ -294,6 +294,21 @@ class TestHostileLibraryInput:
         with pytest.raises(InvalidInputError):
             FrameInput(0, np.zeros((2, 2)), np.full(2, 0.5), np.full(3, 0.5))
 
+    def test_rejected_frame_leaves_the_tracker_unchanged(self):
+        # a caller that catches the error and retries the frame gets the
+        # records of a tracker that never saw the rejected one
+        frames = frames_from_points([[(10.0 + 2 * f, 10.0), (80.0, 10.0 + 0.5 * f)] for f in range(40)])
+        plain, retried = PointTracker(BASELINE), PointTracker(BASELINE)
+        for fi in frames[:35]:
+            plain.process_frame(fi)
+            retried.process_frame(fi)
+        for bad in ([np.nan, 10.0], [80.0, np.inf]):
+            with pytest.raises(InvalidInputError):
+                retried.process_frame(replace(frames[35], points=[bad, (80.0, 27.5)]))
+        for fi in frames[35:]:
+            a, b = plain.process_frame(fi), retried.process_frame(fi)
+            assert len(a.records) == 2 and a.records == b.records
+
     def test_missing_score_beside_a_score_is_nan(self):
         fi = FrameInput.from_rows(0, [Detection(0, 1.0, 2.0, 0.5, 0.9), Detection(0, 3.0, 4.0, 0.5)])
         assert np.isnan(fi.score[1])
@@ -453,6 +468,13 @@ class TestDdcfBranches:
         tracker, out = self.confirm_then_lose(None, self.blob_features())
         assert tracker.tracks.filters[0] is None
         assert out.recoveries == 0
+
+    def test_all_zero_patch_recovers_nothing(self):
+        # exact-zero background, as a ReLU map has, gives a flat response
+        # whose peak is the patch corner, not the target
+        tracker, out = self.confirm_then_lose(self.blob_features(), self.ZEROS)
+        assert tracker.tracks.filters[0] is not None
+        assert out.recoveries == 0 and out.records == []
 
     def test_low_psr_rejects_recovery(self):
         # control: the blob as trained is recovered

@@ -41,20 +41,37 @@ class TestDeterminism:
         b = generate(replace(CLEAN, seed=6))
         assert bundle_fingerprint(a) != bundle_fingerprint(b)
 
-    def test_moving_camera_bundle_bytes_pinned(self, tmp_path):
-        """A bundle with camera rotation and drift, misses, clutter, a ghost,
-        jitter and features, pinned to its bytes: sha256 over each file's
-        relative path and bytes, in sorted path order."""
-        cfg = ScenarioConfig(n_agents=6, frames=40, camera_rotation_deg=0.3,
-                             camera_translation_x=1.0, camera_translation_y=-0.5, fn_rate=0.1,
-                             fp_clutter_rate=1.0, persistent_fp_count=1, jitter_sigma=0.3,
-                             feature_channels=2, seed=5)
+    @staticmethod
+    def bundle_digest(cfg, tmp_path) -> str:
+        """sha256 over each bundle file's relative path and bytes, in sorted path order."""
         out = write_bundle(generate(cfg), tmp_path / "bundle")
         digest = hashlib.sha256()
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest.update(str(path.relative_to(out)).encode())
             digest.update(path.read_bytes())
-        assert digest.hexdigest() == "556d700cec230273d56177c89b4aa001abf4aca04aa92974255e1e3c6e41dab4"
+        return digest.hexdigest()
+
+    def test_moving_camera_bundle_bytes_pinned(self, tmp_path):
+        """A bundle with camera rotation and drift, misses, clutter, a ghost,
+        jitter and features, pinned to its bytes."""
+        cfg = ScenarioConfig(n_agents=6, frames=40, camera_rotation_deg=0.3,
+                             camera_translation_x=1.0, camera_translation_y=-0.5, fn_rate=0.1,
+                             fp_clutter_rate=1.0, persistent_fp_count=1, jitter_sigma=0.3,
+                             feature_channels=2, seed=5)
+        assert self.bundle_digest(cfg, tmp_path) == (
+            "556d700cec230273d56177c89b4aa001abf4aca04aa92974255e1e3c6e41dab4")
+
+    def test_occluded_bundle_bytes_pinned(self, tmp_path):
+        """A bundle without feature maps, with overlapping occlusion windows
+        on one agent, a window over every frame, a one-frame window, ghosts,
+        misses, clutter and a falling altitude, pinned to its bytes."""
+        cfg = ScenarioConfig(n_agents=8, frames=60, fn_rate=0.2, fp_clutter_rate=2.0,
+                             persistent_fp_count=3, jitter_sigma=0.5,
+                             occlusion_windows=((1, 5, 20), (1, 15, 30), (8, 0, 59), (4, 40, 40)),
+                             altitude_shape="linear", altitude_start=100.0, altitude_end=40.0,
+                             feature_channels=0, seed=11)
+        assert self.bundle_digest(cfg, tmp_path) == (
+            "dc0a220542ab6921690c6cf435424d97b5f3c250f851a371bce2e4c9c4e51681")
 
 
 class TestGroundTruth:
