@@ -34,7 +34,7 @@ FEATURES_DIRNAME = "features"
 MANIFEST_NAME = "manifest.txt"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Detection:
     """A point observation in one frame."""
 
@@ -45,13 +45,13 @@ class Detection:
     score: float | None = None  # optional external classifier probability
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MetadataRow:
     frame: int
     altitude: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CorrespondenceRow:
     """A background keypoint matched from frame-1 to frame."""
 
@@ -62,7 +62,7 @@ class CorrespondenceRow:
     cur_y: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrackRow:
     frame: int
     track_id: int
@@ -72,7 +72,7 @@ class TrackRow:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GtRow:
     frame: int
     track_id: int
@@ -165,7 +165,9 @@ class Table:
         self._cells = [FLOAT_CELL if k is float else "{}" for k in kinds]
 
     def parse(self, text: str) -> list:
-        return self.parse_lines(_split_lines(text))
+        """One row per line, built from the arrays of parse_columns: valid
+        text takes its column pass, and a ParseError is parse_lines'."""
+        return list(map(self.row, *[c.tolist() for c in self.parse_columns(text) if c is not None]))
 
     def parse_columns(self, text: str) -> list:
         """The table as one array per column, in header order: int64,

@@ -69,10 +69,13 @@ class FlowGraph:
         over the index arrays; inf where the edge is inadmissible (gap
         outside [1, max_gap] or distance beyond the gate of i's frame)."""
         gap = self.frames[j] - self.frames[i]
-        dist = np.hypot(self.xs[j] - self.xs[i], self.ys[j] - self.ys[i])
         gate = self.gates[i]
-        cost = dist / gate + self.config.gap_penalty * (gap - 1)
-        admissible = (gap >= 1) & (gap <= self.config.max_gap) & (dist <= gate * gap)
+        # points near +-1e308 overflow to a +inf distance or cost, which no
+        # gate admits, and a +inf gate * gap admits every finite distance
+        with np.errstate(over="ignore"):
+            dist = np.hypot(self.xs[j] - self.xs[i], self.ys[j] - self.ys[i])
+            cost = dist / gate + self.config.gap_penalty * (gap - 1)
+            admissible = (gap >= 1) & (gap <= self.config.max_gap) & (dist <= gate * gap)
         return np.where(admissible, cost, np.inf)
 
     def transition_cost(self, i: int, j: int) -> float | None:

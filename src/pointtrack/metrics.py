@@ -15,7 +15,7 @@ T_MAP_THRESHOLDS = tuple(range(1, 26))  # px, T-mAP averages T-AP over these
 EXPORT_BOX_HALF_SIZE = 10.0             # px, fixed box half-size for box-based evaluators
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrackPoint:
     """One point of the TrajectorySet.tracks view."""
 
@@ -215,7 +215,8 @@ def _t_aps(gt: TrajectorySet, pred: TrajectorySet, taus) -> list[float]:
     for frame in gt.frame_groups.keys() & pred.frame_groups.keys():
         g_rows, p_rows = gt.frame_groups[frame], pred.frame_groups[frame]
         common[p_track[p_rows, None], g_track[g_rows]] += 1
-        dist = np.hypot(pred.x[p_rows, None] - gt.x[g_rows], pred.y[p_rows, None] - gt.y[g_rows])
+        with np.errstate(over="ignore"):  # points near +-1e308: +inf, beyond every tau
+            dist = np.hypot(pred.x[p_rows, None] - gt.x[g_rows], pred.y[p_rows, None] - gt.y[g_rows])
         pi, gi = np.nonzero(dist <= taus.max())
         hits[:, p_track[p_rows[pi]], g_track[g_rows[gi]]] += dist[pi, gi] <= taus[:, None]
     scores = hits / (np.bincount(p_track)[:, None] + np.bincount(g_track) - common)
@@ -281,7 +282,7 @@ def compute_sequence_metrics(gt: TrajectorySet, pred: TrajectorySet,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InterchangeRow:
     """One box of the box-based interchange table."""
 

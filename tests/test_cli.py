@@ -237,6 +237,15 @@ class TestBadInput:
         assert code == 0, err
         assert [(r.frame, r.x) for r in parse_tracks(out.read_text())] == [(1, 1e300), (2, 1e300)]
 
+    def test_gog_points_near_the_float_limit_exits_zero(self, capsys, tmp_path):
+        bundle, out = tmp_path / "bundle", tmp_path / "t.csv"
+        bundle.mkdir()
+        (bundle / "detections.csv").write_text(
+            "frame,x,y,conf\n0,1e308,1e308,0.9\n1,-1e308,-1e308,0.9\n")
+        code, _, err = run(capsys, "gog", "--bundle", str(bundle), "--out", str(out))
+        assert code == 0 and err == ""
+        assert parse_tracks(out.read_text()) == []
+
 
 @pytest.fixture(scope="module")
 def small_bundle(tmp_path_factory) -> Path:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from pathlib import Path
 from unittest import mock
 
@@ -14,12 +16,12 @@ from pointtrack.ddcf import DcfConfig, FeatureMap
 from pointtrack.errors import ConfigError, FormatError, ParseError
 from pointtrack.formats import (
     CORRESPONDENCES, DETECTIONS, GT, METADATA, TRACKS,
-    CorrespondenceRow, Table, Detection, GtRow, MetadataRow, TrackRow,
+    CorrespondenceRow, Table, Detection, GtRow, MetadataRow, TrackRow, _split_lines,
     parse_correspondences, parse_detections, parse_gt, parse_kv_text, parse_metadata,
     parse_tracks, read_feature_map, write_correspondences, write_detections,
     write_feature_map, write_gt, write_kv_text, write_metadata, write_tracks,
 )
-from pointtrack.metrics import INTERCHANGE, parse_interchange
+from pointtrack.metrics import INTERCHANGE, TrackPoint, TrajectorySet, parse_interchange
 
 FAMILIES = [
     (write_detections, parse_detections,
@@ -178,24 +180,29 @@ def table_texts(draw) -> tuple[Table, str]:
     return table, end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
+def outcome(parse, text: str) -> list:
+    """parse(text), or the ParseError's message and line."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return [str(exc), exc.line]
+
+
+def line_rows(table: Table, text: str) -> list:
+    """The row parser's rows, or the ParseError's message and line."""
+    return outcome(lambda t: table.parse_lines(_split_lines(t)), text)
+
+
 def row_columns(table: Table, text: str) -> list:
     """The columns of parse_lines' rows, None for an optional column the
     header leaves out; or the ParseError's message and line."""
-    try:
-        rows = table.parse(text)
-    except ParseError as exc:
-        return [str(exc), exc.line]
+    rows = line_rows(table, text)
+    if rows and isinstance(rows[0], str):
+        return rows
     width = text.split("\n")[0].rstrip("\r").count(",") + 1
     kinds = {int: np.int64, str: object}
     return [np.array([getattr(r, f.name) for r in rows], dtype=kinds.get(f.type, np.float64))
             if i < width else None for i, f in enumerate(dataclasses.fields(table.row))]
-
-
-def column_parse(table: Table, text: str) -> list:
-    try:
-        return table.parse_columns(text)
-    except ParseError as exc:
-        return [str(exc), exc.line]
 
 
 def same_columns(a: list, b: list) -> bool:
@@ -225,15 +232,22 @@ class TestColumnParse:
     @example(case=(DETECTIONS, "frame,y,x,conf\n"))
     def test_equals_the_row_parser(self, case):
         table, text = case
-        assert same_columns(column_parse(table, text), row_columns(table, text))
+        assert same_columns(outcome(table.parse_columns, text), row_columns(table, text))
+        # repr tells int from float and -0.0 from 0.0, and a float's repr
+        # gives back its bits
+        assert repr(outcome(table.parse, text)) == repr(line_rows(table, text))
 
     def test_valid_text_takes_the_column_pass(self):
         text = "frame,x,y,conf,score\r\n007,+1,1_0, 1,0.5\r\n2,1e-3,-0.0,1,0\r\n"
         with mock.patch.object(Table, "parse_lines", side_effect=AssertionError("row parse")):
             frame, x, y, conf, score = DETECTIONS.parse_columns(text)
+            rows = DETECTIONS.parse(text)
+            unscored = DETECTIONS.parse("frame,x,y,conf\n0,1,2,0.5\n")
         assert frame.tolist() == [7, 2] and x.tolist() == [1.0, 0.001]
         assert y.tolist() == [10.0, -0.0] and conf.tolist() == [1.0, 1.0]
         assert score.tolist() == [0.5, 0.0]
+        assert repr(rows) == repr([Detection(7, 1.0, 10.0, 1.0, 0.5), Detection(2, 0.001, -0.0, 1.0, 0.0)])
+        assert unscored == [Detection(0, 1.0, 2.0, 0.5)]
         assert DETECTIONS.parse_columns("frame,x,y,conf\n0,1,2,0.5\n")[4] is None
 
     def test_int_beyond_int64_names_its_line(self):
@@ -241,6 +255,50 @@ class TestColumnParse:
             with pytest.raises(ParseError, match="exceeds") as err:
                 parse("frame,x,y,conf\n0,1,2,0.5\n9223372036854775808,1,2,0.5\n")
             assert err.value.line == 3
+
+
+# Texts as write gives them: -0, 1e-07, 1e+06 and 123457 keep their cells
+# through parse and write.
+CANONICAL = {
+    "detections": (DETECTIONS, "frame,x,y,conf,score\n0,1.5,-0,0.5,0.9\n7,123457,1e-07,1,0\n"),
+    "detections_unscored": (DETECTIONS, "frame,x,y,conf\n0,1.5,-0,0.5\n"),
+    "metadata": (METADATA, "frame,altitude\n0,50\n1,49.5\n"),
+    "correspondences": (CORRESPONDENCES, "frame,prev_x,prev_y,cur_x,cur_y\n1,1,2,-3.25,4\n"),
+    "gt": (GT, "frame,id,x,y\n0,1,2,3\n0,2,-0,1e+06\n"),
+    "tracks": (TRACKS, "frame,id,x,y,conf,source\n0,1,2,3,0.5,ddcf\n1,1,2.5,3,1,detection\n"),
+    "interchange": (INTERCHANGE, "frame,id,left,top,width,height,conf\n0,1,-8,3,20,20,0.5\n"),
+}
+
+
+class TestRowRecords:
+    """The row records of every table and of TrajectorySet.tracks: slotted,
+    with fields in column order, compared by value, and copied, replaced and
+    pickled whole."""
+
+    @staticmethod
+    def assert_value_records(rows: list):
+        assert rows
+        for r in rows:
+            assert not hasattr(r, "__dict__")
+            twin = type(r)(*dataclasses.astuple(r))
+            assert twin == r and twin is not r
+            assert dataclasses.replace(r) == r
+            assert dataclasses.replace(r, frame=r.frame + 1) != r
+            assert copy.deepcopy(r) == r
+            assert pickle.loads(pickle.dumps(r)) == r
+
+    @pytest.mark.parametrize("table,text", CANONICAL.values(), ids=list(CANONICAL))
+    def test_table_rows(self, table, text):
+        rows = table.parse(text)
+        assert table.write(rows) == text
+        assert [{"track_id": "id"}.get(name, name) for name in table.names] == table.columns
+        self.assert_value_records(rows)
+
+    def test_track_points(self):
+        points = TrajectorySet.from_rows([(0, 1, 1.5, -0.0, 0.5), (1, 1, 2.0, 3.0)]).tracks[1]
+        assert [f.name for f in dataclasses.fields(TrackPoint)] == ["frame", "x", "y", "conf"]
+        assert points == [TrackPoint(0, 1.5, -0.0, 0.5), TrackPoint(1, 2.0, 3.0)]
+        self.assert_value_records(points)
 
 
 class TestFeatureMapBinary:

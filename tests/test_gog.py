@@ -382,6 +382,18 @@ class TestIncrementalRepair:
         assert_matches_reference(build_graph(dets, cfg))
         assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.parametrize("far,cfg", [
+        ((-1e308, -1e308), GogConfig(entry_cost=1, exit_cost=1)),
+        # a finite distance whose cost, distance / gate, overflows
+        ((-5e307, 1e308), GogConfig(entry_cost=1, exit_cost=1, gate=0.5)),
+    ], ids=["distance_overflows", "cost_overflows"])
+    def test_points_near_the_float_limit(self, far, cfg):
+        graph = build_graph([det(0, 1e308, 1e308, 0.99), det(1, *far, 0.99),
+                             det(1, 1e308, 1e308, 0.99)], cfg)
+        assert graph.transition_cost(0, 1) is None and graph.transition_cost(0, 2) is not None
+        paths = solve(graph)
+        assert sorted(len(paths.tracks[tid]) for tid in paths.ids) == [1, 2]
+
     @pytest.mark.parametrize("dets,cfg", [
         # a link that costs exactly the entry cost loses to it
         ([det(0, 0, 0, conf=0.5), det(1, 0, 0)], GogConfig(entry_cost=1, exit_cost=1)),

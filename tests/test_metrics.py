@@ -487,6 +487,12 @@ class TestSequenceMetrics:
         assert report.id_sw_total == sum(m.id_sw for m in seqs)
         assert 0.0 <= report.t_map <= 1.0
 
+    def test_points_near_the_float_limit(self):
+        gt = ts([(f, 1, 1e308, 1e308) for f in range(2)])
+        pred = ts([(f, 1, -1e308, -1e308, 0.9) for f in range(2)])
+        m = compute_sequence_metrics(gt, pred)
+        assert m.id_sw == 0 and m.t_map == 0.0
+
     def test_clean_overlay_report(self):
         gt = ts(line_track(1, range(40)) + line_track(2, range(40), y0=100))
         pred = ts(line_track(1, range(40)) + line_track(2, range(40), y0=100))
