@@ -4,6 +4,7 @@ tracklet average precision and sequence-characteristic correlation."""
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -70,9 +71,13 @@ class TrajectorySet:
         of None, or none given, means no confidence."""
         rows = list(rows)
         conf = [r[4] if len(r) > 4 else None for r in rows]
-        if any(c is not None and math.isnan(c) for c in conf):
+        conf_array = np.array(conf, dtype=float)
+        if np.count_nonzero(np.isnan(conf_array)) > conf.count(None):
             raise InvalidInputError("trajectory conf is NaN")
-        return cls(*([r[k] for r in rows] for k in range(4)), np.array(conf, dtype=float))
+        # one itemgetter pass per column: zip(*rows) makes an iterator per
+        # row, and the garbage collector's passes over those made it several
+        # times slower in a process holding many live objects
+        return cls(*(list(map(itemgetter(k), rows)) for k in range(4)), conf_array)
 
     def __len__(self) -> int:
         return len(self.slices)
@@ -178,18 +183,20 @@ def id_switches(gt: TrajectorySet, pred: TrajectorySet, gate: float = 10.0) -> i
     """
     if not gate > 0:  # written so that NaN fails it
         raise InvalidInputError("gate must be > 0")
-    last_partner: dict[int, int] = {}
-    switches = 0
+    matched_gt, matched_pred = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for frame in sorted(gt.frame_groups.keys() & pred.frame_groups.keys()):
         g_rows, p_rows = gt.frame_groups[frame], pred.frame_groups[frame]
         costs = build_cost_matrix(np.column_stack((gt.x[g_rows], gt.y[g_rows])),
                                   np.column_stack((pred.x[p_rows], pred.y[p_rows])), gate)
-        for gi, pj, _ in solve_assignment(costs, gate).matches:
-            gt_id, pred_id = int(gt.id[g_rows[gi]]), int(pred.id[p_rows[pj]])
-            if gt_id in last_partner and last_partner[gt_id] != pred_id:
-                switches += 1
-            last_partner[gt_id] = pred_id
-    return switches
+        matches = solve_assignment(costs, gate).matches
+        matched_gt.append(g_rows[[gi for gi, _, _ in matches]])
+        matched_pred.append(p_rows[[pj for _, pj, _ in matches]])
+    # each GT id's partners in frame order; a switch is a neighbour pair of
+    # one GT id with different partners
+    gt_id, pred_id = gt.id[np.concatenate(matched_gt)], pred.id[np.concatenate(matched_pred)]
+    order = np.argsort(gt_id, kind="stable")
+    gt_id, pred_id = gt_id[order], pred_id[order]
+    return int(np.count_nonzero((gt_id[1:] == gt_id[:-1]) & (pred_id[1:] != pred_id[:-1])))
 
 
 def _t_aps(gt: TrajectorySet, pred: TrajectorySet, taus) -> list[float]:

@@ -170,6 +170,32 @@ def loop_render_overlay(gt: LoopTrajectorySet, pred: LoopTrajectorySet, width=No
     return "\n".join(rows) + "\n"
 
 
+# --- reference: TrajectorySet.from_rows and id_switches as written before
+# the one-pass forms ---
+
+def comprehension_from_rows(rows) -> TrajectorySet:
+    rows = list(rows)
+    conf = [r[4] if len(r) > 4 else None for r in rows]
+    if any(c is not None and math.isnan(c) for c in conf):
+        raise InvalidInputError("trajectory conf is NaN")
+    return TrajectorySet(*([r[k] for r in rows] for k in range(4)), np.array(conf, dtype=float))
+
+
+def partner_walk_id_switches(gt: TrajectorySet, pred: TrajectorySet, gate: float = 10.0) -> int:
+    last_partner: dict[int, int] = {}
+    switches = 0
+    for frame in sorted(gt.frame_groups.keys() & pred.frame_groups.keys()):
+        g_rows, p_rows = gt.frame_groups[frame], pred.frame_groups[frame]
+        costs = build_cost_matrix(np.column_stack((gt.x[g_rows], gt.y[g_rows])),
+                                  np.column_stack((pred.x[p_rows], pred.y[p_rows])), gate)
+        for gi, pj, _ in solve_assignment(costs, gate).matches:
+            gt_id, pred_id = int(gt.id[g_rows[gi]]), int(pred.id[p_rows[pj]])
+            if gt_id in last_partner and last_partner[gt_id] != pred_id:
+                switches += 1
+            last_partner[gt_id] = pred_id
+    return switches
+
+
 CONFS = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])
 
 
@@ -213,6 +239,18 @@ def scored_pairs(draw):
     return gt_rows, [(frame, pid, x, y, c) for (pid, frame), (x, y, c) in pred.items()]
 
 
+@st.composite
+def mixed_rows(draw):
+    """Rows of row_sets in which each conf is kept, dropped (a row of width
+    4), None or, rarely, NaN."""
+    rows = []
+    for row in draw(row_sets(with_conf=True)):
+        kind = draw(st.integers(0, 12))
+        rows.append(row if kind < 5 else row[:4] if kind < 9 else row[:4] + (None,) if kind < 12
+                    else row[:4] + (math.nan,))
+    return rows
+
+
 def line_track(tid, frames, x0=0.0, y0=0.0, vx=1.0, conf=1.0):
     return [(f, tid, x0 + vx * i, y0, conf) for i, f in enumerate(frames)]
 
@@ -238,6 +276,12 @@ class TestTable:
     def test_equality_treats_missing_conf_as_equal(self):
         assert ts([(0, 1, 1.0, 2.0)]) == ts([(0, 1, 1.0, 2.0, None)])
         assert ts([(0, 1, 1.0, 2.0)]) != ts([(0, 1, 1.0, 2.0, 0.5)])
+
+    def test_mixed_widths_and_none_conf(self):
+        t = ts([(0, 1, 1.0, 2.0, 0.5), (1, 1, 2.0, 3.0), (2, 1, 3.0, 4.0, None)])
+        assert t.conf[0] == 0.5 and np.isnan(t.conf[1:]).all()
+        assert ts([]) == TrajectorySet() and len(ts([])) == 0
+        assert ts(iter([(0, 1, 1.0, 2.0)])).ids == [1]
 
     def test_repeated_frame_rejected(self):
         with pytest.raises(InvalidInputError, match="track 3"):
@@ -270,6 +314,33 @@ class TestMatchesReference:
             assert export_interchange(s) == loop_export_interchange(ref)
         assert render_overlay(gt, pred) == loop_render_overlay(ref_gt, ref_pred)
         assert render_overlay(gt, pred, 64, 48) == loop_render_overlay(ref_gt, ref_pred, 64, 48)
+
+
+class TestMatchesOnePassReference:
+    """from_rows and id_switches against the per-row forms above."""
+
+    @staticmethod
+    def outcome(build, rows):
+        try:
+            return build(rows)
+        except InvalidInputError:
+            return InvalidInputError
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(rows=mixed_rows())
+    def test_from_rows(self, rows):
+        got, want = self.outcome(TrajectorySet.from_rows, rows), self.outcome(comprehension_from_rows, rows)
+        if want is InvalidInputError:
+            assert got is InvalidInputError
+        else:
+            for a, b in zip(got.columns, want.columns):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(rows=scored_pairs(), gate=st.sampled_from([1.0, 5.0, 10.0]))
+    def test_id_switches(self, rows, gate):
+        gt, pred = ts(rows[0]), ts(rows[1])
+        assert id_switches(gt, pred, gate) == partner_walk_id_switches(gt, pred, gate)
 
 
 class TestCountingErrors:

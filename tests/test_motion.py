@@ -60,6 +60,32 @@ def oracle_update(mean, cov, z, cfg):
     return mean2, cov2
 
 
+# --- reference: predict and update as general matrix products and an
+# inverse, as written before the closed form ---
+
+F = np.array([[1.0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
+H = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0]])
+
+
+def symmetrize(p):
+    return (p + p.swapaxes(-1, -2)) / 2.0
+
+
+def matmul_predict(state, cfg):
+    q = np.diag([cfg.process_noise_pos, cfg.process_noise_pos,
+                 cfg.process_noise_vel, cfg.process_noise_vel])
+    return (F @ state.mean[..., None])[..., 0], symmetrize(F @ state.covariance @ F.T + q)
+
+
+def matmul_update(state, z, cfg):
+    r = cfg.measurement_noise * np.eye(2)
+    p = state.covariance
+    k = p @ H.T @ np.linalg.inv(H @ p @ H.T + r)
+    mean = state.mean + (k @ (z - (H @ state.mean[..., None])[..., 0])[..., None])[..., 0]
+    ikh = np.eye(4) - k @ H
+    return mean, symmetrize(ikh @ p @ ikh.swapaxes(-1, -2) + k @ r @ k.swapaxes(-1, -2))
+
+
 def random_state(rng) -> KalmanState:
     mean = rng.normal(0, 50, 4)
     a = rng.normal(0, 2, (4, 4))
@@ -89,6 +115,38 @@ class TestInitState:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             MotionConfig(measurement_noise=0.0)
+
+
+class TestShapes:
+    """A state, or a measurement, of the wrong shape raises InvalidInputError."""
+
+    @pytest.mark.parametrize("mean, cov", [
+        (np.zeros((2, 4)), np.zeros((3, 4, 4))),
+        (np.zeros(3), np.zeros((3, 3))),
+        (np.zeros(4), np.zeros((4, 3))),
+        (np.zeros((2, 4)), np.zeros((4, 4))),
+        (np.zeros(()), np.zeros((4,))),
+    ], ids=["rows-differ", "mean-of-3", "covariance-not-square", "covariance-unstacked", "scalar-mean"])
+    def test_state_shape_rejected(self, mean, cov):
+        with pytest.raises(InvalidInputError):
+            predict(KalmanState(mean, cov), CFG)
+
+    @pytest.mark.parametrize("z", [[(1.0, 2.0)], [(1.0, 2.0)] * 4, np.zeros((3, 3)), np.zeros(6)],
+                             ids=["one-for-three", "four-for-three", "width-3", "flat"])
+    def test_update_measurement_shape_rejected(self, z):
+        with pytest.raises(InvalidInputError):
+            update(init_state(np.zeros((3, 2)), CFG), z, CFG)
+
+    @pytest.mark.parametrize("z", [[(1.0, 2.0, 3.0)], 5.0, (1.0,), [(1.0, 2.0), (3.0,)], "ab"],
+                             ids=["width-3", "scalar", "width-1", "ragged", "text"])
+    def test_init_measurement_shape_rejected(self, z):
+        with pytest.raises(InvalidInputError):
+            init_state(z, CFG)
+
+    def test_empty_stack(self):
+        s = init_state(np.zeros((0, 2)), CFG)
+        assert s.mean.shape == (0, 4) and s.covariance.shape == (0, 4, 4)
+        assert update(predict(s, CFG), np.zeros((0, 2)), CFG).covariance.shape == (0, 4, 4)
 
 
 class TestPredict:
@@ -145,6 +203,19 @@ class TestUpdate:
     def test_nan_rejected(self):
         with pytest.raises(InvalidInputError):
             update(init_state((0, 0), CFG), (np.inf, 0), CFG)
+
+    @pytest.mark.parametrize("cov", [-np.eye(4), np.full((4, 4), np.nan), np.diag([-3.0, 1.0, 1.0, 1.0]),
+                                     -3.0 * np.eye(4)],
+                             ids=["singular", "nan", "indefinite", "negative-definite"])
+    def test_innovation_covariance_not_positive_definite_rejected(self, cov):
+        # S = P[:2, :2] + I is 0, NaN, diag(-2, 2) and -2I: no division may run
+        with pytest.raises(InvalidInputError, match="positive definite"):
+            update(KalmanState(np.zeros(4), cov), (1, 1), CFG)
+
+    def test_one_singular_row_rejects_the_stack(self):
+        cov = np.stack([np.eye(4), -np.eye(4)])
+        with pytest.raises(InvalidInputError):
+            update(KalmanState(np.zeros((2, 4)), cov), [(1.0, 1.0), (1.0, 1.0)], CFG)
 
 
 class TestApplyAffine:
@@ -260,3 +331,29 @@ class TestStacked:
             update(state, [(0.0, 0.0), (np.nan, 1.0)], CFG)
         with pytest.raises(InvalidInputError):
             init_state([(0.0, 0.0), (1.0, np.inf)], CFG)
+
+
+class TestMatchesMatmulReference:
+    """The closed form against the matrix-product reference above: predict
+    bitwise, update to 1e-12 of each row's largest entry (an explicit 2 x 2
+    inverse and LAPACK's differ in the last bits)."""
+
+    @staticmethod
+    def assert_close(got, want, axes):
+        scale = np.abs(want).max(axis=axes, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(case=stacks())
+    def test_same_as_reference(self, case):
+        state, z, _ = case
+        mean, cov = matmul_predict(state, CFG)
+        got = predict(state, CFG)
+        assert got.mean.tobytes() == mean.tobytes()
+        assert got.covariance.tobytes() == cov.tobytes()
+        mean, cov = matmul_update(state, z, CFG)
+        got = update(state, z, CFG)
+        self.assert_close(got.mean, mean, -1)
+        self.assert_close(got.covariance, cov, (-1, -2))
+        assert np.array_equal(got.covariance, got.covariance.swapaxes(-1, -2))
+        assert got.covariance.flags.c_contiguous
