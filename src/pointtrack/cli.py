@@ -15,8 +15,8 @@ from .assignment import dynamic_threshold
 from .config import ToolkitConfig, load_toolkit_config
 from .errors import ParseError, TrackingError
 from .formats import (
-    DETECTIONS, GT, SOURCE_DETECTION, TRACKS, SequenceBundlePaths, TrackRow,
-    format_float, parse_detections, parse_kv_text, parse_metadata, write_kv_text, write_tracks,
+    DETECTIONS, GT, METADATA, SOURCE_DETECTION, TRACKS, SequenceBundlePaths,
+    format_float, parse_detections, parse_kv_text, write_kv_text, write_tracks,
 )
 from .gog import build_graph, solve
 from .lifecycle import ScoreColumnValidator
@@ -115,12 +115,13 @@ def _cmd_gog(args) -> int:
     detections = parse_detections(paths.detections.read_text())
     gates = None
     if paths.metadata is not None:
-        gates = {row.frame: dynamic_threshold(row.altitude, cfg.tracker.gating)
-                 for row in parse_metadata(paths.metadata.read_text())}
+        frame, altitude = METADATA.parse_columns(paths.metadata.read_text())
+        gates = {f: dynamic_threshold(a, cfg.tracker.gating)
+                 for f, a in zip(frame.tolist(), altitude.tolist())}
     trajectories = solve(build_graph(detections, cfg.gog, gates))
-    rows = [TrackRow(*row, SOURCE_DETECTION) for row in trajectories.frame_major()]
-    Path(args.out).write_text(write_tracks(rows))
-    print(f"gog extracted {len(trajectories)} trajectories, {len(rows)} records -> {args.out}")
+    columns = trajectories.frame_major()
+    Path(args.out).write_text(TRACKS.write_columns([*columns, [SOURCE_DETECTION] * len(columns[0])]))
+    print(f"gog extracted {len(trajectories)} trajectories, {len(columns[0])} records -> {args.out}")
     return 0
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .ddcf import FeatureMap
-from .errors import FormatError, ParseError
+from .errors import FormatError, InvalidInputError, ParseError
 
 SOURCE_DETECTION = "detection"  # matched to a detection this frame
 SOURCE_DDCF = "ddcf"            # recovered by the correlation filter
@@ -80,11 +80,11 @@ class GtRow:
     y: float
 
 
-FLOAT_CELL = "{:.6g}"  # up to six significant decimals
+FLOAT_CELL = "%.6g"  # up to six significant decimals
 
 
 def format_float(v: float) -> str:
-    return FLOAT_CELL.format(float(v))
+    return FLOAT_CELL % float(v)
 
 
 def _split_lines(text: str) -> list[str]:
@@ -145,6 +145,48 @@ def _converter(name: str, kind: type):
     return convert
 
 
+def _check_column(name: str, column) -> None:
+    """The checks of one column, by its header name, that parse_columns and
+    both writers apply: an int64 array against its minimum, a float64 array
+    finite (and in [0, 1] for conf and score), text against its vocabulary.
+    Raises InvalidInputError naming the column."""
+    if name in _VOCABULARY:
+        vocabulary = set(_VOCABULARY[name])
+        if not vocabulary.issuperset(column):
+            bad = next(v for v in column if v not in vocabulary)
+            raise InvalidInputError(f"unknown {name} {bad!r}")
+    elif name in _INT_MINIMUM:
+        if len(column) and column.min() < _INT_MINIMUM[name]:
+            raise InvalidInputError(f"{name} must be >= {_INT_MINIMUM[name]}, got {column.min()}")
+    elif not np.isfinite(column).all():
+        raise InvalidInputError(f"non-finite {name}")
+    elif name in _UNIT_INTERVAL and not ((column >= 0.0) & (column <= 1.0)).all():
+        raise InvalidInputError(f"{name} outside [0, 1]")
+
+
+def _write_column(name: str, dtype, values, optional: bool) -> list:
+    """One column's values as the Python scalars its cells show, after
+    _check_column: str for text, int for int64 and float for float64. A
+    float None becomes NaN, which an optional column writes as 0."""
+    if dtype is object:
+        column = list(map(str, values))
+    else:
+        try:
+            column = np.asarray(values, dtype=np.float64 if dtype is np.float64 else None)
+            if column.ndim != 1:
+                raise TypeError
+            # no float, and no integer beyond int64, is an int64 cell; an
+            # empty column has no type of its own
+            column = column.astype(dtype, copy=False, casting="safe" if column.size else "unsafe")
+        except (TypeError, ValueError, OverflowError):
+            kind = "an int64 integer" if dtype is np.int64 else "a number"
+            raise InvalidInputError(f"{name} holds a value that is not {kind}") from None
+        if optional:
+            column = np.where(np.isnan(column), 0.0, column)
+    _check_column(name, column)
+    return column if dtype is object else column.tolist()
+
+
 class Table:
     """One CSV format: an exact header line and a row dataclass whose fields
     are the columns in header order. Trailing fields that default to None are
@@ -162,7 +204,7 @@ class Table:
         self.headers = tuple(",".join(self.columns[:n]) for n in sorted({self.required, len(fields)}))
         self._converters = [_converter(c, k) for c, k in zip(self.columns, kinds)]
         self._dtypes = [{int: np.int64, float: np.float64, str: object}[k] for k in kinds]
-        self._cells = [FLOAT_CELL if k is float else "{}" for k in kinds]
+        self._cells = [{int: "%d", float: FLOAT_CELL, str: "%s"}[k] for k in kinds]
 
     def parse(self, text: str) -> list:
         """One row per line, built from the arrays of parse_columns: valid
@@ -181,7 +223,7 @@ class Table:
         lines = _split_lines(text)
         try:
             return self._convert_columns(lines)
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, InvalidInputError):
             return self.to_columns(self.parse_lines(lines), lines[0].count(",") + 1)
 
     def _convert_columns(self, lines: list[str]) -> list:
@@ -197,15 +239,7 @@ class Table:
         out = []
         for j, (name, dtype) in enumerate(zip(self.columns[:n], self._dtypes)):
             column = np.array(cells[j::n + 1], dtype=dtype)
-            if dtype is np.int64:
-                ok = not rows or column.min() >= _INT_MINIMUM[name]
-            elif dtype is np.float64:
-                ok = np.isfinite(column).all() and (
-                    name not in _UNIT_INTERVAL or ((column >= 0.0) & (column <= 1.0)).all())
-            else:
-                ok = set(column) <= set(_VOCABULARY[name])
-            if not ok:
-                raise ValueError(f"bad {name}")
+            _check_column(name, column)
             out.append(column)
         return out + [None] * (len(self.names) - n)
 
@@ -246,21 +280,28 @@ class Table:
         return out
 
     def write(self, rows: list) -> str:
-        return "\n".join(self.format_lines(rows)) + "\n"
+        """write_columns of one list per field (to_columns' arrays are slower)."""
+        n = self._width(rows)
+        return self.write_columns([list(map(attrgetter(name), rows)) for name in self.names[:n]]
+                                  + [None] * (len(self.names) - n))
 
-    def format_lines(self, rows: list) -> list[str]:
-        """The header line and one line per row. The optional columns are
-        written when any row sets one, as 0 where a row leaves it None."""
-        k, n = self.required, self._width(rows)
-        get = attrgetter(*self.names[:n])
-        line = ",".join(self._cells[:n]).format
-        lines = [",".join(self.columns[:n])]
-        for r in rows:
-            cells = get(r)
-            if n > k and None in cells[k:]:
-                cells = cells[:k] + tuple(0 if v is None else v for v in cells[k:])
-            lines.append(line(*cells))
-        return lines
+    def write_columns(self, columns: list) -> str:
+        """The inverse of parse_columns: the text of one sequence per column
+        in header order, None for an absent optional column. Each column gets
+        the parser's checks, and InvalidInputError names one that fails; NaN
+        or None in a written optional column is written as 0."""
+        n = sum(c is not None for c in columns)
+        checked = [_write_column(name, dtype, values, j >= self.required)
+                   for j, (name, dtype, values) in enumerate(zip(self.columns, self._dtypes, columns[:n]))]
+        rows = len(checked[0])
+        if len(columns) != len(self.names) or any(len(c) != rows for c in checked):
+            raise InvalidInputError(f"expected {len(self.names)} columns of one length")
+        # the cells row-major, for one %-format of the whole table
+        cells = [None] * (rows * n)
+        for j, column in enumerate(checked):
+            cells[j::n] = column
+        lines = (",".join(self._cells[:n]) + "\n") * rows
+        return ",".join(self.columns[:n]) + "\n" + lines % tuple(cells)
 
 
 DETECTIONS = Table("frame,x,y,conf,score", Detection)

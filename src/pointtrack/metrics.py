@@ -86,10 +86,10 @@ class TrajectorySet:
         return isinstance(other, TrajectorySet) and all(
             np.array_equal(a, b, equal_nan=True) for a, b in zip(self.columns, other.columns))
 
-    def frame_major(self) -> list[tuple]:
-        """(frame, id, x, y, conf) rows of Python scalars, frame-major and
-        id-ordered; conf is NaN where the point has none."""
-        return list(zip(*(col[self.frame_order].tolist() for col in self.columns)))
+    def frame_major(self) -> tuple[np.ndarray, ...]:
+        """The frame, id, x, y and conf columns, frame-major and id-ordered;
+        conf is NaN where the point has none."""
+        return tuple(col[self.frame_order] for col in self.columns)
 
     @cached_property
     def tracks(self) -> dict[int, list[TrackPoint]]:
@@ -312,9 +312,10 @@ def export_interchange(pred: TrajectorySet) -> list[str]:
     then id order; first row is the header.
     """
     h = EXPORT_BOX_HALF_SIZE
-    boxes = [InterchangeRow(frame, tid, x - h, y - h, 2 * h, 2 * h, 1.0 if math.isnan(conf) else conf)
-             for frame, tid, x, y, conf in pred.frame_major()]
-    return INTERCHANGE.format_lines(boxes)
+    frame, tid, x, y, conf = pred.frame_major()
+    size = np.full(len(frame), 2 * h)
+    return INTERCHANGE.write_columns(
+        [frame, tid, x - h, y - h, size, size, np.where(np.isnan(conf), 1.0, conf)]).splitlines()
 
 
 def parse_interchange(rows) -> TrajectorySet:

@@ -18,10 +18,9 @@ from .config import decode_kv
 from .ddcf import FeatureMap
 from .errors import ConfigError
 from .formats import (
-    CORRESPONDENCES_NAME, DETECTIONS_NAME, FEATURES_DIRNAME, GT_NAME, MANIFEST_NAME, METADATA_NAME,
-    CorrespondenceRow, Detection, GtRow, MetadataRow,
-    feature_file_name, write_correspondences, write_detections, write_feature_map,
-    write_gt, write_kv_text, write_metadata,
+    CORRESPONDENCES, CORRESPONDENCES_NAME, DETECTIONS, DETECTIONS_NAME, FEATURES_DIRNAME, GT,
+    GT_NAME, MANIFEST_NAME, METADATA, METADATA_NAME, feature_file_name, write_feature_map,
+    write_kv_text,
 )
 from .metrics import TrajectorySet
 from .pipeline import FrameInput
@@ -247,18 +246,16 @@ def write_bundle(bundle: ScenarioBundle, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    detections = [Detection(fi.frame, x, y, conf, score) for fi in bundle.frames
-                  for (x, y), conf, score in zip(fi.points.tolist(), fi.conf.tolist(),
-                                                 fi.score.tolist())]
-    (out / DETECTIONS_NAME).write_text(write_detections(detections))
-    metadata = [MetadataRow(fi.frame, fi.altitude) for fi in bundle.frames]
-    (out / METADATA_NAME).write_text(write_metadata(metadata))
-    corr_rows = [CorrespondenceRow(fi.frame, *c) for fi in bundle.frames
-                 for c in fi.correspondences.tolist()]
-    (out / CORRESPONDENCES_NAME).write_text(write_correspondences(corr_rows))
-
-    gt_rows = [GtRow(frame, tid, x, y) for frame, tid, x, y, _ in bundle.gt.frame_major()]
-    (out / GT_NAME).write_text(write_gt(gt_rows))
+    frames = [fi.frame for fi in bundle.frames]
+    x, y = np.concatenate([fi.points for fi in bundle.frames]).T
+    (out / DETECTIONS_NAME).write_text(DETECTIONS.write_columns(
+        [np.repeat(frames, [len(fi.points) for fi in bundle.frames]), x, y,
+         np.concatenate([fi.conf for fi in bundle.frames]), np.concatenate([fi.score for fi in bundle.frames])]))
+    (out / METADATA_NAME).write_text(METADATA.write_columns([frames, [fi.altitude for fi in bundle.frames]]))
+    corr = [fi.correspondences for fi in bundle.frames]
+    (out / CORRESPONDENCES_NAME).write_text(CORRESPONDENCES.write_columns(
+        [np.repeat(frames, list(map(len, corr))), *np.concatenate(corr).T]))
+    (out / GT_NAME).write_text(GT.write_columns(bundle.gt.frame_major()[:4]))
 
     if bundle.config.feature_channels >= 1:
         fdir = out / FEATURES_DIRNAME

@@ -378,3 +378,17 @@ class TestDeterminism:
                        "--out", str(svg))[0] == 0
             digests.append(tree_digest(root))
         assert digests[0] == digests[1]
+
+    def test_default_scenario_outputs_pinned(self, capsys, tmp_path):
+        """gog and track output on simulate's default scenario, byte for byte."""
+        bundle = tmp_path / "bundle"
+        assert run(capsys, "simulate", "--out", str(bundle))[0] == 0
+        digests = {}
+        for command in ("gog", "track"):
+            out = tmp_path / f"{command}.csv"
+            assert run(capsys, command, "--bundle", str(bundle), "--out", str(out))[0] == 0
+            digests[command] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {
+            "gog": "ef2292f41e81d8fd32a2a92f785c4f7308bb7c382a4d28c3697198e90cc64557",
+            "track": "f8004511fd6a1f594094b65c3b42881f7594e0a815ebac1ff842cfc5a3626962",
+        }

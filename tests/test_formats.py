@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 from pathlib import Path
 from unittest import mock
@@ -13,10 +14,10 @@ from pointtrack.assignment import GatingPolicy
 from pointtrack.cmc import RansacConfig
 from pointtrack.config import _KINDS
 from pointtrack.ddcf import DcfConfig, FeatureMap
-from pointtrack.errors import ConfigError, FormatError, ParseError
+from pointtrack.errors import ConfigError, FormatError, InvalidInputError, ParseError
 from pointtrack.formats import (
-    CORRESPONDENCES, DETECTIONS, GT, METADATA, TRACKS,
-    CorrespondenceRow, Table, Detection, GtRow, MetadataRow, TrackRow, _split_lines,
+    CORRESPONDENCES, DETECTIONS, GT, METADATA, TRACK_SOURCES, TRACKS,
+    CorrespondenceRow, Table, Detection, GtRow, MetadataRow, TrackRow, _split_lines, format_float,
     parse_correspondences, parse_detections, parse_gt, parse_kv_text, parse_metadata,
     parse_tracks, read_feature_map, write_correspondences, write_detections,
     write_feature_map, write_gt, write_kv_text, write_metadata, write_tracks,
@@ -291,6 +292,7 @@ class TestRowRecords:
     def test_table_rows(self, table, text):
         rows = table.parse(text)
         assert table.write(rows) == text
+        assert table.write_columns(table.parse_columns(text)) == text
         assert [{"track_id": "id"}.get(name, name) for name in table.names] == table.columns
         self.assert_value_records(rows)
 
@@ -299,6 +301,83 @@ class TestRowRecords:
         assert [f.name for f in dataclasses.fields(TrackPoint)] == ["frame", "x", "y", "conf"]
         assert points == [TrackPoint(0, 1.5, -0.0, 0.5), TrackPoint(1, 2.0, 3.0)]
         self.assert_value_records(points)
+
+
+# Floats whose cells are easy to get wrong: the sign of zero, exponent
+# notation below 1e-4 and at 1e6, and rounding to six digits.
+EDGE_FLOATS = [-0.0, 0.0, 1e-07, 123457.0, 123456.5, 999999.5, 1e+16, 0.1]
+
+
+def _field_values(name: str, kind: type, scored: bool):
+    """Values of one row field, by its column name; score is None when
+    the table is not scored, and None or a probability when it is."""
+    if kind is str:
+        return st.sampled_from(TRACK_SOURCES)
+    if kind is int:
+        return st.integers(1 if name == "id" else 0, 2**63 - 1)
+    unit = st.one_of(st.floats(0, 1), st.sampled_from([-0.0, 1e-07, 1.0]))
+    if name == "score":
+        return st.one_of(st.none(), unit) if scored else st.none()
+    if name == "conf":
+        return unit
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def table_rows(draw, table: Table) -> list:
+    """0-12 rows of table; a detections table is scored or not."""
+    scored = draw(st.booleans())
+    kinds = [f.type if f.type in (int, str) else float for f in dataclasses.fields(table.row)]
+    values = [_field_values(name, kind, scored) for name, kind in zip(table.columns, kinds)]
+    return draw(st.lists(st.builds(table.row, *values), max_size=12))
+
+
+WRITE_TABLES = [DETECTIONS, METADATA, CORRESPONDENCES, GT, TRACKS, INTERCHANGE]
+
+
+class TestColumnWrite:
+    @pytest.mark.parametrize("table", WRITE_TABLES, ids=lambda t: t.header)
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def test_rows_and_columns_write_one_text(self, table, data):
+        rows = data.draw(table_rows(table))
+        text = table.write(rows)
+        assert table.write_columns(table.to_columns(rows)) == text
+        assert table.write_columns(table.parse_columns(text)) == text
+        lines = text.splitlines()
+        header = lines[0].split(",")
+        assert header in (table.columns[:table.required], table.columns) and len(lines) == len(rows) + 1
+        kinds = {f.name: f.type for f in dataclasses.fields(table.row)}
+        for row, line in zip(rows, lines[1:]):
+            for name, cell in zip(table.names, line.split(",")):
+                value = getattr(row, name)
+                if kinds[name] in (int, str):
+                    assert cell == str(value)
+                else:  # an absent score is written as 0
+                    value = 0.0 if value is None else value
+                    assert cell == format_float(value) == "{:.6g}".format(value)
+
+    @pytest.mark.parametrize("via", ["rows", "columns"])
+    @pytest.mark.parametrize("table,rows,expected", [
+        pytest.param(DETECTIONS, [Detection(0, 1.0, 2.0, 0.5, math.nan)],
+                     "frame,x,y,conf,score\n0,1,2,0.5,0\n", id="nan-score-written-as-0"),
+        pytest.param(TRACKS, [TrackRow(0, 1, math.inf, 2.0, 0.5, "ddcf")], "^non-finite x$",
+                     id="infinite-x"),
+        pytest.param(GT, [GtRow(-3, 0, 1.0, 2.0)], "^frame must be >= 0, got -3$",
+                     id="frame-minus-3-id-0"),
+        pytest.param(TRACKS, [TrackRow(0, 1, 1.0, 2.0, 0.5, "bogus")], "^unknown source 'bogus'$",
+                     id="bogus-source"),
+    ])
+    def test_writers_refuse_what_the_parser_rejects(self, table, rows, expected, via):
+        """Either the text the parser accepts or InvalidInputError naming
+        the column, from write and from write_columns alike."""
+        write = table.write if via == "rows" else lambda r: table.write_columns(table.to_columns(r))
+        if "\n" in expected:
+            assert write(rows) == expected
+            assert table.parse(expected)
+        else:
+            with pytest.raises(InvalidInputError, match=expected):
+                write(rows)
 
 
 class TestFeatureMapBinary:

@@ -124,7 +124,7 @@ def loop_export_interchange(pred: LoopTrajectorySet) -> list[str]:
                             1.0 if p.conf is None else p.conf)
              for tid in pred.ids for p in pred.tracks[tid]]
     boxes.sort(key=lambda b: (b.frame, b.track_id))
-    return INTERCHANGE.format_lines(boxes)
+    return INTERCHANGE.write(boxes).splitlines()
 
 
 def loop_render_overlay(gt: LoopTrajectorySet, pred: LoopTrajectorySet, width=None,
