@@ -164,6 +164,21 @@ def _check_column(name: str, column) -> None:
         raise InvalidInputError(f"{name} outside [0, 1]")
 
 
+def number_column(name: str, dtype, values) -> np.ndarray:
+    """values as a 1-d int64 or float64 array, a float None as NaN. Raises
+    InvalidInputError naming the column for a nested cell, text that is no
+    number, and any float, None or integer beyond int64 in an int64 column."""
+    try:
+        column = np.asarray(values, dtype=np.float64 if dtype is np.float64 else None)
+        if column.ndim != 1:
+            raise TypeError
+        # an empty column has no type of its own
+        return column.astype(dtype, copy=False, casting="safe" if column.size else "unsafe")
+    except (TypeError, ValueError, OverflowError):
+        kind = "an int64 integer" if dtype is np.int64 else "a number"
+        raise InvalidInputError(f"{name} holds a value that is not {kind}") from None
+
+
 def _write_column(name: str, dtype, values, optional: bool) -> list:
     """One column's values as the Python scalars its cells show, after
     _check_column: str for text, int for int64 and float for float64. A
@@ -171,16 +186,7 @@ def _write_column(name: str, dtype, values, optional: bool) -> list:
     if dtype is object:
         column = list(map(str, values))
     else:
-        try:
-            column = np.asarray(values, dtype=np.float64 if dtype is np.float64 else None)
-            if column.ndim != 1:
-                raise TypeError
-            # no float, and no integer beyond int64, is an int64 cell; an
-            # empty column has no type of its own
-            column = column.astype(dtype, copy=False, casting="safe" if column.size else "unsafe")
-        except (TypeError, ValueError, OverflowError):
-            kind = "an int64 integer" if dtype is np.int64 else "a number"
-            raise InvalidInputError(f"{name} holds a value that is not {kind}") from None
+        column = number_column(name, dtype, values)
         if optional:
             column = np.where(np.isnan(column), 0.0, column)
     _check_column(name, column)

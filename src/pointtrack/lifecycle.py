@@ -10,6 +10,7 @@ A tracker keeps every live track as one row of a TrackTable, and on_match
 and on_miss apply these rules to a set of rows at once.
 """
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,7 +66,8 @@ class TrackTable:
     hits: np.ndarray              # (n,) matched frames since birth
     misses: np.ndarray            # (n,) consecutive frames without a match
     pending_failures: np.ndarray  # (n,) consecutive failed confirmations past min_hits
-    cls_scores: np.ndarray        # (n,) object: list of the row's validator scores
+    cls_sum: np.ndarray           # (n,) float, sum of the row's validator scores
+    cls_count: np.ndarray         # (n,) int, number of the row's validator scores
     filters: np.ndarray           # (n,) object: CorrelationFilter or None
 
     @classmethod
@@ -73,13 +75,10 @@ class TrackTable:
         """Tentative tracks with ids first_id, first_id + 1, ..., one per
         detected point, each starting from its row of kalman."""
         n = len(kalman.mean)
-        cls_scores = np.empty(n, dtype=object)
-        for i in range(n):
-            cls_scores[i] = []
         return cls(np.arange(first_id, first_id + n), kalman.mean, kalman.covariance,
                    np.asarray(points, dtype=float).reshape(n, 2), np.asarray(confidences, dtype=float),
                    np.full(n, TrackState.TENTATIVE, dtype=np.int8), np.ones(n, dtype=int),
-                   np.zeros(n, dtype=int), np.zeros(n, dtype=int), cls_scores,
+                   np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n), np.zeros(n, dtype=int),
                    np.full(n, None, dtype=object))
 
     def __len__(self) -> int:
@@ -162,10 +161,10 @@ class OracleValidator(TrajectoryValidator):
 
 
 def validate(validator: TrajectoryValidator, context: ValidationContext) -> float:
-    """Run a validator and enforce the probability contract."""
+    """Run a validator and enforce the probability contract (NaN fails it)."""
     p = validator.score(context)
-    if not (np.isfinite(p) and 0.0 <= p <= 1.0):
-        raise InvalidInputError(f"validator returned {p!r}, expected probability in [0, 1]")
+    if not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
+        raise InvalidInputError(f"validator returned {p!r}, expected a probability in [0, 1]")
     return float(p)
 
 
@@ -202,13 +201,14 @@ def on_match(tracks: TrackTable, rows, points, confidences, probs,
         opening = (state == TrackState.TENTATIVE) & classification_gate_active(hits, config) & scored
         state[opening] = TrackState.PENDING_CLASSIFICATION
         pending = state == TrackState.PENDING_CLASSIFICATION
-        for row, prob in zip(rows[pending & scored], probs[pending & scored].tolist()):
-            tracks.cls_scores[row].append(prob)
+        adding = rows[pending & scored]
+        tracks.cls_sum[adding] += probs[pending & scored]
+        tracks.cls_count[adding] += 1
         # once old enough, each matched frame confirms the track or counts
-        # one failure toward the patience budget
+        # one failure toward the patience budget (a pending row has a score)
         decide = np.flatnonzero(pending & (hits >= config.min_hits))
-        passed = np.array([np.mean(tracks.cls_scores[rows[i]]) > config.cls_confirm_threshold
-                           for i in decide], dtype=bool)
+        deciding = rows[decide]
+        passed = tracks.cls_sum[deciding] / tracks.cls_count[deciding] > config.cls_confirm_threshold
         state[decide[passed]] = TrackState.CONFIRMED
         failed = decide[~passed]
         tracks.pending_failures[rows[failed]] += 1

@@ -10,7 +10,7 @@ import numpy as np
 
 from .assignment import build_cost_matrix, solve_assignment
 from .errors import InvalidInputError
-from .formats import Table
+from .formats import Table, number_column
 
 T_MAP_THRESHOLDS = tuple(range(1, 26))  # px, T-mAP averages T-AP over these
 EXPORT_BOX_HALF_SIZE = 10.0             # px, fixed box half-size for box-based evaluators
@@ -39,9 +39,9 @@ class TrajectorySet:
     """
 
     def __init__(self, frame=(), id=(), x=(), y=(), conf=None):
-        frame, id = np.asarray(frame, dtype=np.int64), np.asarray(id, dtype=np.int64)
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        conf = np.full(len(frame), np.nan) if conf is None else np.asarray(conf, dtype=float)
+        frame, id = number_column("frame", np.int64, frame), number_column("id", np.int64, id)
+        x, y = number_column("x", np.float64, x), number_column("y", np.float64, y)
+        conf = np.full(len(frame), np.nan) if conf is None else number_column("conf", np.float64, conf)
         if not len(frame) == len(id) == len(x) == len(y) == len(conf):
             raise InvalidInputError("trajectory columns differ in length")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -70,8 +70,10 @@ class TrajectorySet:
         """Build from (frame, id, x, y[, conf]) tuples in any order; a conf
         of None, or none given, means no confidence."""
         rows = list(rows)
+        if not set(map(len, rows)) <= {4, 5}:
+            raise InvalidInputError("a trajectory row is (frame, id, x, y[, conf])")
         conf = [r[4] if len(r) > 4 else None for r in rows]
-        conf_array = np.array(conf, dtype=float)
+        conf_array = number_column("conf", np.float64, conf)
         if np.count_nonzero(np.isnan(conf_array)) > conf.count(None):
             raise InvalidInputError("trajectory conf is NaN")
         # one itemgetter pass per column: zip(*rows) makes an iterator per

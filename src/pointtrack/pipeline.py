@@ -14,6 +14,7 @@ and then drops the deleted rows and appends the births in one step.
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,24 +96,16 @@ class FrameOutput:
     births: int
     deaths: int
     recoveries: int
+    match_distances: np.ndarray  # (m,) this frame's matched track-to-detection distances, px
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceSummary:
-    lifespans: dict[int, tuple[int, int]] = field(default_factory=dict)  # first-emission order
     births: int = 0
     deaths: int = 0
     recoveries: int = 0
-    match_count: int = 0
-    match_distance_sum: float = 0.0
-
-    @property
-    def trajectory_count(self) -> int:
-        return len(self.lifespans)
-
-    @property
-    def mean_match_distance(self) -> float:
-        return self.match_distance_sum / self.match_count if self.match_count else 0.0
+    trajectory_count: int = 0
+    mean_match_distance: float = 0.0
 
 
 class PointTracker:
@@ -126,7 +119,6 @@ class PointTracker:
         self._next_id = 1
         self._last_frame: int | None = None
         self._prev_features: FeatureMap | None = None
-        self.summary = SequenceSummary()
 
     @property
     def _cls_enabled(self) -> bool:
@@ -156,7 +148,7 @@ class PointTracker:
         self._predict(affine)
 
         result = solve_assignment(build_cost_matrix(self.tracks.mean[:, :2], points, gate), gate)
-        matched = self._handle_matches(result, points, frame_input)
+        matched, distances = self._handle_matches(result, points, frame_input)
         recovered = self._recover(result, frame_input, matched, gate)
         # _recover reads only the predicted means of unmatched rows, so the
         # matched rows are corrected with the recovered ones in one call
@@ -172,19 +164,11 @@ class PointTracker:
             self._next_id, points[born], conf[born],
             motion.init_state(points[born], self.config.motion)))
         self._next_id += len(born)
-        births, deaths, recoveries = len(born), int(deleted.sum()), int(recovered.sum())
 
         self._prev_features = frame_input.features
         self._last_frame = frame
-        summary = self.summary
-        summary.births += births
-        summary.deaths += deaths
-        summary.recoveries += recoveries
-        for r in records:
-            first, _ = summary.lifespans.get(r.track_id, (frame, frame))
-            summary.lifespans[r.track_id] = (first, frame)
-        return FrameOutput(frame=frame, records=records, gate=gate, affine=affine,
-                           births=births, deaths=deaths, recoveries=recoveries)
+        return FrameOutput(frame, records, gate, affine, births=len(born), deaths=int(deleted.sum()),
+                           recoveries=int(recovered.sum()), match_distances=distances)
 
     # --- pipeline steps ---
 
@@ -220,12 +204,12 @@ class PointTracker:
         tracks.mean[rows], tracks.covariance[rows] = fixed.mean, fixed.covariance
 
     def _handle_matches(self, result: AssignmentResult, points: np.ndarray,
-                        frame_input: FrameInput) -> np.ndarray:
+                        frame_input: FrameInput) -> tuple[np.ndarray, np.ndarray]:
         """Apply the match rule to the matched rows and maintain the filters
-        of the confirmed ones; returns the mask of matched rows."""
+        of the confirmed ones; returns the matched-row mask and distances."""
         tracks, score = self.tracks, frame_input.score
-        rows = np.array([ti for ti, _, _ in result.matches], dtype=np.intp)
-        dets = np.array([dj for _, dj, _ in result.matches], dtype=np.intp)
+        matches = np.array(result.matches, dtype=float).reshape(-1, 3)
+        rows, dets = matches[:, :2].astype(np.intp).T
         probs = np.full(len(rows), np.nan)
         if self._cls_enabled:
             # only the rows inside the classification window are scored
@@ -241,15 +225,12 @@ class PointTracker:
                     pass  # no context for this detection, so no score
         lifecycle.on_match(tracks, rows, points[dets], frame_input.conf[dets], probs,
                            self.config.lifecycle, classification_enabled=self._cls_enabled)
-        self.summary.match_count += len(rows)
-        for _, _, dist in result.matches:
-            self.summary.match_distance_sum += dist
         if self.config.use_ddcf and frame_input.features is not None:
             for k in np.flatnonzero(tracks.state[rows] == TrackState.CONFIRMED).tolist():
                 self._maintain_filter(rows[k], points[dets[k]], frame_input.features)
         matched = np.zeros(len(tracks), dtype=bool)
         matched[rows] = True
-        return matched
+        return matched, matches[:, 2]
 
     @staticmethod
     def _in_coverage(features: FeatureMap, position) -> bool:
@@ -329,11 +310,20 @@ class PointTracker:
 @dataclass
 class SequenceResult:
     outputs: list[FrameOutput]
-    summary: SequenceSummary
 
     def to_trajectories(self) -> TrajectorySet:
         *columns, _ = TRACKS.to_columns([r for out in self.outputs for r in out.records])
         return TrajectorySet(*columns)
+
+    @cached_property
+    def summary(self) -> SequenceSummary:
+        distances = np.concatenate([np.zeros(0)] + [out.match_distances for out in self.outputs])
+        return SequenceSummary(
+            births=sum(out.births for out in self.outputs),
+            deaths=sum(out.deaths for out in self.outputs),
+            recoveries=sum(out.recoveries for out in self.outputs),
+            trajectory_count=len(self.to_trajectories()),
+            mean_match_distance=float(distances.mean()) if len(distances) else 0.0)
 
 
 def run_sequence(frame_inputs, config: TrackerConfig | None = None,
@@ -343,7 +333,7 @@ def run_sequence(frame_inputs, config: TrackerConfig | None = None,
     outputs = [tracker.process_frame(frame_input) for frame_input in frame_inputs]
     if not outputs:
         raise InvalidInputError("empty frame sequence")
-    return SequenceResult(outputs=outputs, summary=tracker.summary)
+    return SequenceResult(outputs)
 
 
 def _by_frame(frame: np.ndarray, *columns):

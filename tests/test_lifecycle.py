@@ -21,7 +21,7 @@ CFG = LifecycleConfig()
 def make_track(pos=(0.0, 0.0), cls_scores=(), **columns) -> TrackTable:
     """A one-row table: a newborn track, with the given columns overridden."""
     track = TrackTable.born(1, [pos], [0.0], init_state([pos], MotionConfig()))
-    track.cls_scores[0] = list(cls_scores)
+    track.cls_sum[0], track.cls_count[0] = sum(cls_scores), len(cls_scores)
     for name, value in columns.items():
         getattr(track, name)[0] = value
     return track
@@ -90,7 +90,7 @@ class TestOnMatch:
         match(t, prob=1.0)
         assert t.hits[0] == 27
         assert state_of(t) == TrackState.PENDING_CLASSIFICATION
-        assert t.cls_scores[0] == [1.0]
+        assert (t.cls_sum[0], t.cls_count[0]) == (1.0, 1)
 
     def test_confirmed_is_absorbing(self):
         t = make_track(state=TrackState.CONFIRMED, hits=40, misses=2)
@@ -124,7 +124,7 @@ class TestOnMatch:
         t = make_track(hits=29)
         match(t, prob=None, cls=False)
         assert state_of(t) == TrackState.CONFIRMED
-        assert t.cls_scores[0] == []
+        assert (t.cls_sum[0], t.cls_count[0]) == (0.0, 0)
 
     def test_invalid_probability(self):
         t = make_track(hits=27)
@@ -211,6 +211,18 @@ class TestValidators:
         with pytest.raises(InvalidInputError):
             validate(Bad(), ValidationContext(frame=0, position=np.zeros(2)))
 
+    @pytest.mark.parametrize("returned", [-0.1, float("nan"), float("inf"), None, "0.5", 1 + 0j, [0.5],
+                                          np.array([0.5, 0.5]), np.array(0.5), 10 ** 400],
+                             ids=["negative", "nan", "inf", "none", "text", "complex", "list",
+                                  "two-element-array", "zero-d-array", "int-past-float"])
+    def test_contract_refuses_what_is_not_a_probability(self, returned):
+        class Bad:
+            def score(self, ctx):
+                return returned
+
+        with pytest.raises(InvalidInputError, match="validator returned"):
+            validate(Bad(), ValidationContext(frame=0, position=np.zeros(2)))
+
 
 class TestInvariantProperties:
     def test_never_confirmed_below_min_hits(self):
@@ -272,9 +284,9 @@ def reference_match(row: dict, prob, config, cls: bool):
         row["state"] = TrackState.PENDING_CLASSIFICATION
     if row["state"] == TrackState.PENDING_CLASSIFICATION:
         if prob is not None:
-            row["cls_scores"].append(prob)
+            row.update(cls_sum=row["cls_sum"] + prob, cls_count=row["cls_count"] + 1)
         if row["hits"] >= config.min_hits:
-            if float(np.mean(row["cls_scores"])) > config.cls_confirm_threshold:
+            if row["cls_sum"] / row["cls_count"] > config.cls_confirm_threshold:
                 row["state"] = TrackState.CONFIRMED
             else:
                 row["pending_failures"] += 1
@@ -293,7 +305,8 @@ def reference_miss(row: dict, config):
 def as_rows(table: TrackTable) -> list[dict]:
     return [{"state": int(table.state[i]), "hits": int(table.hits[i]),
              "misses": int(table.misses[i]), "pending_failures": int(table.pending_failures[i]),
-             "cls_scores": list(table.cls_scores[i])} for i in range(len(table))]
+             "cls_sum": float(table.cls_sum[i]), "cls_count": int(table.cls_count[i])}
+            for i in range(len(table))]
 
 
 def assert_tables_equal(a: TrackTable, b: TrackTable):
@@ -324,8 +337,8 @@ def lifecycle_cases(draw):
         table.hits[i] = draw(st.integers(1, min_hits + 1))
         table.misses[i] = draw(st.integers(0, max(config.max_age, config.tentative_miss_tolerance) + 1))
         table.pending_failures[i] = draw(st.integers(0, config.pending_fail_patience - 1))
-        table.cls_scores[i] = draw(st.lists(SCORES, min_size=int(state == TrackState.PENDING_CLASSIFICATION),
-                                            max_size=3))
+        scores = draw(st.lists(SCORES, min_size=int(state == TrackState.PENDING_CLASSIFICATION), max_size=3))
+        table.cls_sum[i], table.cls_count[i] = sum(scores), len(scores)
     matched = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
     probs = [draw(st.one_of(st.none(), SCORES)) for _ in matched]
     return config, table, matched, probs, [i for i in range(n) if i not in matched]

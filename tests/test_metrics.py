@@ -290,11 +290,18 @@ class TestTable:
     @pytest.mark.parametrize("row", [
         (0, 1, math.nan, 0.0, 0.5), (0, 1, 0.0, math.inf, 0.5), (0, 1, -math.inf, 0.0),
         (0, 1, 0.0, 0.0, math.nan), (0, 1, 0.0, 0.0, math.inf), (0, 1, 0.0, 0.0, 7.5),
-        (0, 1, 0.0, 0.0, -0.1),
-    ], ids=["x-nan", "y-inf", "x-minus-inf", "conf-nan", "conf-inf", "conf-7.5", "conf-negative"])
+        (0, 1, 0.0, 0.0, -0.1), (0.5, 1, 0.0, 0.0), (0, 1.5, 0.0, 0.0), (math.inf, 1, 0.0, 0.0),
+        (2 ** 63, 1, 0.0, 0.0), (0, None, 0.0, 0.0), (0, 1, "x", 0.0), (0, 1, 0.0, 0.0, "high"),
+        (0, 1, [0.0, 1.0], 0.0), (0, 1, 2.0), (0, 1, 0.0, 0.0, 0.5, 7),
+    ], ids=["x-nan", "y-inf", "x-minus-inf", "conf-nan", "conf-inf", "conf-7.5", "conf-negative",
+            "fractional-frame", "fractional-id", "infinite-frame", "frame-past-int64", "none-id",
+            "text-x", "text-conf", "nested-x", "three-cells", "six-cells"])
     def test_hostile_row_rejected(self, row):
         with pytest.raises(InvalidInputError):
             ts([(1, 1, 0.0, 0.0, 0.5), row])
+        if isinstance(row, tuple) and len(row) == 4:  # the same cells as columns
+            with pytest.raises(InvalidInputError):
+                TrajectorySet(*([1, cell] for cell in row))
 
 
 class TestMatchesReference:

@@ -15,7 +15,7 @@ from pointtrack.formats import (
 )
 from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator, TrackState, TrackTable
 from pointtrack.pipeline import (
-    FrameInput, PointTracker, TrackerConfig, frame_inputs_from_bundle, run_sequence,
+    FrameInput, PointTracker, SequenceResult, TrackerConfig, frame_inputs_from_bundle, run_sequence,
 )
 from pointtrack.simulate import ScenarioConfig, generate, write_bundle
 
@@ -117,8 +117,8 @@ class TestSingleObject:
         pts = [[(50.0 + f, 80.0)] for f in range(100)]
         result = run_sequence(frames_from_points(pts), TrackerConfig())
         assert result.summary.trajectory_count == 1
-        tid = next(iter(result.summary.lifespans))
-        first, last = result.summary.lifespans[tid]
+        (tid,) = result.to_trajectories().ids
+        first, last = result.to_trajectories().frame[[0, -1]].tolist()
         assert first == 29  # the 30th frame, min_hits = 30
         assert last == 99
         for out in result.outputs[29:]:
@@ -166,8 +166,8 @@ class TestSequencing:
         born = result.summary.births
         # all ids handed out are distinct by construction; emitted ids are a subset
         emitted = [r.track_id for out in result.outputs for r in out.records]
-        assert set(emitted) == set(result.summary.lifespans)
-        assert born >= len(result.summary.lifespans)
+        assert set(emitted) == set(result.to_trajectories().ids)
+        assert born >= result.summary.trajectory_count
 
 
 class TestLibraryInput:
@@ -268,14 +268,15 @@ class TestHostileLibraryInput:
 
     def test_run_of_empty_frames(self):
         tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=4)))
+        first = []
         for f in range(5):
-            tracker.process_frame(FrameInput.from_rows(f, [Detection(f, 10.0 + f, 10.0, 0.9)]))
+            first.append(tracker.process_frame(FrameInput.from_rows(f, [Detection(f, 10.0 + f, 10.0, 0.9)])))
         empty = [FrameInput(f), FrameInput.from_rows(f + 1),
                  FrameInput(f + 2, np.zeros((0, 2)), np.zeros(0), np.zeros(0),
                             correspondences=np.zeros((0, 4)))]
         outs = [tracker.process_frame(replace(fi, frame=5 + i)) for i, fi in enumerate(empty * 2)]
         assert [len(out.records) for out in outs] == [0] * 6
-        assert tracker.summary.births == 1 and len(tracker.tracks) == 1
+        assert SequenceResult(first + outs).summary.births == 1 and len(tracker.tracks) == 1
         assert tracker.tracks.misses.tolist() == [6]
         assert tracker.tracks.state.tolist() == [TrackState.CONFIRMED]
 
@@ -404,10 +405,11 @@ class TestDdcfRecovery:
 
         a, b = (108.0, 128.0), (148.0, 128.0)
         tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=5)))
+        outs = []
         for f in range(6):
             dets = [Detection(f, *a, conf=0.9), Detection(f, *b, conf=0.9)]
-            tracker.process_frame(FrameInput.from_rows(f, dets, features=features([a, b])))
-        assert len(tracker.summary.lifespans) == 2
+            outs.append(tracker.process_frame(FrameInput.from_rows(f, dets, features=features([a, b]))))
+        assert SequenceResult(outs).summary.trajectory_count == 2
         out = tracker.process_frame(FrameInput(6, features=features([(128.0, 128.0)])))
         assert out.recoveries == 1
         assert [r.source for r in out.records] == ["ddcf"]
@@ -526,9 +528,10 @@ class TestDeterminism:
         assert [(o.frame, tuple(o.records)) for o in whole.outputs] == \
                [(o.frame, tuple(o.records)) for o in stepped]
         # a hand-driven loop gets the same bookkeeping as run_sequence
-        assert tracker.summary == whole.summary
-        assert tracker.summary.births == 1
-        assert tracker.summary.lifespans == {1: (29, 49)}
+        assert SequenceResult(stepped).summary == whole.summary
+        assert whole.summary.births == 1
+        assert whole.to_trajectories().ids == [1]
+        assert whole.to_trajectories().frame[[0, -1]].tolist() == [29, 49]
 
 
 class TestKalmanTable:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from pointtrack import lifecycle
 from pointtrack.formats import SOURCE_DDCF, SOURCE_DETECTION
 from pointtrack.lifecycle import LifecycleConfig, ScoreColumnValidator, TrackState, TrackTable
-from pointtrack.pipeline import FrameOutput, PointTracker, TrackerConfig, run_sequence
+from pointtrack.pipeline import (
+    FrameOutput, PointTracker, SequenceResult, SequenceSummary, TrackerConfig, run_sequence,
+)
 from pointtrack.simulate import ScenarioConfig, generate
 
 
@@ -101,7 +103,14 @@ def test_tracker_invariants_hold_every_frame(scenario, flags, min_hits):
         gone |= live - now
         live = now
         assert set(emitted) <= set(tracks.id[tracks.state == TrackState.CONFIRMED].tolist())
-        assert tracker.summary.births - tracker.summary.deaths == len(tracks)
+        assert sum(o.births - o.deaths for o in outputs) == len(tracks)
+        assert len(out.match_distances) == len(on_match.call_args.args[1]), "a distance per matched row"
+        assert np.all(out.match_distances < out.gate), "a match at or beyond the gate"
         assert_recoveries_spaced(out, tracker)
     rerun = run_sequence(bundle.frames, config, ScoreColumnValidator())
     assert [o.records for o in rerun.outputs] == [o.records for o in outputs]
+    assert SequenceResult(outputs).summary == rerun.summary
+
+
+def test_summary_of_no_outputs_is_zero():
+    assert SequenceResult([]).summary == SequenceSummary(0, 0, 0, 0, 0.0)
