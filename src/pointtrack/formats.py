@@ -252,11 +252,16 @@ class Table:
     def to_columns(self, rows: list, width: int | None = None) -> list:
         """rows as parse_columns gives them: one array per column, and None
         for each optional column from width on; by default width leaves out
-        the optional columns no row sets."""
+        the optional columns no row sets. Number columns go through
+        number_column, so a cell that is not an int64 integer or a number
+        raises InvalidInputError."""
         n = self._width(rows) if width is None else width
-        return ([np.array([getattr(r, name) for r in rows], dtype=dtype)
-                 for name, dtype in zip(self.names[:n], self._dtypes)]
-                + [None] * (len(self.names) - n))
+        columns = []
+        for column, name, dtype in zip(self.columns[:n], self.names, self._dtypes):
+            values = list(map(attrgetter(name), rows))
+            columns.append(np.array(values, dtype=object) if dtype is object
+                           else number_column(column, dtype, values))
+        return columns + [None] * (len(self.names) - n)
 
     def _width(self, rows: list) -> int:
         """The number of columns rows fill: all of them when any row sets an

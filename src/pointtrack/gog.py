@@ -13,6 +13,17 @@ option before that predecessor in tie order stays strictly worse, every
 later one stays no better). Walking forward from the path's first frame,
 a detection is recomputed only when its predecessor was removed or its dp
 rose, which gives bitwise the same paths as a full DP rerun per path.
+
+Each step of the DP relaxes detections of one frame against a window of
+predecessors, the detections 1 to max_gap frames back, in tie order
+(nearest frame first, then lowest index). Detections that earlier paths
+removed leave the window. FlowGraph.link_terms states the admission rule
+and gives what depends only on the predecessor, once per window column:
+its position, gate, gate radius gate * gap, gap penalty. Per cell
+(detection x predecessor) link_costs computes only the distance, the
+radius test and distance / gate + penalty, and the DP adds the
+predecessor's dp and takes the argmin, in blocks of at most _BLOCK cells.
+transition_cost applies the same two methods to a single pair.
 """
 
 import math
@@ -50,7 +61,7 @@ class GogConfig:
 @dataclass
 class FlowGraph:
     """Flattened detection DAG; transition edges are implicit in the
-    admission rule (see link_costs)."""
+    admission rule (see link_terms)."""
 
     frames: np.ndarray     # (n,) int, sorted non-decreasing
     xs: np.ndarray         # (n,)
@@ -64,24 +75,37 @@ class FlowGraph:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def link_costs(self, i, j) -> np.ndarray:
-        """Cost of linking detections i to later detections j, broadcast
-        over the index arrays; inf where the edge is inadmissible (gap
-        outside [1, max_gap] or distance beyond the gate of i's frame)."""
-        gap = self.frames[j] - self.frames[i]
+    def link_terms(self, i, frame: int) -> tuple:
+        """Everything a link from detections i to a detection of frame needs
+        that does not depend on that detection, one entry per i: position,
+        gate, gate radius and gap penalty.
+
+        The admission rule: a link bridges a gap of 1 to max_gap frames and
+        spans at most gate * gap px, with the gate of i's frame. Outside that
+        gap range the radius is -inf, which no distance meets."""
+        gap = frame - self.frames[i]
         gate = self.gates[i]
-        # points near +-1e308 overflow to a +inf distance or cost, which no
-        # gate admits, and a +inf gate * gap admits every finite distance
+        # a +inf gate * gap admits every finite distance
         with np.errstate(over="ignore"):
-            dist = np.hypot(self.xs[j] - self.xs[i], self.ys[j] - self.ys[i])
-            cost = dist / gate + self.config.gap_penalty * (gap - 1)
-            admissible = (gap >= 1) & (gap <= self.config.max_gap) & (dist <= gate * gap)
-        return np.where(admissible, cost, np.inf)
+            radius = np.where((gap >= 1) & (gap <= self.config.max_gap), gate * gap, -np.inf)
+            penalty = self.config.gap_penalty * (gap - 1)
+        return self.xs[i], self.ys[i], gate, radius, penalty
+
+    def link_costs(self, terms: tuple, j) -> np.ndarray:
+        """The cost formula: (len(j), len(i)) costs of linking the detections
+        i that link_terms(i, frame) describes to detections j of that frame,
+        distance / gate + penalty; inf where the link is inadmissible."""
+        x, y, gate, radius, penalty = terms
+        # points near +-1e308 overflow to a +inf distance or cost: either
+        # way the link costs inf
+        with np.errstate(over="ignore"):
+            dist = np.hypot(self.xs[j][:, None] - x, self.ys[j][:, None] - y)
+            return np.where(dist <= radius, dist / gate + penalty, np.inf)
 
     def transition_cost(self, i: int, j: int) -> float | None:
         """Cost of linking detection i to a later detection j, or None when
         the edge is inadmissible."""
-        cost = float(self.link_costs(i, j))
+        cost = float(self.link_costs(self.link_terms([i], self.frames[j]), [j])[0, 0])
         return cost if cost != math.inf else None
 
 
@@ -141,13 +165,17 @@ def _extract(graph: FlowGraph):
     def relax(fi: int, rows: np.ndarray) -> None:
         lo, _ = graph.frame_slices[frame_list[fi]]
         window = order[n - lo:n - window_lo[fi]]
+        # a removed detection (dp inf) never wins; the rest keep tie order
+        window = window[dp[window] < np.inf]
         best = np.full(rows.size, cfg.entry_cost, dtype=float)
         via = np.full(rows.size, -1)
         if window.size:
+            terms = graph.link_terms(window, frame_list[fi])
+            dp_window = dp[window]
             step = max(1, _BLOCK // window.size)
             for a in range(0, rows.size, step):
                 cur = rows[a:a + step]
-                total = dp[window] + graph.link_costs(window, cur[:, None])
+                total = dp_window + graph.link_costs(terms, cur)
                 k = np.argmin(total, axis=1)
                 cand = total[np.arange(cur.size), k]
                 # the entry cost wins ties: a link must be strictly cheaper

@@ -70,7 +70,11 @@ class TrajectorySet:
         """Build from (frame, id, x, y[, conf]) tuples in any order; a conf
         of None, or none given, means no confidence."""
         rows = list(rows)
-        if not set(map(len, rows)) <= {4, 5}:
+        try:
+            widths = set(map(len, rows))
+        except TypeError:  # a row that is not a sequence has no width
+            widths = {None}
+        if not widths <= {4, 5}:
             raise InvalidInputError("a trajectory row is (frame, id, x, y[, conf])")
         conf = [r[4] if len(r) > 4 else None for r in rows]
         conf_array = number_column("conf", np.float64, conf)

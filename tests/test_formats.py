@@ -367,10 +367,17 @@ class TestColumnWrite:
                      id="frame-minus-3-id-0"),
         pytest.param(TRACKS, [TrackRow(0, 1, 1.0, 2.0, 0.5, "bogus")], "^unknown source 'bogus'$",
                      id="bogus-source"),
+        pytest.param(DETECTIONS, [Detection(0.5, 1.0, 2.0, 0.5)], "^frame holds", id="fractional-frame"),
+        pytest.param(DETECTIONS, [Detection(None, 1.0, 2.0, 0.5)], "^frame holds", id="none-frame"),
+        pytest.param(DETECTIONS, [Detection(0, "x", 2.0, 0.5)], "^x holds", id="text-x"),
+        pytest.param(TRACKS, [TrackRow(0.5, 1, 1.0, 2.0, 0.5, "ddcf")], "^frame holds",
+                     id="fractional-track-frame"),
+        pytest.param(GT, [GtRow(0, 1.5, 1.0, 2.0)], "^id holds", id="fractional-id"),
+        pytest.param(GT, [GtRow(0, 2 ** 63, 1.0, 2.0)], "^id holds", id="id-past-int64"),
     ])
     def test_writers_refuse_what_the_parser_rejects(self, table, rows, expected, via):
         """Either the text the parser accepts or InvalidInputError naming
-        the column, from write and from write_columns alike."""
+        the column, from write and from write_columns of to_columns alike."""
         write = table.write if via == "rows" else lambda r: table.write_columns(table.to_columns(r))
         if "\n" in expected:
             assert write(rows) == expected

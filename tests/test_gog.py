@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointtrack import gog
 from pointtrack.errors import ConfigError, InvalidInputError
 from pointtrack.formats import Detection
 from pointtrack.gog import FlowGraph, GogConfig, _extract, build_graph, solve, solve_total_cost
@@ -229,6 +230,7 @@ class TestBuildGraph:
         (None, {1: 0.0}),
         (None, {1: -5.0}),
         (None, {1: float("nan")}),
+        (det(1.5, 5, 5), None),  # not truncated to frame 1
     ])
     def test_rejects_invalid_input(self, bad, gates):
         # five valid detections on a line, plus one bad detection or frame gate
@@ -370,6 +372,15 @@ class TestIncrementalRepair:
     def test_equals_full_rerun_per_path(self, graph):
         assert_matches_reference(graph)
 
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(tie_prone_graphs())
+    def test_equals_full_rerun_in_blocks_of_a_few_cells(self, graph):
+        # a window of w live predecessors takes max(1, 7 // w) rows per
+        # block, so the rows of one frame span several blocks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gog, "_BLOCK", 7)
+            assert_matches_reference(graph)
+
     @pytest.mark.parametrize("dets,cfg", [
         ([], GogConfig()),
         ([det(0, 5, 5)], GogConfig()),
@@ -402,6 +413,11 @@ class TestIncrementalRepair:
         # equal links from two frames: the nearer frame wins
         ([det(0, 0, 10), det(1, 10, 0), det(2, 0, 0)],
          GogConfig(entry_cost=1, exit_cost=1, gap_penalty=0.0)),
-    ], ids=["entry_tie", "tie_within_frame", "tie_across_frames"])
+        # detection 2 links from 0, which ties with 1; the first path [0, 3]
+        # skips 2 and removes 0, so the repair of 2 drops 0 from its window
+        # and links from the equal live detection 1
+        ([det(0, 0, 0), det(0, 0, 0), det(1, 0, 0, conf=0.4), det(2, 0, 0)],
+         GogConfig(entry_cost=1, exit_cost=1)),
+    ], ids=["entry_tie", "tie_within_frame", "tie_across_frames", "removed_before_equal_link"])
     def test_tie_order(self, dets, cfg):
         assert_matches_reference(build_graph(dets, cfg))

@@ -10,8 +10,8 @@ from pointtrack import lifecycle, motion
 from pointtrack.ddcf import FeatureMap, extract_patch, localize
 from pointtrack.errors import InvalidInputError, SequencingError
 from pointtrack.formats import (
-    CORRESPONDENCES, DETECTIONS, Detection, SequenceBundlePaths, parse_correspondences,
-    parse_detections, parse_metadata, read_feature_map, write_tracks,
+    CORRESPONDENCES, DETECTIONS, Detection, SequenceBundlePaths, TrackRow,
+    parse_correspondences, parse_detections, parse_metadata, read_feature_map, write_tracks,
 )
 from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator, TrackState, TrackTable
 from pointtrack.pipeline import (
@@ -309,6 +309,15 @@ class TestHostileLibraryInput:
         for fi in frames[35:]:
             a, b = plain.process_frame(fi), retried.process_frame(fi)
             assert len(a.records) == 2 and a.records == b.records
+
+    def test_cell_that_is_no_number_rejected(self):
+        # neither None nor 0.5 is an int64 frame, in a detection or a record
+        with pytest.raises(InvalidInputError, match="^frame holds"):
+            FrameInput.from_rows(0, [Detection(None, 1.0, 2.0, 0.5)])
+        out = PointTracker().process_frame(FrameInput(0))
+        result = SequenceResult([replace(out, records=[TrackRow(0.5, 1, 1.0, 2.0, 0.9, "detection")])])
+        with pytest.raises(InvalidInputError, match="^frame holds"):
+            result.to_trajectories()
 
     def test_missing_score_beside_a_score_is_nan(self):
         fi = FrameInput.from_rows(0, [Detection(0, 1.0, 2.0, 0.5, 0.9), Detection(0, 3.0, 4.0, 0.5)])
