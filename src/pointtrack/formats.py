@@ -7,7 +7,6 @@ exact inverse of writing at that precision.
 """
 
 import dataclasses
-import math
 import struct
 from dataclasses import dataclass
 from operator import attrgetter
@@ -96,72 +95,67 @@ def _split_lines(text: str) -> list[str]:
 
 # --- CSV tables ---
 
-# The checks of a column, by its header name. Every other float column only
+# The rule of a column, by its header name. Every other float column only
 # has to be finite.
 _INT_MINIMUM = {"frame": 0, "id": 1}
 _INT_MAXIMUM = np.iinfo(np.int64).max  # int columns are parsed into int64 arrays
 _UNIT_INTERVAL = ("conf", "score")
-_VOCABULARY = {"source": TRACK_SOURCES}
+_VOCABULARY = {"source": frozenset(TRACK_SOURCES)}
 
 
-def _converter(name: str, kind: type):
-    """The parser of one column: cell text to a checked value, or a
-    ValueError naming the column."""
-    if kind is str:
-        vocabulary = _VOCABULARY[name]
-
-        def convert(raw):
-            if raw in vocabulary:
-                return raw
-            raise ValueError(f"unknown {name} {raw!r}")
-        return convert
-
-    if kind is int:
-        minimum, maximum = _INT_MINIMUM[name], _INT_MAXIMUM
-
-        def convert(raw):
-            try:
-                v = int(raw)
-            except ValueError:
-                raise ValueError(f"non-numeric {name} {raw!r}") from None
-            if not minimum <= v <= maximum:
-                raise ValueError(f"{name} must be >= {minimum}, got {v}" if v < minimum
-                                 else f"{name} {v} exceeds {maximum}")
-            return v
-        return convert
-
-    lo, hi = (0.0, 1.0) if name in _UNIT_INTERVAL else (-math.inf, math.inf)
-
-    def convert(raw):
-        try:
-            v = float(raw)
-        except ValueError:
-            raise ValueError(f"non-numeric {name} {raw!r}") from None
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite {name} {raw!r}")
-        if not lo <= v <= hi:
-            raise ValueError(f"{name} {v} outside [{lo}, {hi}]")
-        return v
-    return convert
-
-
-def _check_column(name: str, column) -> None:
-    """The checks of one column, by its header name, that parse_columns and
-    both writers apply: an int64 array against its minimum, a float64 array
-    finite (and in [0, 1] for conf and score), text against its vocabulary.
-    Raises InvalidInputError naming the column."""
+def _fault(name: str, column, cells: list[str] | None = None) -> tuple[int, str] | None:
+    """The first cell of column that breaks the column's rule, as its index
+    and a message naming the column; None when every cell keeps it. The
+    rule that parse_columns and both writers apply: an int64 column has its
+    minimum, a float64 column is finite (and in [0, 1] for conf and score),
+    text keeps to its vocabulary. cells, the text the column was parsed
+    from, puts the bad cell into a float column's message."""
     if name in _VOCABULARY:
-        vocabulary = set(_VOCABULARY[name])
-        if not vocabulary.issuperset(column):
-            bad = next(v for v in column if v not in vocabulary)
-            raise InvalidInputError(f"unknown {name} {bad!r}")
-    elif name in _INT_MINIMUM:
-        if len(column) and column.min() < _INT_MINIMUM[name]:
-            raise InvalidInputError(f"{name} must be >= {_INT_MINIMUM[name]}, got {column.min()}")
-    elif not np.isfinite(column).all():
-        raise InvalidInputError(f"non-finite {name}")
-    elif name in _UNIT_INTERVAL and not ((column >= 0.0) & (column <= 1.0)).all():
-        raise InvalidInputError(f"{name} outside [0, 1]")
+        vocabulary = _VOCABULARY[name]
+        if vocabulary.issuperset(column):
+            return None
+        i = next(i for i, v in enumerate(column) if v not in vocabulary)
+        return i, f"unknown {name} {column[i]!r}"
+    if name in _INT_MINIMUM:
+        ok = column >= _INT_MINIMUM[name]
+    else:
+        ok = finite = np.isfinite(column)
+        if name in _UNIT_INTERVAL:
+            ok = finite & (column >= 0.0) & (column <= 1.0)
+    if ok.all():
+        return None
+    i = int(ok.argmin())
+    if name in _INT_MINIMUM:
+        return i, f"{name} must be >= {_INT_MINIMUM[name]}, got {column[i]}"
+    if not finite[i]:
+        return i, f"non-finite {name}" + ("" if cells is None else f" {cells[i]!r}")
+    return i, f"{name} outside [0, 1]" if cells is None else f"{name} {column[i]} outside [0.0, 1.0]"
+
+
+def _parse_column(name: str, dtype, cells: list[str]) -> tuple[np.ndarray | None, tuple[int, str] | None]:
+    """cells as one array, and the column's first fault as _fault gives it
+    (the array is None when np.array refuses a cell). Valid cells take one
+    np.array call and one _fault; only a column that np.array refuses is
+    converted cell by cell, to find the cell."""
+    try:
+        column = np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        pass
+    else:
+        return column, _fault(name, column, cells)
+    for bad, cell in enumerate(cells):
+        try:
+            np.array(cell, dtype=dtype)
+        except ValueError:
+            message = f"non-numeric {name} {cell!r}"
+            break
+        except OverflowError:
+            # an integer beyond int64: the minimum rule names one below it
+            v = int(cell)
+            fault = _fault(name, np.array([v], dtype=object))
+            message = fault[1] if fault else f"{name} {v} exceeds {_INT_MAXIMUM}"
+            break
+    return None, _fault(name, np.array(cells[:bad], dtype=dtype), cells) or (bad, message)
 
 
 def number_column(name: str, dtype, values) -> np.ndarray:
@@ -181,15 +175,17 @@ def number_column(name: str, dtype, values) -> np.ndarray:
 
 def _write_column(name: str, dtype, values, optional: bool) -> list:
     """One column's values as the Python scalars its cells show, after
-    _check_column: str for text, int for int64 and float for float64. A
-    float None becomes NaN, which an optional column writes as 0."""
+    _fault: str for text, int for int64 and float for float64. A float None
+    becomes NaN, which an optional column writes as 0."""
     if dtype is object:
         column = list(map(str, values))
     else:
         column = number_column(name, dtype, values)
         if optional:
             column = np.where(np.isnan(column), 0.0, column)
-    _check_column(name, column)
+    fault = _fault(name, column)
+    if fault:
+        raise InvalidInputError(fault[1])
     return column if dtype is object else column.tolist()
 
 
@@ -208,13 +204,11 @@ class Table:
         self.names = [f.name for f in fields]
         self.required = sum(f.default is not None for f in fields)
         self.headers = tuple(",".join(self.columns[:n]) for n in sorted({self.required, len(fields)}))
-        self._converters = [_converter(c, k) for c, k in zip(self.columns, kinds)]
         self._dtypes = [{int: np.int64, float: np.float64, str: object}[k] for k in kinds]
         self._cells = [{int: "%d", float: FLOAT_CELL, str: "%s"}[k] for k in kinds]
 
     def parse(self, text: str) -> list:
-        """One row per line, built from the arrays of parse_columns: valid
-        text takes its column pass, and a ParseError is parse_lines'."""
+        """One row per line, built from the arrays of parse_columns."""
         return list(map(self.row, *[c.tolist() for c in self.parse_columns(text) if c is not None]))
 
     def parse_columns(self, text: str) -> list:
@@ -223,31 +217,37 @@ class Table:
         out is None.
 
         One vectorised pass splits the text and converts and checks each
-        column whole. When any of that fails, parse_lines runs instead, so
-        every ParseError is the row parser's, with its message and line, and
-        every accepted text gives the row parser's values."""
+        column whole. After a failed check, a ParseError names the first
+        bad line as a reader going line by line finds it: a wrong header at
+        line 1, else the first line of the wrong length or with a bad cell,
+        and its field count or its leftmost bad cell."""
         lines = _split_lines(text)
-        try:
-            return self._convert_columns(lines)
-        except (ValueError, OverflowError, InvalidInputError):
-            return self.to_columns(self.parse_lines(lines), lines[0].count(",") + 1)
-
-    def _convert_columns(self, lines: list[str]) -> list:
-        if not lines or lines[0] not in self.headers:
-            raise ValueError("bad header")
+        if not lines:
+            raise ParseError(f"empty file, expected header {self.headers[0]!r}", line=1)
+        if lines[0] not in self.headers:
+            expected = " or ".join(map(repr, self.headers))
+            raise ParseError(f"bad header {lines[0]!r}, expected {expected}", line=1)
         n, rows = lines[0].count(",") + 1, len(lines) - 1
-        # a "\n" cell between the lines: with the right cell count, a line of
-        # the wrong length moves a marker into a column, where no converter
+        # a "\n" cell between the lines: a line of the wrong length changes
+        # the cell count, or moves a marker into a column, where no rule
         # accepts it
         cells = ",\n,".join(lines[1:]).split(",") if rows else []
-        if len(cells) != max((n + 1) * rows - 1, 0):
-            raise ValueError("field count")
-        out = []
+        columns, faults = [], []
         for j, (name, dtype) in enumerate(zip(self.columns[:n], self._dtypes)):
-            column = np.array(cells[j::n + 1], dtype=dtype)
-            _check_column(name, column)
-            out.append(column)
-        return out + [None] * (len(self.names) - n)
+            column, fault = _parse_column(name, dtype, cells[j::n + 1])
+            columns.append(column)
+            if fault:
+                faults.append((fault[0], j, fault[1]))
+        if not faults and len(cells) == max((n + 1) * rows - 1, 0):
+            return columns + [None] * (len(self.names) - n)
+        fields = [line.count(",") + 1 for line in lines[1:]]
+        wrong = next((i for i, m in enumerate(fields) if m != n), None)
+        if wrong is not None:
+            # the cells from the first line of the wrong length on are out
+            # of their columns: its field count comes before any of them
+            faults.append((wrong, -1, f"expected {n} fields, got {fields[wrong]}"))
+        index, _, message = min(faults)
+        raise ParseError(message, line=index + 2)
 
     def to_columns(self, rows: list, width: int | None = None) -> list:
         """rows as parse_columns gives them: one array per column, and None
@@ -269,26 +269,6 @@ class Table:
         k = self.required
         return len(self.names) if any(getattr(r, name) is not None
                                       for name in self.names[k:] for r in rows) else k
-
-    def parse_lines(self, lines: list[str]) -> list:
-        """Rows of a header line plus one line per row; the first bad line
-        raises a ParseError carrying its number."""
-        if not lines:
-            raise ParseError(f"empty file, expected header {self.headers[0]!r}", line=1)
-        if lines[0] not in self.headers:
-            expected = " or ".join(map(repr, self.headers))
-            raise ParseError(f"bad header {lines[0]!r}, expected {expected}", line=1)
-        n = lines[0].count(",") + 1
-        converters, row, out = self._converters[:n], self.row, []
-        try:
-            for lineno, line in enumerate(lines[1:], start=2):
-                cells = line.split(",")
-                if len(cells) != n:
-                    raise ValueError(f"expected {n} fields, got {len(cells)}")
-                out.append(row(*[convert(cell) for convert, cell in zip(converters, cells)]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        return out
 
     def write(self, rows: list) -> str:
         """write_columns of one list per field (to_columns' arrays are slower)."""

@@ -54,6 +54,8 @@ class GogConfig:
         for name in ("entry_cost", "exit_cost", "gap_penalty", "gate"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        if self.gap_penalty < 0:
+            raise ConfigError("gap_penalty must be >= 0")
         if self.gate <= 0:
             raise ConfigError("gate must be > 0")
 

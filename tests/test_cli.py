@@ -279,6 +279,16 @@ class TestConfigValues:
         assert run(capsys, "track", "--bundle", str(small_bundle), "--config", str(cfg),
                    "--out", str(out))[0] == 0
 
+    def test_negative_gap_penalty_exits_one(self, capsys, tmp_path, small_bundle):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("gog_gap_penalty = -1\n")
+        out = tmp_path / "gog.csv"
+        code, _, err = run(capsys, "gog", "--bundle", str(small_bundle), "--config", str(cfg),
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "gap_penalty must be >= 0" in err
+        assert not out.exists()
+
 
 class TestCameraMotion:
     @staticmethod

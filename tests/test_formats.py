@@ -3,7 +3,6 @@ import dataclasses
 import math
 import pickle
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -189,13 +188,79 @@ def outcome(parse, text: str) -> list:
         return [str(exc), exc.line]
 
 
+def cell_parser(name: str, kind: type):
+    """The reference parser of one cell of a column: its text to a checked
+    value, or a ValueError naming the column."""
+    if kind is str:
+        def convert(raw):
+            if raw in TRACK_SOURCES:
+                return raw
+            raise ValueError(f"unknown {name} {raw!r}")
+        return convert
+
+    if kind is int:
+        minimum, maximum = {"frame": 0, "id": 1}[name], 2**63 - 1
+
+        def convert(raw):
+            try:
+                v = int(raw)
+            except ValueError:
+                raise ValueError(f"non-numeric {name} {raw!r}") from None
+            if not minimum <= v <= maximum:
+                raise ValueError(f"{name} must be >= {minimum}, got {v}" if v < minimum
+                                 else f"{name} {v} exceeds {maximum}")
+            return v
+        return convert
+
+    lo, hi = (0.0, 1.0) if name in ("conf", "score") else (-math.inf, math.inf)
+
+    def convert(raw):
+        try:
+            v = float(raw)
+        except ValueError:
+            raise ValueError(f"non-numeric {name} {raw!r}") from None
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite {name} {raw!r}")
+        if not lo <= v <= hi:
+            raise ValueError(f"{name} {v} outside [{lo}, {hi}]")
+        return v
+    return convert
+
+
+def row_parse(table: Table, text: str) -> list:
+    """The reference row parser of parse_columns: the rows of a header
+    line plus one line per row, each line split and each cell converted on
+    its own, left to right; the first bad line raises a ParseError carrying
+    its number."""
+    lines = _split_lines(text)
+    if not lines:
+        raise ParseError(f"empty file, expected header {table.headers[0]!r}", line=1)
+    if lines[0] not in table.headers:
+        expected = " or ".join(map(repr, table.headers))
+        raise ParseError(f"bad header {lines[0]!r}, expected {expected}", line=1)
+    n = lines[0].count(",") + 1
+    fields = dataclasses.fields(table.row)[:n]
+    converters = [cell_parser(column, f.type if f.type in (int, str) else float)
+                  for column, f in zip(table.columns, fields)]
+    out = []
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            cells = line.split(",")
+            if len(cells) != n:
+                raise ValueError(f"expected {n} fields, got {len(cells)}")
+            out.append(table.row(*[convert(cell) for convert, cell in zip(converters, cells)]))
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno) from None
+    return out
+
+
 def line_rows(table: Table, text: str) -> list:
     """The row parser's rows, or the ParseError's message and line."""
-    return outcome(lambda t: table.parse_lines(_split_lines(t)), text)
+    return outcome(lambda t: row_parse(table, t), text)
 
 
 def row_columns(table: Table, text: str) -> list:
-    """The columns of parse_lines' rows, None for an optional column the
+    """The columns of row_parse's rows, None for an optional column the
     header leaves out; or the ParseError's message and line."""
     rows = line_rows(table, text)
     if rows and isinstance(rows[0], str):
@@ -231,6 +296,14 @@ class TestColumnParse:
     @example(case=(DETECTIONS, "frame,x,y,conf\n0,1,2,0.5\n0,1,2,0.5,0.5\n"))
     @example(case=(DETECTIONS, ""))
     @example(case=(DETECTIONS, "frame,y,x,conf\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n0,abc,2,0.5\n0,1,2\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n0,1,2\n0,abc,2,0.5\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n0,abc,inf,0.5\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n0,1,2,1.5\n-1,1,2,0.5\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n-99999999999999999999,1,2,0.5\n"))
+    @example(case=(TRACKS, "frame,id,x,y,conf,source\n0,1,2,3,0.5,ddcf\n\n"))
+    @example(case=(DETECTIONS, "frame,x,y,conf\n0,inf,2,0.5\n0,abc,2,0.5\n"))
+    @example(case=(GT, "frame,id,x,y\n0,0,2,3\n0,99999999999999999999,2,3\n"))
     def test_equals_the_row_parser(self, case):
         table, text = case
         assert same_columns(outcome(table.parse_columns, text), row_columns(table, text))
@@ -240,10 +313,9 @@ class TestColumnParse:
 
     def test_valid_text_takes_the_column_pass(self):
         text = "frame,x,y,conf,score\r\n007,+1,1_0, 1,0.5\r\n2,1e-3,-0.0,1,0\r\n"
-        with mock.patch.object(Table, "parse_lines", side_effect=AssertionError("row parse")):
-            frame, x, y, conf, score = DETECTIONS.parse_columns(text)
-            rows = DETECTIONS.parse(text)
-            unscored = DETECTIONS.parse("frame,x,y,conf\n0,1,2,0.5\n")
+        frame, x, y, conf, score = DETECTIONS.parse_columns(text)
+        rows = DETECTIONS.parse(text)
+        unscored = DETECTIONS.parse("frame,x,y,conf\n0,1,2,0.5\n")
         assert frame.tolist() == [7, 2] and x.tolist() == [1.0, 0.001]
         assert y.tolist() == [10.0, -0.0] and conf.tolist() == [1.0, 1.0]
         assert score.tolist() == [0.5, 0.0]

@@ -241,6 +241,9 @@ class TestBuildGraph:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             GogConfig(max_gap=0)
+        for penalty in (-1e308, -0.1):
+            with pytest.raises(ConfigError, match="gap_penalty must be >= 0"):
+                GogConfig(gap_penalty=penalty)
 
     def test_per_frame_gates_scale_admission(self):
         dets = [det(0, 0, 0), det(1, 15, 0)]
