@@ -7,6 +7,7 @@ least-squares refit on the inliers.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,8 @@ import numpy as np
 from .errors import ConfigError, DegenerateTransformError, InvalidInputError, NoMotionEstimateError
 
 _DET_EPS = 1e-6
-_SCORE_BLOCK = 1024  # hypotheses scored per array pass; bounds memory to O(block * n)
+_FIRST_BLOCK = 8  # hypotheses in the first pass: an outlier-free frame needs no more
+_SCORE_BLOCK = 1024  # hypotheses in each later pass; bounds memory to O(block * n)
 
 
 @dataclass(frozen=True)
@@ -104,17 +106,23 @@ def _lstsq_affine(src: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _sample_indices(seed: int, n: int, iterations: int) -> np.ndarray:
-    """The (iterations, 3) sample indices of one estimate_affine call, from
-    one draw of default_rng(seed). Each row is uniform over the ordered
-    triples of distinct indices below n: the second index skips the first,
-    and the third skips the lower and then the higher of the first two."""
-    idx = np.random.default_rng(seed).integers(0, [n, n - 1, n - 2], size=(iterations, 3))
-    first, second, third = idx.T  # views: the updates below write into idx
-    second += second >= first
-    third += third >= np.minimum(first, second)
-    third += third >= np.maximum(first, second)
-    return idx
+def _sample_blocks(seed: int, n: int, iterations: int) -> Iterator[np.ndarray]:
+    """Yield the (k, 3) sample indices of one estimate_affine call, a first
+    block of _FIRST_BLOCK rows and then _SCORE_BLOCK rows at a time, until
+    iterations rows are drawn. The blocks come from one default_rng(seed)
+    and together equal one (iterations, 3) draw. Each row is uniform over the
+    ordered triples of distinct indices below n: the second index skips the
+    first, and the third skips the lower and then the higher of the first two."""
+    rng = np.random.default_rng(seed)
+    drawn, block = 0, _FIRST_BLOCK
+    while drawn < iterations:
+        idx = rng.integers(0, [n, n - 1, n - 2], size=(min(block, iterations - drawn), 3))
+        first, second, third = idx.T  # views: the updates below write into idx
+        second += second >= first
+        third += third >= np.minimum(first, second)
+        third += third >= np.maximum(first, second)
+        yield idx
+        drawn, block = drawn + len(idx), _SCORE_BLOCK
 
 
 def _score_hypotheses(src: np.ndarray, cur: np.ndarray, samples: np.ndarray,
@@ -148,16 +156,33 @@ def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTrans
     the set is stable. Hypotheses and refits share the residual
     norm(src @ sol - cur). Deterministic for a fixed config.seed.
 
-    The samples come from one vectorised draw (_sample_indices), and the
-    hypotheses are solved and scored as arrays, _SCORE_BLOCK at a time, so
-    memory stays O(_SCORE_BLOCK * n) whatever config.iterations is.
+    The hypotheses are drawn (_sample_blocks), solved and scored as arrays,
+    block by block: _FIRST_BLOCK of them, then _SCORE_BLOCK at a time, up to
+    config.iterations in all. Scoring stops after the first block that
+    brings a hypothesis holding all n pairs: a later one can only tie with
+    it, and a tie keeps the earlier one, so the result equals that of
+    scoring every hypothesis. An outlier-free frame costs one _FIRST_BLOCK
+    pass, and memory stays O(_SCORE_BLOCK * n) whatever config.iterations is.
 
     pairs is an (m, 4) array of prev_x, prev_y, cur_x and cur_y in px, the
     columns of correspondences.csv after the frame. Raises
     InvalidInputError on a non-finite value, and NoMotionEstimateError when
-    fewer than 3 pairs are given, a 3-point fit overflows, no consensus
-    reaches config.min_inliers points or a refit is rank deficient or
-    degenerate; callers are expected to fall back to the identity transform.
+    fewer than 3 pairs are given, a scored 3-point fit overflows, no
+    consensus reaches config.min_inliers points or a refit is rank deficient
+    or degenerate; callers are expected to fall back to the identity
+    transform.
+
+    A fit after the stop is never made, so it cannot overflow: this is the
+    one input class whose outcome may differ from scoring every hypothesis,
+    and it needs a cur coordinate or config.inlier_threshold of about 1e292
+    or more. The rank rule keeps sigma_min of a scored sample's rows above
+    sigma_max * 3 * eps, and sigma_max >= sqrt(3) by the column of ones, so
+    the inverse of those rows has norm below 1 / (3 * sqrt(3) * eps) < 1e15.
+    The consensus fit is such an inverse times three cur rows, and since
+    every pair lies within the threshold of it, a later fit differs from it
+    by such an inverse times three residuals of at most the threshold. Both
+    terms stay below a few times 1e15 times the largest cur coordinate or
+    the threshold, which overflows float64 (1.8e308) only from about 1e292.
     """
     pts = np.insert(np.asarray(pairs, dtype=float).reshape(-1, 4), 2, 1.0, axis=1)
     if not np.isfinite(pts).all():
@@ -167,14 +192,14 @@ def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTrans
         raise NoMotionEstimateError(f"need at least 3 correspondences, got {n}")
     src, cur = pts[:, :3].copy(), pts[:, 3:].copy()
 
-    samples = _sample_indices(config.seed, n, config.iterations)
     best_count, best_inliers = -1, None
-    for start in range(0, len(samples), _SCORE_BLOCK):
-        inliers, counts = _score_hypotheses(src, cur, samples[start:start + _SCORE_BLOCK],
-                                            config.inlier_threshold)
+    for samples in _sample_blocks(config.seed, n, config.iterations):
+        inliers, counts = _score_hypotheses(src, cur, samples, config.inlier_threshold)
         if len(counts) and counts.max() > best_count:
             best_count = int(counts.max())
             best_inliers = inliers[np.argmax(counts)]
+        if best_count == n:  # a later hypothesis can only tie, and a tie keeps this one
+            break
 
     if best_count < config.min_inliers:
         raise NoMotionEstimateError(

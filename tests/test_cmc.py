@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointtrack import cmc
@@ -30,9 +30,26 @@ def params(t: AffineTransform) -> np.ndarray:
     return np.array([t.m11, t.m12, t.m21, t.m22, t.t1, t.t2])
 
 
+def sample_indices(seed: int, n: int, iterations: int) -> np.ndarray:
+    """Reference: all (iterations, 3) sample indices of one estimate_affine
+    call from one draw of default_rng(seed), with the same skip rule as
+    cmc._sample_blocks."""
+    idx = np.random.default_rng(seed).integers(0, [n, n - 1, n - 2], size=(iterations, 3))
+    first, second, third = idx.T  # views: the updates below write into idx
+    second += second >= first
+    third += third >= np.minimum(first, second)
+    third += third >= np.maximum(first, second)
+    return idx
+
+
+def drawn(seed: int, n: int, iterations: int) -> np.ndarray:
+    """The blocks of cmc._sample_blocks, concatenated."""
+    return np.concatenate(list(cmc._sample_blocks(seed, n, iterations)))
+
+
 def loop_estimate_affine(pairs, config: RansacConfig) -> AffineTransform:
     """Reference: estimate_affine with one 3-row lstsq fit and one residual
-    pass per hypothesis, over the same sample rows."""
+    pass per hypothesis, over the same sample rows, all of them scored."""
     pts = np.asarray(pairs, dtype=float).reshape(-1, 4)
     if not np.isfinite(pts).all():
         raise InvalidInputError("non-finite correspondence")
@@ -48,7 +65,7 @@ def loop_estimate_affine(pairs, config: RansacConfig) -> AffineTransform:
         return np.linalg.norm(src @ sol - cur, axis=1) <= config.inlier_threshold
 
     best_inliers = None
-    for idx in cmc._sample_indices(config.seed, n, config.iterations):
+    for idx in sample_indices(config.seed, n, config.iterations):
         cand, _, rank, _ = np.linalg.lstsq(src[idx], cur[idx], rcond=None)
         if rank < 3:
             continue
@@ -233,8 +250,63 @@ def correspondence_sets(draw) -> np.ndarray:
     return np.c_[prev, cur]
 
 
+def noisy_pairs(seed: int, n: int, noise: float) -> np.ndarray:
+    """n pairs of one small rotation, with Gaussian noise of sd noise px."""
+    rng = np.random.default_rng(seed)
+    return make_pairs(rotation(2.0, 3.0, -1.0), rng.uniform(0, 400, (n, 2)), noise=noise, rng=rng)
+
+
+def with_outliers(pairs: np.ndarray, fraction: float, seed: int) -> np.ndarray:
+    """A copy of pairs with that fraction of its targets moved uniformly at random."""
+    rng = np.random.default_rng(seed)
+    pairs = pairs.copy()
+    rows = rng.choice(len(pairs), round(fraction * len(pairs)), replace=False)
+    pairs[rows, 2:] = rng.uniform(-100, 500, (len(rows), 2))
+    return pairs
+
+
+def consensus_sizes(pairs: np.ndarray, config: RansacConfig) -> list[tuple[int, int]]:
+    """(sample row, consensus size) of each usable hypothesis, all of them
+    scored, one sample row at a time."""
+    src, cur = np.c_[pairs[:, :2], np.ones(len(pairs))], pairs[:, 2:].copy()
+    sizes = []
+    for row, idx in enumerate(sample_indices(config.seed, len(pairs), config.iterations)):
+        _, counts = cmc._score_hypotheses(src, cur, idx[None], config.inlier_threshold)
+        sizes.extend((row, int(c)) for c in counts)
+    return sizes
+
+
+# every hypothesis holds every pair: scoring ends after the first block
+OUTLIER_FREE = noisy_pairs(5, 30, 0.0)
+# pinned by a search over data seeds: with inlier_threshold 2 and seed 0, the
+# first hypothesis to hold all 12 pairs is sample row 17, in the second block,
+# and the first block's best holds 10; stopping at min_inliers or after the
+# first block both change the transform
+LATE_CONSENSUS = noisy_pairs(13, 12, 1.0)
+# noise well inside inlier_threshold 5: two hypotheses of the first block
+# hold every pair, each with its own fit, and the first one is kept
+FULL_TIE = noisy_pairs(6, 20, 0.2)
+
+
+@pytest.fixture
+def scored_blocks(monkeypatch) -> list[int]:
+    """The number of samples in each _score_hypotheses call, in call order."""
+    sizes = []
+    score = cmc._score_hypotheses
+
+    def spy(src, cur, samples, threshold):
+        sizes.append(len(samples))
+        return score(src, cur, samples, threshold)
+
+    monkeypatch.setattr(cmc, "_score_hypotheses", spy)
+    return sizes
+
+
 class TestBatchedHypotheses:
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @example(pairs=OUTLIER_FREE, iterations=100, threshold=3.0, seed=0, min_inliers=10)
+    @example(pairs=LATE_CONSENSUS, iterations=60, threshold=2.0, seed=0, min_inliers=3)
+    @example(pairs=FULL_TIE, iterations=100, threshold=5.0, seed=0, min_inliers=10)
     @given(pairs=correspondence_sets(),
            iterations=st.one_of(st.integers(1, 200), st.integers(1000, 2500)),
            threshold=st.floats(0.5, 5.0), seed=st.integers(0, 4),
@@ -244,6 +316,56 @@ class TestBatchedHypotheses:
         cfg = RansacConfig(iterations=iterations, inlier_threshold=threshold,
                            min_inliers=min_inliers, seed=seed)
         assert outcome(estimate_affine, pairs, cfg) == outcome(loop_estimate_affine, pairs, cfg)
+
+    def test_examples_are_what_they_claim(self):
+        def full(pairs, threshold):
+            cfg = RansacConfig(iterations=100, inlier_threshold=threshold, seed=0)
+            return [row for row, size in consensus_sizes(pairs, cfg) if size == len(pairs)]
+
+        assert full(OUTLIER_FREE, 3.0) == list(range(100))
+        late = consensus_sizes(LATE_CONSENSUS, RansacConfig(
+            iterations=60, inlier_threshold=2.0, seed=0))
+        assert min(row for row, size in late if size == 12) == 17
+        assert max(size for row, size in late if row < cmc._FIRST_BLOCK) == 10
+        first, second = full(FULL_TIE, 5.0)[:2]
+        assert second < cmc._FIRST_BLOCK
+        fits = [estimate_affine(FULL_TIE[list(idx)], RansacConfig(min_inliers=3))
+                for idx in sample_indices(0, len(FULL_TIE), 100)[[first, second]]]
+        assert params(fits[0]).tobytes() != params(fits[1]).tobytes()
+
+    def test_outlier_free_set_scores_one_first_block(self, scored_blocks):
+        cfg = RansacConfig(seed=3)
+        expected = outcome(loop_estimate_affine, OUTLIER_FREE, cfg)
+        assert outcome(estimate_affine, OUTLIER_FREE, cfg) == expected
+        assert scored_blocks == [cmc._FIRST_BLOCK]
+
+    @pytest.mark.parametrize("iterations", [100, 2500])
+    def test_set_with_outliers_scores_every_hypothesis(self, scored_blocks, iterations):
+        pairs = with_outliers(noisy_pairs(7, 50, 0.3), 0.3, seed=7)
+        cfg = RansacConfig(iterations=iterations, seed=3)
+        expected = outcome(loop_estimate_affine, pairs, cfg)
+        assert outcome(estimate_affine, pairs, cfg) == expected
+        assert isinstance(expected, bytes)
+        assert sum(scored_blocks) == iterations
+        assert scored_blocks[0] == cmc._FIRST_BLOCK
+        assert max(scored_blocks) <= cmc._SCORE_BLOCK
+
+    def test_huge_iteration_count_stops_at_full_consensus(self, scored_blocks):
+        # memory stays one block whatever iterations is, and the outlier-free
+        # set stops after its first block as with the default 100
+        huge = outcome(estimate_affine, OUTLIER_FREE, RansacConfig(iterations=10**9))
+        assert scored_blocks == [cmc._FIRST_BLOCK]
+        assert huge == outcome(estimate_affine, OUTLIER_FREE, RansacConfig(iterations=100))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 50, 1000, 2**33])
+    def test_blocks_concatenate_to_one_draw(self, n):
+        for seed in range(4):
+            for iterations in (1, 7, 8, 9, 100, 1032, 1033, 2500):
+                blocks = list(cmc._sample_blocks(seed, n, iterations))
+                assert len(blocks[0]) == min(iterations, cmc._FIRST_BLOCK)
+                assert all(len(b) == cmc._SCORE_BLOCK for b in blocks[1:-1])
+                assert len(blocks[-1]) <= cmc._SCORE_BLOCK
+                assert np.concatenate(blocks).tobytes() == sample_indices(seed, n, iterations).tobytes()
 
     @pytest.mark.parametrize("case", ["identical", "collinear", "near_1e300", "near_1e150",
                                       "det_1e-16"])
@@ -286,22 +408,22 @@ class TestBatchedHypotheses:
             assert outcome(estimate_affine, pairs, cfg) == outcome(loop_estimate_affine, pairs, cfg)
 
     def test_seeds_draw_different_samples(self):
-        assert cmc._sample_indices(0, 50, 100).shape == (100, 3)
-        assert not np.array_equal(cmc._sample_indices(0, 50, 100), cmc._sample_indices(1, 50, 100))
+        assert drawn(0, 50, 100).shape == (100, 3)
+        assert not np.array_equal(drawn(0, 50, 100), drawn(1, 50, 100))
 
     def test_sample_draw_is_deterministic(self):
-        assert cmc._sample_indices(3, 50, 100).tobytes() == cmc._sample_indices(3, 50, 100).tobytes()
+        assert drawn(3, 50, 100).tobytes() == drawn(3, 50, 100).tobytes()
 
     @pytest.mark.parametrize("n", [3, 4, 5, 50])
     def test_samples_are_distinct_indices(self, n):
-        samples = np.sort(cmc._sample_indices(0, n, 5000), axis=1)
+        samples = np.sort(drawn(0, n, 5000), axis=1)
         assert samples.min() >= 0 and samples.max() < n
         assert (samples[:, 1:] != samples[:, :-1]).all()
 
     def test_samples_are_uniform_over_ordered_triples(self):
         # n = 5 has 5 * 4 * 3 = 60 ordered triples of distinct indices
         draws = 60_000
-        samples = cmc._sample_indices(12, 5, draws)
+        samples = drawn(12, 5, draws)
         _, counts = np.unique(samples @ [25, 5, 1], return_counts=True)
         assert len(counts) == 60
         expected = draws / 60
