@@ -1,7 +1,7 @@
 """Gated Euclidean cost matrices and optimal detection-to-track assignment."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -30,9 +30,10 @@ class GatingPolicy:
 
 @dataclass
 class AssignmentResult:
-    matches: list[tuple[int, int, float]] = field(default_factory=list)  # (track, detection, distance)
-    unmatched_tracks: list[int] = field(default_factory=list)
-    unmatched_detections: list[int] = field(default_factory=list)
+    matches: np.ndarray  # (k, 2) int: track row, detection column; rows ascend
+    distances: np.ndarray  # (k,) the cost of each match, < gate
+    unmatched_tracks: np.ndarray  # ascending rows
+    unmatched_detections: np.ndarray  # ascending columns
 
 
 def dynamic_threshold(altitude: float, policy: GatingPolicy = GatingPolicy()) -> float:
@@ -158,7 +159,5 @@ def solve_assignment(costs, gate: float) -> AssignmentResult:
     free_rows[rows] = False
     free_cols = np.ones(n_cols, dtype=bool)
     free_cols[cols] = False
-    return AssignmentResult(
-        matches=list(zip(rows.tolist(), cols.tolist(), cost.tolist())),
-        unmatched_tracks=free_rows.nonzero()[0].tolist(),
-        unmatched_detections=free_cols.nonzero()[0].tolist())
+    return AssignmentResult(np.column_stack((rows, cols)), cost,
+                            free_rows.nonzero()[0], free_cols.nonzero()[0])

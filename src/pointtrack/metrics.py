@@ -195,8 +195,8 @@ def id_switches(gt: TrajectorySet, pred: TrajectorySet, gate: float = 10.0) -> i
         costs = build_cost_matrix(np.column_stack((gt.x[g_rows], gt.y[g_rows])),
                                   np.column_stack((pred.x[p_rows], pred.y[p_rows])), gate)
         matches = solve_assignment(costs, gate).matches
-        matched_gt.append(g_rows[[gi for gi, _, _ in matches]])
-        matched_pred.append(p_rows[[pj for _, pj, _ in matches]])
+        matched_gt.append(g_rows[matches[:, 0]])
+        matched_pred.append(p_rows[matches[:, 1]])
     # each GT id's partners in frame order; a switch is a neighbour pair of
     # one GT id with different partners
     gt_id, pred_id = gt.id[np.concatenate(matched_gt)], pred.id[np.concatenate(matched_pred)]

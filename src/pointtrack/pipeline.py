@@ -148,7 +148,7 @@ class PointTracker:
         self._predict(affine)
 
         result = solve_assignment(build_cost_matrix(self.tracks.mean[:, :2], points, gate), gate)
-        matched, distances = self._handle_matches(result, points, frame_input)
+        matched = self._handle_matches(result, points, frame_input)
         recovered = self._recover(result, frame_input, matched, gate)
         # _recover reads only the predicted means of unmatched rows, so the
         # matched rows are corrected with the recovered ones in one call
@@ -168,7 +168,7 @@ class PointTracker:
         self._prev_features = frame_input.features
         self._last_frame = frame
         return FrameOutput(frame, records, gate, affine, births=len(born), deaths=int(deleted.sum()),
-                           recoveries=int(recovered.sum()), match_distances=distances)
+                           recoveries=int(recovered.sum()), match_distances=result.distances)
 
     # --- pipeline steps ---
 
@@ -204,12 +204,11 @@ class PointTracker:
         tracks.mean[rows], tracks.covariance[rows] = fixed.mean, fixed.covariance
 
     def _handle_matches(self, result: AssignmentResult, points: np.ndarray,
-                        frame_input: FrameInput) -> tuple[np.ndarray, np.ndarray]:
+                        frame_input: FrameInput) -> np.ndarray:
         """Apply the match rule to the matched rows and maintain the filters
-        of the confirmed ones; returns the matched-row mask and distances."""
+        of the confirmed ones; returns the matched-row mask."""
         tracks, score = self.tracks, frame_input.score
-        matches = np.array(result.matches, dtype=float).reshape(-1, 3)
-        rows, dets = matches[:, :2].astype(np.intp).T
+        rows, dets = result.matches.T
         probs = np.full(len(rows), np.nan)
         if self._cls_enabled:
             # only the rows inside the classification window are scored
@@ -230,7 +229,7 @@ class PointTracker:
                 self._maintain_filter(rows[k], points[dets[k]], frame_input.features)
         matched = np.zeros(len(tracks), dtype=bool)
         matched[rows] = True
-        return matched, matches[:, 2]
+        return matched
 
     @staticmethod
     def _in_coverage(features: FeatureMap, position) -> bool:
@@ -262,7 +261,7 @@ class PointTracker:
         # each track reads only its own predicted row, so the accepted
         # recoveries can all be corrected after the loop
         claimed = tracks.last_position[matched]  # this frame's matched detections
-        unmatched = np.asarray(result.unmatched_tracks, dtype=np.intp)
+        unmatched = result.unmatched_tracks
         for ti in unmatched[tracks.state[unmatched] == TrackState.CONFIRMED].tolist():
             if tracks.filters[ti] is None and self._prev_features is not None:
                 # no model yet: build it from the last measured position

@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from pointtrack.assignment import (
-    GatedCosts, GatingPolicy, build_cost_matrix, dynamic_threshold, solve_assignment,
+    DENSE_CELLS, GatedCosts, GatingPolicy, build_cost_matrix, dynamic_threshold, solve_assignment,
 )
 from pointtrack.errors import ConfigError, InvalidInputError
 
@@ -53,7 +53,28 @@ def dense_solve(costs: np.ndarray, gate: float):
 
 
 def as_tuple(result):
-    return result.matches, result.unmatched_tracks, result.unmatched_detections
+    """The result in dense_solve's form."""
+    return (list(zip(result.matches[:, 0].tolist(), result.matches[:, 1].tolist(),
+                     result.distances.tolist())),
+            result.unmatched_tracks.tolist(), result.unmatched_detections.tolist())
+
+
+def assert_contract(result, costs: np.ndarray, gate: float):
+    """The result's arrays against the dense costs they were solved from:
+    matches is (k, 2) and integer with ascending rows, distances are the
+    matched cells and below the gate, and the matched and unmatched indices
+    partition the rows and the columns."""
+    k = len(result.matches)
+    assert result.matches.shape == (k, 2) and np.issubdtype(result.matches.dtype, np.integer)
+    rows, cols = result.matches[:, 0], result.matches[:, 1]
+    assert np.all(np.diff(rows) > 0)
+    assert result.distances.shape == (k,)
+    assert np.array_equal(result.distances, costs[rows, cols])
+    assert np.all(result.distances < gate)
+    for matched, unmatched, size in ((rows, result.unmatched_tracks, costs.shape[0]),
+                                     (cols, result.unmatched_detections, costs.shape[1])):
+        assert np.issubdtype(unmatched.dtype, np.integer) and np.all(np.diff(unmatched) > 0)
+        assert np.array_equal(np.sort(np.concatenate([matched, unmatched])), np.arange(size))
 
 
 def scene(seed: int, n: int, m: int, layout: str, integer: bool = False):
@@ -161,17 +182,17 @@ class TestBuildCostMatrix:
 class TestSolveAssignment:
     def test_diagonal_optimum(self):
         r = solve_assignment(np.array([[0.0, 1.0], [1.0, 0.0]]), gate=10)
-        assert [(m[0], m[1]) for m in r.matches] == [(0, 0), (1, 1)]
-        assert r.unmatched_tracks == [] and r.unmatched_detections == []
+        assert r.matches.tolist() == [[0, 0], [1, 1]]
+        assert r.unmatched_tracks.tolist() == [] and r.unmatched_detections.tolist() == []
 
     def test_gated_out(self):
         r = solve_assignment(np.array([[25.0]]), gate=10)
-        assert r.matches == []
-        assert r.unmatched_tracks == [0] and r.unmatched_detections == [0]
+        assert r.matches.tolist() == []
+        assert r.unmatched_tracks.tolist() == [0] and r.unmatched_detections.tolist() == [0]
 
     def test_exact_gate_distance_not_matched(self):
         r = solve_assignment(np.array([[10.0]]), gate=10)
-        assert r.matches == []
+        assert r.matches.tolist() == []
         # the in-gate cells, found by cdist and, beyond DENSE_CELLS cells, by
         # the band search: every row is 10 from its column and far from the rest
         for n in (1, 80):
@@ -179,11 +200,16 @@ class TestSolveAssignment:
             cells = build_cost_matrix(np.column_stack([x, np.zeros(n)]),
                                       np.column_stack([x + 6, np.full(n, 8.0)]), 10.0)
             assert len(cells.costs) == 0
-            assert solve_assignment(cells, gate=10).matches == []
+            assert solve_assignment(cells, gate=10).matches.tolist() == []
 
     def test_empty(self):
-        r = solve_assignment(np.zeros((0, 0)), gate=1)
-        assert r.matches == [] and r.unmatched_tracks == [] and r.unmatched_detections == []
+        for n, m in ((0, 0), (0, 3), (3, 0)):
+            costs = np.zeros((n, m))
+            r = solve_assignment(costs, gate=1)
+            assert r.matches.tolist() == [] and r.distances.tolist() == []
+            assert r.unmatched_tracks.tolist() == list(range(n))
+            assert r.unmatched_detections.tolist() == list(range(m))
+            assert_contract(r, costs, 1)
 
     def test_prefers_cardinality_over_cost(self):
         # cheap single match vs two admissible matches: must take both
@@ -201,9 +227,9 @@ class TestSolveAssignment:
             r = solve_assignment(costs, gate)
             card, total = brute_force(costs, gate)
             assert len(r.matches) == card
-            got_total = sum(d for _, _, d in r.matches)
+            got_total = sum(r.distances.tolist())
             assert got_total == pytest.approx(total, abs=1e-9)
-            for _, _, d in r.matches:
+            for d in r.distances.tolist():
                 assert d < gate
 
     def test_gating_invariant_random(self):
@@ -211,7 +237,7 @@ class TestSolveAssignment:
         for _ in range(200):
             costs = rng.uniform(0, 50, (int(rng.integers(0, 10)), int(rng.integers(0, 10))))
             gate = float(rng.uniform(1, 60))
-            for _, _, d in solve_assignment(costs, gate).matches:
+            for d in solve_assignment(costs, gate).distances.tolist():
                 assert d < gate
 
     def test_index_partition(self):
@@ -220,8 +246,8 @@ class TestSolveAssignment:
             n, m = int(rng.integers(0, 8)), int(rng.integers(0, 8))
             costs = rng.uniform(0, 30, (n, m))
             r = solve_assignment(costs, gate=15.0)
-            rows = [i for i, _, _ in r.matches] + r.unmatched_tracks
-            cols = [j for _, j, _ in r.matches] + r.unmatched_detections
+            rows = r.matches[:, 0].tolist() + r.unmatched_tracks.tolist()
+            cols = r.matches[:, 1].tolist() + r.unmatched_detections.tolist()
             assert sorted(rows) == list(range(n))
             assert sorted(cols) == list(range(m))
 
@@ -250,8 +276,8 @@ class TestSolveAssignment:
             perm_cols = rng.permutation(m)
             permuted = costs[:, perm_cols]
             r2 = solve_assignment(permuted, gate)
-            remapped = {(i, int(perm_cols[j])) for i, j, _ in r2.matches}
-            assert remapped == {(i, j) for i, j, _ in base.matches}
+            remapped = {(i, int(perm_cols[j])) for i, j in r2.matches.tolist()}
+            assert remapped == {(i, j) for i, j in base.matches.tolist()}
 
     def test_invalid_gate(self):
         with pytest.raises(InvalidInputError):
@@ -262,6 +288,23 @@ class TestSolveAssignment:
     def test_cells_of_another_gate_rejected(self, gate):
         with pytest.raises(InvalidInputError, match="cannot be solved"):
             solve_assignment(build_cost_matrix([(0, 0)], [(3, 4)], gate=10.0), gate)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(n=st.integers(0, 9), m=st.integers(0, 9), seed=st.integers(0, 2**32 - 1),
+           gate=st.floats(0.5, 40.0), integer=st.booleans())
+    def test_result_contract(self, n, m, seed, gate, integer):
+        """On dense matrices, integer ones (with ties) among them."""
+        costs = np.random.default_rng(seed).uniform(0, 30, (n, m))
+        if integer:
+            costs = np.round(costs)
+        assert_contract(solve_assignment(costs, gate), costs, gate)
+
+    def test_result_contract_on_the_band_path(self):
+        p, d = scene(5, 80, 75, "tracked")
+        assert len(p) * len(d) > DENSE_CELLS
+        result = solve_assignment(build_cost_matrix(p, d, 10.0), 10.0)
+        assert len(result.matches) > 40
+        assert_contract(result, cdist(p, d), 10.0)
 
 
 # side lengths on both sides of DENSE_CELLS: 66 x 66 is just above it
@@ -307,8 +350,10 @@ class TestAgainstDenseSolve:
         matches, _, _ = dense_solve(cdist(p, d), gate)
         got = solve_assignment(build_cost_matrix(p, d, gate), gate)
         assert len(got.matches) == len(matches)
-        assert sum(c for _, _, c in got.matches) == pytest.approx(sum(c for _, _, c in matches),
-                                                                   abs=1e-9)
-        assert all(c < gate for _, _, c in got.matches)
-        assert sorted([i for i, _, _ in got.matches] + got.unmatched_tracks) == list(range(n))
-        assert sorted([j for _, j, _ in got.matches] + got.unmatched_detections) == list(range(m))
+        assert sum(got.distances.tolist()) == pytest.approx(sum(c for _, _, c in matches),
+                                                            abs=1e-9)
+        assert all(c < gate for c in got.distances.tolist())
+        rows = got.matches[:, 0].tolist() + got.unmatched_tracks.tolist()
+        cols = got.matches[:, 1].tolist() + got.unmatched_detections.tolist()
+        assert sorted(rows) == list(range(n))
+        assert sorted(cols) == list(range(m))

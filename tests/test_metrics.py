@@ -68,7 +68,7 @@ def loop_id_switches(gt: LoopTrajectorySet, pred: LoopTrajectorySet, gate: float
             continue
         costs = build_cost_matrix([(p.x, p.y) for _, p in gt_here],
                                   [(p.x, p.y) for _, p in pred_here], gate)
-        for gi, pj, _ in solve_assignment(costs, gate).matches:
+        for gi, pj in solve_assignment(costs, gate).matches.tolist():
             gt_id = gt_here[gi][0]
             pred_id = pred_here[pj][0]
             if gt_id in last_partner and last_partner[gt_id] != pred_id:
@@ -188,7 +188,7 @@ def partner_walk_id_switches(gt: TrajectorySet, pred: TrajectorySet, gate: float
         g_rows, p_rows = gt.frame_groups[frame], pred.frame_groups[frame]
         costs = build_cost_matrix(np.column_stack((gt.x[g_rows], gt.y[g_rows])),
                                   np.column_stack((pred.x[p_rows], pred.y[p_rows])), gate)
-        for gi, pj, _ in solve_assignment(costs, gate).matches:
+        for gi, pj in solve_assignment(costs, gate).matches.tolist():
             gt_id, pred_id = int(gt.id[g_rows[gi]]), int(pred.id[p_rows[pj]])
             if gt_id in last_partner and last_partner[gt_id] != pred_id:
                 switches += 1
