@@ -1,13 +1,16 @@
 """Track lifecycle: birth, classification-gated confirmation, miss handling.
 
-A track is born Tentative from an unmatched detection. Shortly before it
+A track is born tentative from an unmatched detection. Shortly before it
 reaches the minimum trajectory length its surroundings start being scored
-by a pluggable validator; it is confirmed only when it is old enough AND
-the running mean of those scores clears the confirmation threshold. With
-no validator configured, confirmation falls back to the age rule alone.
+by a pluggable validator, and from its first score on it is pending
+classification. It is confirmed only when it is old enough AND the running
+mean of those scores clears the confirmation threshold. With no validator
+configured, confirmation falls back to the age rule alone.
 
-A tracker keeps every live track as one row of a TrackTable, and on_match
-and on_miss apply these rules to a set of rows at once.
+A tracker keeps every live track as one row of a TrackTable, whose
+confirmed flag and score count (cls_count) hold this state. on_match and
+on_miss apply these rules to a set of rows at once and return the rows
+they end.
 """
 
 import numbers
@@ -18,14 +21,6 @@ import numpy as np
 from .ddcf import FeatureMap, MIN_PATCH_CELLS, extract_patch
 from .errors import ConfigError, InvalidInputError, ValidationUnavailableError
 from .motion import KalmanState
-
-
-class TrackState:
-    """A TrackTable's state values: plain ints, which numpy compares fast."""
-    TENTATIVE = 0
-    PENDING_CLASSIFICATION = 1
-    CONFIRMED = 2
-    DELETED = 3
 
 
 @dataclass(frozen=True)
@@ -54,20 +49,21 @@ class LifecycleConfig:
 class TrackTable:
     """Every live track of one tracker, one row each, in birth order. The
     lifecycle rules and the pipeline update the columns in place; once a
-    frame the pipeline replaces the table, dropping the deleted rows and
-    appending the births."""
+    frame the pipeline replaces the table, dropping the rows the rules
+    ended and appending the births."""
 
     id: np.ndarray                # (n,) int, strictly increasing
     mean: np.ndarray              # (n, 4) Kalman mean [x, y, vx, vy]
     covariance: np.ndarray        # (n, 4, 4) Kalman covariance
     last_position: np.ndarray     # (n, 2) px, last measured or recovered point
     last_confidence: np.ndarray   # (n,)
-    state: np.ndarray             # (n,) TrackState values
-    hits: np.ndarray              # (n,) matched frames since birth
+    confirmed: np.ndarray         # (n,) bool, set once and never cleared
+    hits: np.ndarray              # (n,) matched frames since birth, never falls
     misses: np.ndarray            # (n,) consecutive frames without a match
     pending_failures: np.ndarray  # (n,) consecutive failed confirmations past min_hits
     cls_sum: np.ndarray           # (n,) float, sum of the row's validator scores
-    cls_count: np.ndarray         # (n,) int, number of the row's validator scores
+    cls_count: np.ndarray         # (n,) int, number of the row's validator scores;
+                                  # > 0 on an unconfirmed row means pending classification
     filters: np.ndarray           # (n,) object: CorrelationFilter or None
 
     @classmethod
@@ -77,7 +73,7 @@ class TrackTable:
         n = len(kalman.mean)
         return cls(np.arange(first_id, first_id + n), kalman.mean, kalman.covariance,
                    np.asarray(points, dtype=float).reshape(n, 2), np.asarray(confidences, dtype=float),
-                   np.full(n, TrackState.TENTATIVE, dtype=np.int8), np.ones(n, dtype=int),
+                   np.zeros(n, dtype=bool), np.ones(n, dtype=int),
                    np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n), np.zeros(n, dtype=int),
                    np.full(n, None, dtype=object))
 
@@ -174,13 +170,15 @@ def classification_gate_active(hits: int, config: LifecycleConfig) -> bool:
 
 
 def on_match(tracks: TrackTable, rows, points, confidences, probs,
-             config: LifecycleConfig, classification_enabled: bool = True) -> None:
+             config: LifecycleConfig, classification_enabled: bool = True) -> np.ndarray:
     """Fold each row's gated, assigned detection (its point and confidence)
     into the row's bookkeeping; the caller corrects the rows' Kalman states
     with the same points. rows are distinct.
 
     probs holds each row's classifier score for this frame's surroundings,
     NaN where there is none (classification off or no context available).
+    Returns the rows whose pending_fail_patience ran out this frame, which
+    the classification decision ends, as an ascending integer array.
     """
     rows = np.asarray(rows, dtype=np.intp)
     probs = np.asarray(probs, dtype=float).reshape(len(rows))
@@ -194,35 +192,33 @@ def on_match(tracks: TrackTable, rows, points, confidences, probs,
     tracks.last_position[rows] = np.asarray(points, dtype=float).reshape(len(rows), 2)
     tracks.last_confidence[rows] = confidences
 
-    state = tracks.state[rows]
+    unconfirmed = ~tracks.confirmed[rows]
     if not classification_enabled:
-        state[(state != TrackState.CONFIRMED) & (hits >= config.min_hits)] = TrackState.CONFIRMED
-    else:
-        opening = (state == TrackState.TENTATIVE) & classification_gate_active(hits, config) & scored
-        state[opening] = TrackState.PENDING_CLASSIFICATION
-        pending = state == TrackState.PENDING_CLASSIFICATION
-        adding = rows[pending & scored]
-        tracks.cls_sum[adding] += probs[pending & scored]
-        tracks.cls_count[adding] += 1
-        # once old enough, each matched frame confirms the track or counts
-        # one failure toward the patience budget (a pending row has a score)
-        decide = np.flatnonzero(pending & (hits >= config.min_hits))
-        deciding = rows[decide]
-        passed = tracks.cls_sum[deciding] / tracks.cls_count[deciding] > config.cls_confirm_threshold
-        state[decide[passed]] = TrackState.CONFIRMED
-        failed = decide[~passed]
-        tracks.pending_failures[rows[failed]] += 1
-        exhausted = tracks.pending_failures[rows[failed]] >= config.pending_fail_patience
-        state[failed[exhausted]] = TrackState.DELETED
-    tracks.state[rows] = state
+        tracks.confirmed[rows[unconfirmed & (hits >= config.min_hits)]] = True
+        return np.zeros(0, dtype=np.intp)
+    # an unconfirmed row takes each score from its gate on; hits never fall,
+    # so a row that holds a score has an active gate and is pending
+    adding = unconfirmed & scored & classification_gate_active(hits, config)
+    tracks.cls_sum[rows[adding]] += probs[adding]
+    tracks.cls_count[rows[adding]] += 1
+    # once old enough, each matched frame confirms a pending row or counts
+    # one failure toward the patience budget
+    deciding = rows[unconfirmed & (hits >= config.min_hits)]
+    deciding = deciding[tracks.cls_count[deciding] > 0]
+    passed = tracks.cls_sum[deciding] / tracks.cls_count[deciding] > config.cls_confirm_threshold
+    tracks.confirmed[deciding[passed]] = True
+    failed = deciding[~passed]
+    tracks.pending_failures[failed] += 1
+    return np.sort(failed[tracks.pending_failures[failed] >= config.pending_fail_patience])
 
 
-def on_miss(tracks: TrackTable, rows, config: LifecycleConfig) -> None:
+def on_miss(tracks: TrackTable, rows, config: LifecycleConfig) -> np.ndarray:
     """Register a frame without a gated detection for each of the (distinct)
-    rows; delete the rows past their miss budget."""
+    rows. Returns the rows past their miss budget, more than max_age misses
+    or, unconfirmed, more than tentative_miss_tolerance, as an ascending
+    integer array."""
     rows = np.asarray(rows, dtype=np.intp)
     misses = tracks.misses[rows] + 1
     tracks.misses[rows] = misses
-    over_tentative = ((tracks.state[rows] != TrackState.CONFIRMED)
-                      & (misses > config.tentative_miss_tolerance))
-    tracks.state[rows[over_tentative | (misses > config.max_age)]] = TrackState.DELETED
+    over_tentative = ~tracks.confirmed[rows] & (misses > config.tentative_miss_tolerance)
+    return np.sort(rows[over_tentative | (misses > config.max_age)])

@@ -9,7 +9,7 @@ Every live track is one row of the tracker's ``lifecycle.TrackTable``, its
 only per-track store. Each frame predicts (and carries through the camera
 motion) the table's Kalman columns in one call, applies the match and miss
 rules to row sets, corrects the matched and the recovered rows in one call,
-and then drops the deleted rows and appends the births in one step.
+and then drops the rows the rules ended and appends the births in one step.
 """
 
 import logging
@@ -27,7 +27,7 @@ from .formats import (
     CORRESPONDENCES, DETECTIONS, METADATA, SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION, TRACKS,
     CorrespondenceRow, Detection, SequenceBundlePaths, TrackRow, read_feature_map,
 )
-from .lifecycle import LifecycleConfig, TrackState, TrackTable, TrajectoryValidator, ValidationContext
+from .lifecycle import LifecycleConfig, TrackTable, TrajectoryValidator, ValidationContext
 from .metrics import TrajectorySet
 from .motion import KalmanState, MotionConfig
 
@@ -148,16 +148,16 @@ class PointTracker:
         self._predict(affine)
 
         result = solve_assignment(build_cost_matrix(self.tracks.mean[:, :2], points, gate), gate)
-        matched = self._handle_matches(result, points, frame_input)
+        matched, rejected = self._handle_matches(result, points, frame_input)
         recovered = self._recover(result, frame_input, matched, gate)
         # _recover reads only the predicted means of unmatched rows, so the
         # matched rows are corrected with the recovered ones in one call
         self._correct(np.flatnonzero(matched | recovered))
-        lifecycle.on_miss(self.tracks, result.unmatched_tracks, self.config.lifecycle)
-        # a frame starts with no deleted row, so the deleted rows are exactly
-        # this frame's deaths (by a miss or by the classification decision)
-        deleted = self.tracks.state == TrackState.DELETED
-        records = self._emit(frame, matched, recovered)
+        # this frame's deaths: by the classification decision or by a miss
+        deleted = np.zeros(len(self.tracks), dtype=bool)
+        deleted[rejected] = True
+        deleted[lifecycle.on_miss(self.tracks, result.unmatched_tracks, self.config.lifecycle)] = True
+        records = self._emit(frame, matched, recovered, deleted)
         # drop the deleted rows, append one tentative row per unmatched detection
         born = result.unmatched_detections
         self.tracks = self.tracks.keep_and_append(~deleted, TrackTable.born(
@@ -204,15 +204,16 @@ class PointTracker:
         tracks.mean[rows], tracks.covariance[rows] = fixed.mean, fixed.covariance
 
     def _handle_matches(self, result: AssignmentResult, points: np.ndarray,
-                        frame_input: FrameInput) -> np.ndarray:
+                        frame_input: FrameInput) -> tuple[np.ndarray, np.ndarray]:
         """Apply the match rule to the matched rows and maintain the filters
-        of the confirmed ones; returns the matched-row mask."""
+        of the confirmed ones; returns the matched-row mask and the rows the
+        classification decision ended."""
         tracks, score = self.tracks, frame_input.score
         rows, dets = result.matches.T
         probs = np.full(len(rows), np.nan)
         if self._cls_enabled:
             # only the rows inside the classification window are scored
-            window = ((tracks.state[rows] != TrackState.CONFIRMED)
+            window = (~tracks.confirmed[rows]
                       & lifecycle.classification_gate_active(tracks.hits[rows] + 1, self.config.lifecycle))
             for i, dj in zip(np.flatnonzero(window).tolist(), dets[window].tolist()):
                 context = ValidationContext(frame_input.frame, points[dj],
@@ -222,14 +223,16 @@ class PointTracker:
                     probs[i] = lifecycle.validate(self.validator, context)
                 except lifecycle.ValidationUnavailableError:
                     pass  # no context for this detection, so no score
-        lifecycle.on_match(tracks, rows, points[dets], frame_input.conf[dets], probs,
-                           self.config.lifecycle, classification_enabled=self._cls_enabled)
-        if self.config.use_ddcf and frame_input.features is not None:
-            for k in np.flatnonzero(tracks.state[rows] == TrackState.CONFIRMED).tolist():
-                self._maintain_filter(rows[k], points[dets[k]], frame_input.features)
+        rejected = lifecycle.on_match(tracks, rows, points[dets], frame_input.conf[dets], probs,
+                                      self.config.lifecycle, classification_enabled=self._cls_enabled)
+        features = frame_input.features
+        if self.config.use_ddcf and features is not None:
+            for k in np.flatnonzero(tracks.confirmed[rows]).tolist():
+                if self._in_coverage(features, points[dets[k]]):
+                    self._fit_filter(rows[k], features, points[dets[k]])
         matched = np.zeros(len(tracks), dtype=bool)
         matched[rows] = True
-        return matched
+        return matched, rejected
 
     @staticmethod
     def _in_coverage(features: FeatureMap, position) -> bool:
@@ -237,9 +240,9 @@ class PointTracker:
         return (0.0 <= x < features.width * features.stride
                 and 0.0 <= y < features.height * features.stride)
 
-    def _maintain_filter(self, row: int, point: np.ndarray, features: FeatureMap):
-        if not self._in_coverage(features, point):
-            return
+    def _fit_filter(self, row: int, features: FeatureMap, point: np.ndarray):
+        """Train the row's filter on the patch of features around point, or
+        update the filter it has with that patch."""
         filters, dcf = self.tracks.filters, self.config.dcf
         try:
             patch = extract_patch(features, point, dcf.patch_cells)
@@ -262,15 +265,10 @@ class PointTracker:
         # recoveries can all be corrected after the loop
         claimed = tracks.last_position[matched]  # this frame's matched detections
         unmatched = result.unmatched_tracks
-        for ti in unmatched[tracks.state[unmatched] == TrackState.CONFIRMED].tolist():
+        for ti in unmatched[tracks.confirmed[unmatched]].tolist():
             if tracks.filters[ti] is None and self._prev_features is not None:
                 # no model yet: build it from the last measured position
-                try:
-                    patch = extract_patch(self._prev_features, tracks.last_position[ti],
-                                          cfg.dcf.patch_cells)
-                    tracks.filters[ti] = train_filter(patch, cfg.dcf)
-                except InvalidInputError:
-                    continue
+                self._fit_filter(ti, self._prev_features, tracks.last_position[ti])
             if tracks.filters[ti] is None:
                 continue
             predicted = tracks.mean[ti, :2]
@@ -293,12 +291,12 @@ class PointTracker:
             claimed = np.vstack([claimed, point])
         return recovered
 
-    def _emit(self, frame: int, matched: np.ndarray, recovered: np.ndarray) -> list[TrackRow]:
-        """One record per confirmed row that was matched or recovered this
-        frame, or per confirmed row with emit_coasted."""
+    def _emit(self, frame: int, matched: np.ndarray, recovered: np.ndarray,
+              deleted: np.ndarray) -> list[TrackRow]:
+        """One record per confirmed row not deleted this frame that was
+        matched or recovered, or per such row with emit_coasted."""
         tracks = self.tracks
-        rows = np.flatnonzero((tracks.state == TrackState.CONFIRMED)
-                              & (matched | recovered | self.config.emit_coasted))
+        rows = np.flatnonzero(tracks.confirmed & ~deleted & (matched | recovered | self.config.emit_coasted))
         # an object array hands out the shared source strings, not a copy per record
         sources = np.array([SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION], dtype=object)
         return [TrackRow(frame, *values) for values in zip(

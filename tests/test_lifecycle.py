@@ -10,7 +10,7 @@ from pointtrack.ddcf import FeatureMap
 from pointtrack.errors import ConfigError, InvalidInputError, ValidationUnavailableError
 from pointtrack.lifecycle import (
     FeatureEnergyValidator, LifecycleConfig, OracleValidator,
-    ScoreColumnValidator, TrackState, TrackTable, ValidationContext,
+    ScoreColumnValidator, TrackTable, ValidationContext,
     classification_gate_active, on_match, on_miss, validate,
 )
 from pointtrack.motion import MotionConfig, init_state
@@ -18,27 +18,41 @@ from pointtrack.motion import MotionConfig, init_state
 CFG = LifecycleConfig()
 
 
-def make_track(pos=(0.0, 0.0), cls_scores=(), **columns) -> TrackTable:
+def make_tracks(*rows: dict) -> TrackTable:
+    """A table of newborn tracks, one per dict, each with the dict's columns
+    overridden; the dict's cls_scores, if any, set cls_sum and cls_count."""
+    points = np.zeros((len(rows), 2))
+    tracks = TrackTable.born(1, points, np.zeros(len(rows)), init_state(points, MotionConfig()))
+    for i, columns in enumerate(rows):
+        columns = dict(columns)
+        scores = columns.pop("cls_scores", ())
+        tracks.cls_sum[i], tracks.cls_count[i] = sum(scores), len(scores)
+        for name, value in columns.items():
+            getattr(tracks, name)[i] = value
+    return tracks
+
+
+def make_track(**columns) -> TrackTable:
     """A one-row table: a newborn track, with the given columns overridden."""
-    track = TrackTable.born(1, [pos], [0.0], init_state([pos], MotionConfig()))
-    track.cls_sum[0], track.cls_count[0] = sum(cls_scores), len(cls_scores)
-    for name, value in columns.items():
-        getattr(track, name)[0] = value
-    return track
+    return make_tracks(columns)
 
 
-def match(track, pos=(0.0, 0.0), prob=None, cls=True, conf=0.9):
-    on_match(track, [0], [pos], [conf], [np.nan if prob is None else prob], CFG,
-             classification_enabled=cls)
-    return track
+def match(track, pos=(0.0, 0.0), prob=None, cls=True, conf=0.9) -> np.ndarray:
+    return on_match(track, [0], [pos], [conf], [np.nan if prob is None else prob], CFG,
+                    classification_enabled=cls)
 
 
-def miss(track):
-    on_miss(track, [0], CFG)
+def miss(track) -> np.ndarray:
+    return on_miss(track, [0], CFG)
 
 
-def state_of(track) -> int:
-    return int(track.state[0])
+def is_pending(track) -> bool:
+    """Unconfirmed and holding a score: the classification window is open."""
+    return not track.confirmed[0] and track.cls_count[0] > 0
+
+
+def is_tentative(track) -> bool:
+    return not track.confirmed[0] and track.cls_count[0] == 0
 
 
 class TestClassificationGate:
@@ -59,28 +73,27 @@ class TestConfirmDecision:
     confirms the track or counts one failure toward the patience budget."""
 
     def test_confirm(self):
-        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=29, cls_scores=[0.9])
-        match(t, prob=0.9)
+        t = make_track(hits=29, cls_scores=[0.9])
+        assert match(t, prob=0.9).tolist() == []
         assert t.hits[0] == 30
-        assert state_of(t) == TrackState.CONFIRMED
+        assert t.confirmed[0]
 
     def test_keep_pending_before_min_hits(self):
-        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=27, cls_scores=[0.95])
-        match(t, prob=0.95)
-        assert state_of(t) == TrackState.PENDING_CLASSIFICATION
+        t = make_track(hits=27, cls_scores=[0.95])
+        assert match(t, prob=0.95).tolist() == []
+        assert is_pending(t)
         assert t.pending_failures[0] == 0
 
     def test_terminate_after_patience(self):
-        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=29,
-                       cls_scores=[0.5], pending_failures=9)
-        match(t, prob=0.5)
+        t = make_track(hits=29, cls_scores=[0.5], pending_failures=9)
+        assert match(t, prob=0.5).tolist() == [0]
         assert t.pending_failures[0] == 10
-        assert state_of(t) == TrackState.DELETED
+        assert not t.confirmed[0]
 
     def test_threshold_is_strict(self):
-        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=29, cls_scores=[0.8])
-        match(t, prob=0.8)
-        assert state_of(t) == TrackState.PENDING_CLASSIFICATION
+        t = make_track(hits=29, cls_scores=[0.8])
+        assert match(t, prob=0.8).tolist() == []
+        assert is_pending(t)
         assert t.pending_failures[0] == 1
 
 
@@ -89,41 +102,42 @@ class TestOnMatch:
         t = make_track(hits=26)
         match(t, prob=1.0)
         assert t.hits[0] == 27
-        assert state_of(t) == TrackState.PENDING_CLASSIFICATION
+        assert is_pending(t)
         assert (t.cls_sum[0], t.cls_count[0]) == (1.0, 1)
 
     def test_confirmed_is_absorbing(self):
-        t = make_track(state=TrackState.CONFIRMED, hits=40, misses=2)
-        match(t, prob=None)
-        assert state_of(t) == TrackState.CONFIRMED
+        t = make_track(confirmed=True, hits=40, misses=2)
+        assert match(t, prob=None).tolist() == []
+        assert t.confirmed[0]
         assert t.misses[0] == 0
 
     def test_thirty_clean_matches_confirm_at_thirty(self):
         t = make_track(hits=1)
         for k in range(2, 31):
-            match(t, prob=1.0)
+            assert match(t, prob=1.0).tolist() == []
             assert t.hits[0] == k
             if k < 30:
-                assert state_of(t) != TrackState.CONFIRMED
-        assert state_of(t) == TrackState.CONFIRMED
+                assert not t.confirmed[0]
+        assert t.confirmed[0]
 
     def test_no_transition_without_score(self):
         t = make_track(hits=26)
         match(t, prob=None)
-        assert state_of(t) == TrackState.TENTATIVE
+        assert is_tentative(t)
 
     def test_low_scores_terminate_after_patience(self):
         t = make_track(hits=26)
         for _ in range(3 + 10):
-            match(t, prob=0.2)
-            if state_of(t) == TrackState.DELETED:
+            ended = match(t, prob=0.2)
+            if len(ended):
                 break
-        assert state_of(t) == TrackState.DELETED
+        assert ended.tolist() == [0]
+        assert t.pending_failures[0] == CFG.pending_fail_patience and not t.confirmed[0]
 
     def test_classification_disabled_confirms_on_hits(self):
         t = make_track(hits=29)
-        match(t, prob=None, cls=False)
-        assert state_of(t) == TrackState.CONFIRMED
+        assert match(t, prob=None, cls=False).tolist() == []
+        assert t.confirmed[0]
         assert (t.cls_sum[0], t.cls_count[0]) == (0.0, 0)
 
     def test_invalid_probability(self):
@@ -139,26 +153,53 @@ class TestOnMatch:
 
 class TestOnMiss:
     def test_confirmed_deleted_past_max_age(self):
-        t = make_track(state=TrackState.CONFIRMED, hits=100, misses=60)
-        miss(t)
+        t = make_track(confirmed=True, hits=100, misses=60)
+        assert miss(t).tolist() == [0]
         assert t.misses[0] == 61
-        assert state_of(t) == TrackState.DELETED
 
     def test_tentative_tolerance(self):
         t = make_track(hits=2, misses=3)
-        miss(t)
-        assert state_of(t) == TrackState.DELETED
+        assert miss(t).tolist() == [0]
 
     def test_confirmed_kept_below_max_age(self):
-        t = make_track(state=TrackState.CONFIRMED, hits=100, misses=10)
-        miss(t)
-        assert state_of(t) != TrackState.DELETED
+        t = make_track(confirmed=True, hits=100, misses=10)
+        assert miss(t).tolist() == []
 
     def test_pending_uses_tentative_tolerance(self):
-        t = make_track(state=TrackState.PENDING_CLASSIFICATION, hits=28,
-                       cls_scores=[0.9], misses=3)
-        miss(t)
-        assert state_of(t) == TrackState.DELETED
+        t = make_track(hits=28, cls_scores=[0.9], misses=3)
+        assert miss(t).tolist() == [0]
+
+
+class TestEndedRows:
+    """on_match and on_miss return exactly the rows they end, ascending."""
+
+    def test_on_match_returns_the_rows_out_of_patience(self):
+        t = make_tracks(dict(hits=29, cls_scores=[0.5], pending_failures=9),  # ends
+                        dict(hits=29, cls_scores=[0.9]),                      # confirms
+                        dict(hits=26),                                        # opens
+                        dict(hits=35, cls_scores=[0.1], pending_failures=9),  # ends
+                        dict(hits=29, cls_scores=[0.5], pending_failures=8))  # fails once
+        ended = on_match(t, [3, 1, 4, 0, 2], np.zeros((5, 2)), [0.9] * 5, [0.5, 0.9, 0.9, 0.5, 0.5], CFG)
+        assert ended.dtype.kind == "i" and ended.tolist() == [0, 3]
+        assert t.confirmed.tolist() == [False, True, False, False, False]
+        assert t.pending_failures.tolist() == [10, 0, 0, 10, 9]
+
+    def test_on_miss_returns_the_rows_past_their_budget(self):
+        t = make_tracks(dict(confirmed=True, hits=100, misses=60),  # ends
+                        dict(hits=2, misses=2),                     # kept
+                        dict(hits=28, cls_scores=[0.9], misses=3),  # ends
+                        dict(confirmed=True, hits=100, misses=3),   # kept
+                        dict(hits=2, misses=3))                     # ends
+        ended = on_miss(t, [4, 3, 2, 1, 0], CFG)
+        assert ended.dtype.kind == "i" and ended.tolist() == [0, 2, 4]
+        assert t.misses.tolist() == [61, 3, 4, 4, 4]
+
+    @pytest.mark.parametrize("cls", [True, False])
+    def test_nothing_ended_is_an_empty_array(self, cls):
+        t = make_tracks(dict(hits=29, cls_scores=[0.9]), dict(hits=3, misses=1))
+        for ended in (on_match(t, [0], [(0.0, 0.0)], [0.9], [0.9], CFG, cls), on_miss(t, [1], CFG),
+                      on_match(t, [], np.zeros((0, 2)), [], [], CFG, cls), on_miss(t, [], CFG)):
+            assert isinstance(ended, np.ndarray) and ended.dtype.kind == "i" and ended.shape == (0,)
 
 
 class TestValidators:
@@ -230,80 +271,72 @@ class TestInvariantProperties:
         for _ in range(50):
             t = make_track()
             for _ in range(100):
-                if state_of(t) == TrackState.DELETED:
-                    break
                 if rng.random() < 0.7:
-                    match(t, prob=float(rng.random()))
-                    if state_of(t) == TrackState.CONFIRMED:
+                    ended = match(t, prob=float(rng.random()))
+                    if t.confirmed[0]:
                         assert t.hits[0] >= CFG.min_hits
                         break
                 else:
-                    miss(t)
+                    ended = miss(t)
+                if len(ended):
+                    break
 
     def test_zero_validator_never_confirms(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             t = make_track()
             for _ in range(200):
-                if state_of(t) == TrackState.DELETED:
+                ended = match(t, prob=0.0) if rng.random() < 0.9 else miss(t)
+                assert not t.confirmed[0]
+                if len(ended):
                     break
-                if rng.random() < 0.9:
-                    match(t, prob=0.0)
-                else:
-                    miss(t)
-                assert state_of(t) != TrackState.CONFIRMED
-            assert state_of(t) == TrackState.DELETED  # patience or miss limits always fire
+            assert ended.tolist() == [0]  # patience or miss limits always fire
 
     def test_confirmed_never_demoted(self):
-        t = make_track(state=TrackState.CONFIRMED, hits=60)
+        t = make_track(confirmed=True, hits=60)
         for _ in range(50):
-            match(t, prob=0.0)
-        assert state_of(t) == TrackState.CONFIRMED
+            assert match(t, prob=0.0).tolist() == []
+        assert t.confirmed[0]
 
     def test_deletion_reachable_from_every_state(self):
-        for state, scores in ((TrackState.TENTATIVE, []),
-                              (TrackState.PENDING_CLASSIFICATION, [0.9]),
-                              (TrackState.CONFIRMED, [])):
-            t = make_track(state=state, hits=35, cls_scores=list(scores))
-            for _ in range(CFG.max_age + 2):
-                miss(t)
-            assert state_of(t) == TrackState.DELETED
+        for confirmed, scores, budget in ((False, [], CFG.tentative_miss_tolerance),
+                                          (False, [0.9], CFG.tentative_miss_tolerance),
+                                          (True, [], CFG.max_age)):
+            t = make_track(confirmed=confirmed, hits=35, cls_scores=scores)
+            ends = [miss(t).tolist() for _ in range(CFG.max_age + 2)]
+            assert ends == [[]] * budget + [[0]] * (CFG.max_age + 2 - budget)
 
 
-def reference_match(row: dict, prob, config, cls: bool):
-    """The per-track match rule, one track as a dict; prob None = no score."""
+def reference_match(row: dict, prob, config, cls: bool) -> bool:
+    """The per-track match rule, one track as a dict; prob None = no score.
+    Returns whether the rule ends the track."""
     row.update(hits=row["hits"] + 1, misses=0)
-    if row["state"] == TrackState.CONFIRMED:
-        return
+    if row["confirmed"]:
+        return False
     if not cls:
-        if row["hits"] >= config.min_hits:
-            row["state"] = TrackState.CONFIRMED
-        return
-    if (row["state"] == TrackState.TENTATIVE and classification_gate_active(row["hits"], config)
-            and prob is not None):
-        row["state"] = TrackState.PENDING_CLASSIFICATION
-    if row["state"] == TrackState.PENDING_CLASSIFICATION:
-        if prob is not None:
-            row.update(cls_sum=row["cls_sum"] + prob, cls_count=row["cls_count"] + 1)
-        if row["hits"] >= config.min_hits:
-            if row["cls_sum"] / row["cls_count"] > config.cls_confirm_threshold:
-                row["state"] = TrackState.CONFIRMED
-            else:
-                row["pending_failures"] += 1
-                if row["pending_failures"] >= config.pending_fail_patience:
-                    row["state"] = TrackState.DELETED
+        row["confirmed"] = row["hits"] >= config.min_hits
+        return False
+    if prob is not None and classification_gate_active(row["hits"], config):
+        row.update(cls_sum=row["cls_sum"] + prob, cls_count=row["cls_count"] + 1)
+    if row["cls_count"] == 0 or row["hits"] < config.min_hits:
+        return False  # tentative, or pending and too young to decide
+    if row["cls_sum"] / row["cls_count"] > config.cls_confirm_threshold:
+        row["confirmed"] = True
+        return False
+    row["pending_failures"] += 1
+    return row["pending_failures"] >= config.pending_fail_patience
 
 
-def reference_miss(row: dict, config):
-    """The per-track miss rule, one track as a dict."""
+def reference_miss(row: dict, config) -> bool:
+    """The per-track miss rule, one track as a dict; returns whether it ends
+    the track."""
     row["misses"] += 1
-    if ((row["state"] != TrackState.CONFIRMED and row["misses"] > config.tentative_miss_tolerance)
-            or row["misses"] > config.max_age):
-        row["state"] = TrackState.DELETED
+    return ((not row["confirmed"] and row["misses"] > config.tentative_miss_tolerance)
+            or row["misses"] > config.max_age)
 
 
 def as_rows(table: TrackTable) -> list[dict]:
-    return [{"state": int(table.state[i]), "hits": int(table.hits[i]),
+    return [{"confirmed": bool(table.confirmed[i]), "hits": int(table.hits[i]),
              "misses": int(table.misses[i]), "pending_failures": int(table.pending_failures[i]),
              "cls_sum": float(table.cls_sum[i]), "cls_count": int(table.cls_count[i])}
             for i in range(len(table))]
@@ -319,8 +352,12 @@ SCORES = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]), st.floats(0.0, 1.
 
 @st.composite
 def lifecycle_cases(draw):
-    """A config with small budgets, a table whose columns straddle them, a
-    set of matched rows with their scores (None = no score), and the rest."""
+    """A config with small budgets, a table of rows the tracker can reach
+    whose columns straddle them, a set of matched rows with their scores
+    (None = no score), and the rest. A live row is within its miss and
+    patience budgets, is confirmed only from min_hits on, holds scores only
+    once confirmed or inside its classification window, and has failed a
+    decision only after it could make one."""
     min_hits = draw(st.integers(1, 6))
     config = LifecycleConfig(
         min_hits=min_hits, cls_lead=draw(st.integers(0, min_hits - 1)),
@@ -329,16 +366,17 @@ def lifecycle_cases(draw):
         tentative_miss_tolerance=draw(st.integers(0, 3)),
         pending_fail_patience=draw(st.integers(1, 3)))
     n = draw(st.integers(0, 10))
-    points = np.arange(2.0 * n).reshape(n, 2)
-    table = TrackTable.born(1, points, np.full(n, 0.5), init_state(points, MotionConfig()))
+    table = make_tracks(*[{}] * n)
     for i in range(n):
-        table.state[i] = state = draw(st.sampled_from(
-            [TrackState.TENTATIVE, TrackState.PENDING_CLASSIFICATION, TrackState.CONFIRMED]))
-        table.hits[i] = draw(st.integers(1, min_hits + 1))
-        table.misses[i] = draw(st.integers(0, max(config.max_age, config.tentative_miss_tolerance) + 1))
-        table.pending_failures[i] = draw(st.integers(0, config.pending_fail_patience - 1))
-        scores = draw(st.lists(SCORES, min_size=int(state == TrackState.PENDING_CLASSIFICATION), max_size=3))
+        table.confirmed[i] = confirmed = draw(st.booleans())
+        table.hits[i] = hits = draw(st.integers(min_hits if confirmed else 1, min_hits + 1))
+        budget = config.max_age if confirmed else min(config.max_age, config.tentative_miss_tolerance)
+        table.misses[i] = draw(st.integers(0, budget))
+        may_hold_scores = confirmed or classification_gate_active(hits, config)
+        scores = draw(st.lists(SCORES, max_size=3 if may_hold_scores else 0))
         table.cls_sum[i], table.cls_count[i] = sum(scores), len(scores)
+        if confirmed or (scores and hits >= min_hits):
+            table.pending_failures[i] = draw(st.integers(0, config.pending_fail_patience - 1))
     matched = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
     probs = [draw(st.one_of(st.none(), SCORES)) for _ in matched]
     return config, table, matched, probs, [i for i in range(n) if i not in matched]
@@ -349,21 +387,27 @@ class TestBatchedRules:
     @given(case=lifecycle_cases(), cls=st.booleans())
     def test_one_call_over_rows_equals_one_row_calls(self, case, cls):
         """One on_match / on_miss call over k rows equals k one-row calls,
-        and both follow the per-track rule at every budget boundary."""
+        and both follow the per-track rule at every budget boundary and
+        return the rows it ends."""
         config, table, matched, probs, unmatched = case
         reference = as_rows(table)
         batched, single = copy.deepcopy(table), copy.deepcopy(table)
         points = np.array([[10.0 * r, 1.0] for r in matched]).reshape(-1, 2)
         confs = [0.25] * len(matched)
         nan_probs = [np.nan if p is None else p for p in probs]
-        on_match(batched, matched, points, confs, nan_probs, config, cls)
-        on_miss(batched, unmatched, config)
+        ended = [on_match(batched, matched, points, confs, nan_probs, config, cls),
+                 on_miss(batched, unmatched, config)]
+        single_ended, reference_ended = [], []
         for k, row in enumerate(matched):
-            on_match(single, [row], points[k:k + 1], confs[k:k + 1], nan_probs[k:k + 1], config, cls)
-            reference_match(reference[row], probs[k], config, cls)
+            single_ended += on_match(single, [row], points[k:k + 1], confs[k:k + 1], nan_probs[k:k + 1],
+                                     config, cls).tolist()
+            reference_ended += [row] * reference_match(reference[row], probs[k], config, cls)
+        assert ended[0].tolist() == sorted(single_ended) == sorted(reference_ended)
+        single_ended, reference_ended = [], []
         for row in unmatched:
-            on_miss(single, [row], config)
-            reference_miss(reference[row], config)
+            single_ended += on_miss(single, [row], config).tolist()
+            reference_ended += [row] * reference_miss(reference[row], config)
+        assert ended[1].tolist() == sorted(single_ended) == sorted(reference_ended)
         assert_tables_equal(batched, single)
         assert as_rows(batched) == reference
         assert np.array_equal(batched.last_position[matched], points)

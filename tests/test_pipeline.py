@@ -13,7 +13,7 @@ from pointtrack.formats import (
     CORRESPONDENCES, DETECTIONS, Detection, SequenceBundlePaths, TrackRow,
     parse_correspondences, parse_detections, parse_metadata, read_feature_map, write_tracks,
 )
-from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator, TrackState, TrackTable
+from pointtrack.lifecycle import LifecycleConfig, OracleValidator, ScoreColumnValidator, TrackTable
 from pointtrack.pipeline import (
     FrameInput, PointTracker, SequenceResult, TrackerConfig, frame_inputs_from_bundle, run_sequence,
 )
@@ -278,7 +278,7 @@ class TestHostileLibraryInput:
         assert [len(out.records) for out in outs] == [0] * 6
         assert SequenceResult(first + outs).summary.births == 1 and len(tracker.tracks) == 1
         assert tracker.tracks.misses.tolist() == [6]
-        assert tracker.tracks.state.tolist() == [TrackState.CONFIRMED]
+        assert tracker.tracks.confirmed.tolist() == [True]
 
     def test_rows_take_their_own_detection_confidence(self):
         tracker = PointTracker(BASELINE)
@@ -461,7 +461,7 @@ class TestDdcfBranches:
         for f in range(6):
             tracker.process_frame(FrameInput.from_rows(f, [Detection(f, *self.POINT, conf=0.9)],
                                                        features=confirm_features))
-        assert tracker.tracks.state.tolist() == [TrackState.CONFIRMED]
+        assert tracker.tracks.confirmed.tolist() == [True]
         out = tracker.process_frame(FrameInput(6, features=lost_features))
         return tracker, out
 

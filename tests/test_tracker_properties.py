@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pointtrack import lifecycle
 from pointtrack.formats import SOURCE_DDCF, SOURCE_DETECTION
-from pointtrack.lifecycle import LifecycleConfig, ScoreColumnValidator, TrackState, TrackTable
+from pointtrack.lifecycle import LifecycleConfig, ScoreColumnValidator, TrackTable
 from pointtrack.pipeline import (
     FrameOutput, PointTracker, SequenceResult, SequenceSummary, TrackerConfig, run_sequence,
 )
@@ -84,6 +84,7 @@ def test_tracker_invariants_hold_every_frame(scenario, flags, min_hits):
     tracker = PointTracker(config, ScoreColumnValidator())
     outputs, live, gone, last_id = [], set(), set(), 0
     for frame_input in bundle.frames:
+        before = tracker.tracks.id.tolist()
         with mock.patch.object(lifecycle, "on_match", wraps=lifecycle.on_match) as on_match, \
                 mock.patch.object(lifecycle, "on_miss", wraps=lifecycle.on_miss) as on_miss:
             out = tracker.process_frame(frame_input)
@@ -94,15 +95,21 @@ def test_tracker_invariants_hold_every_frame(scenario, flags, min_hits):
         tracks = tracker.tracks
         assert all(len(getattr(tracks, f.name)) == len(tracks) for f in fields(TrackTable))
         assert np.all(np.diff(tracks.id) > 0), "table ids not strictly increasing in row order"
-        assert not np.any(tracks.state == TrackState.DELETED), "a deleted row left in the table"
-        now = set(tracks.id.tolist())
+        # the rows that end leave the table in the frame that ends them: the
+        # previous rows minus exactly the frame's deaths, then its births
+        ids = tracks.id.tolist()
+        kept, born_ids = ids[:len(ids) - out.births], ids[len(ids) - out.births:]
+        assert set(kept) <= set(before) and len(before) - len(kept) == out.deaths, \
+            "the table lost other rows than the frame's deaths"
+        assert born_ids == list(range(last_id + 1, last_id + 1 + out.births)), "births not appended in order"
+        now = set(ids)
         assert not now & gone, "a track id came back after leaving the tracker"
         born = now - live
         assert not born or min(born) > last_id, "a new id does not exceed every earlier id"
         last_id = max(born | {last_id})
         gone |= live - now
         live = now
-        assert set(emitted) <= set(tracks.id[tracks.state == TrackState.CONFIRMED].tolist())
+        assert set(emitted) <= set(tracks.id[tracks.confirmed].tolist())
         assert sum(o.births - o.deaths for o in outputs) == len(tracks)
         assert len(out.match_distances) == len(on_match.call_args.args[1]), "a distance per matched row"
         assert np.all(out.match_distances < out.gate), "a match at or beyond the gate"
