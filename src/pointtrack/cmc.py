@@ -184,13 +184,15 @@ def estimate_affine(pairs, config: RansacConfig = RansacConfig()) -> AffineTrans
     terms stay below a few times 1e15 times the largest cur coordinate or
     the threshold, which overflows float64 (1.8e308) only from about 1e292.
     """
-    pts = np.insert(np.asarray(pairs, dtype=float).reshape(-1, 4), 2, 1.0, axis=1)
-    if not np.isfinite(pts).all():
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 4)
+    if not np.isfinite(pairs).all():
         raise InvalidInputError("non-finite correspondence")
-    n = len(pts)
+    n = len(pairs)
     if n < 3:
         raise NoMotionEstimateError(f"need at least 3 correspondences, got {n}")
-    src, cur = pts[:, :3].copy(), pts[:, 3:].copy()
+    src = np.ones((n, 3))
+    src[:, :2] = pairs[:, :2]
+    cur = pairs[:, 2:].copy()
 
     best_count, best_inliers = -1, None
     for samples in _sample_blocks(config.seed, n, config.iterations):

@@ -91,26 +91,45 @@ class FeaturePatch:
 
 @dataclass(frozen=True)
 class CorrelationFilter:
-    """The running model statistics of a filter and the regularization of
-    the DcfConfig that trained it; that config also supplies label and
-    learning rate to every update."""
+    """The running model statistics of a filter, the regularization and the
+    label width of the DcfConfig that trained it; that config also supplies
+    the learning rate to every update.
 
-    numerator: np.ndarray    # (s, s//2 + 1, c) complex, half spectrum
-    denominator: np.ndarray  # (s, s//2 + 1) real
+    The model keeps the average spectrum of its windowed patches and the
+    average of their power. The Gaussian label is constant per config, so
+    it is applied to the average when the filter is read (numerator), not
+    to each patch."""
+
+    spectrum: np.ndarray     # (s, s//2 + 1, c) complex, average of X_c
+    denominator: np.ndarray  # (s, s//2 + 1) real, average of sum_c |X_c|^2
     regularization: float
+    label_sigma: float
+
+    @property
+    def numerator(self) -> np.ndarray:
+        """(s, s//2 + 1, c) Y * conj(spectrum), with Y the label's half
+        spectrum."""
+        numerator = np.conj(self.spectrum)
+        numerator *= _gaussian_label_fft(self.spectrum.shape[0], self.label_sigma)[:, :, None]
+        return numerator
 
     @cached_property
     def freq(self) -> np.ndarray:
         """The (s, s//2 + 1, c) half-spectrum filter, numerator / (denominator
         + regularization); built on the first localization, as a filter that
         is only updated never needs it."""
-        return self.numerator / (self.denominator + self.regularization)[:, :, None]
+        freq = self.numerator
+        freq /= (self.denominator + self.regularization)[:, :, None]
+        return freq
 
 
 @lru_cache(maxsize=8)
-def _hann2d(size: int) -> np.ndarray:
+def _hann(size: int, channels: int) -> np.ndarray:
+    """(size, size, channels) 2-D Hann window, the same in every channel."""
     w = np.hanning(size)
-    return np.outer(w, w)
+    window = np.repeat(np.outer(w, w)[:, :, None], channels, axis=2)
+    window.flags.writeable = False
+    return window
 
 
 @lru_cache(maxsize=8)
@@ -126,8 +145,7 @@ def _gaussian_label_fft(size: int, sigma: float) -> np.ndarray:
 
 def _windowed_fft(patch: FeaturePatch) -> np.ndarray:
     """(s, s//2 + 1, c) half spectrum of the Hann-windowed patch."""
-    windowed = patch.data * _hann2d(patch.size)[:, :, None]
-    return scipy.fft.rfftn(windowed, axes=(0, 1))
+    return scipy.fft.rfftn(patch.data * _hann(patch.size, patch.data.shape[2]), axes=(0, 1))
 
 
 def extract_patch(fmap: FeatureMap, center, size: int) -> FeaturePatch:
@@ -138,11 +156,12 @@ def extract_patch(fmap: FeatureMap, center, size: int) -> FeaturePatch:
     here (training and localization apply their own).
     """
     center = np.asarray(center, dtype=float).reshape(2)
-    if not np.all(np.isfinite(center)):
+    x, y = center.tolist()
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInputError(f"non-finite patch centre {center!r}")
     if size < MIN_PATCH_CELLS:
         raise InvalidInputError(f"patch size must be >= {MIN_PATCH_CELLS}, got {size}")
-    x, y = float(center[0]) / fmap.stride + 0.5, float(center[1]) / fmap.stride + 0.5
+    x, y = x / fmap.stride + 0.5, y / fmap.stride + 0.5
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInputError(f"patch centre {center!r} overflows at stride {fmap.stride!r}")
     cx, cy = math.floor(x), math.floor(y)
@@ -150,48 +169,68 @@ def extract_patch(fmap: FeatureMap, center, size: int) -> FeaturePatch:
     x0 = min(max(cx, -size), fmap.width + size) - size // 2
     y0 = min(max(cy, -size), fmap.height + size) - size // 2
     if 0 <= x0 <= fmap.width - size and 0 <= y0 <= fmap.height - size:
-        cut = fmap.data[y0:y0 + size, x0:x0 + size]
+        data = np.array(fmap.data[y0:y0 + size, x0:x0 + size], dtype=float)
     else:
-        rows = np.clip(np.arange(y0, y0 + size), 0, fmap.height - 1)
-        cols = np.clip(np.arange(x0, x0 + size), 0, fmap.width - 1)
-        cut = fmap.data[np.ix_(rows, cols)]
-    data = np.array(cut, dtype=float)
+        # edge replication: take with mode="clip" clamps each index to the map
+        rows = fmap.data.take(np.arange(y0, y0 + size), axis=0, mode="clip")
+        data = rows.take(np.arange(x0, x0 + size), axis=1, mode="clip").astype(float, copy=False)
     origin = np.array([cx * fmap.stride, cy * fmap.stride])
     return FeaturePatch(data=data, origin=origin, stride=fmap.stride)
 
 
-def _sample_stats(patch: FeaturePatch, config: DcfConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A patch's model statistics: with X = rfft2(windowed patch) and
-    Y = rfft2(Gaussian label), numerator_c = Y * conj(X_c) per channel and
-    denominator = sum_c |X_c|^2."""
-    x = _windowed_fft(patch)
-    conj_x = np.conj(x)
-    numerator = _gaussian_label_fft(patch.size, config.label_sigma)[:, :, None] * conj_x
-    return numerator, np.sum(np.multiply(x, conj_x, out=conj_x), axis=2).real
+def _power(x: np.ndarray) -> np.ndarray:
+    """(s, s//2 + 1) sum_c |x_c|^2 of an (s, s//2 + 1, c) spectrum."""
+    parts = x.view(float)  # (s, s//2 + 1, 2c): the real and imaginary part of each x_c
+    return np.einsum("ijk,ijk->ij", parts, parts)
 
 
 def train_filter(patch: FeaturePatch, config: DcfConfig = DcfConfig()) -> CorrelationFilter:
-    """Closed-form ridge-regression filter for one patch: its sample
-    statistics, whose filter is numerator / (denominator + regularization).
+    """Closed-form ridge-regression filter for one patch: with X =
+    rfft2(windowed patch) and Y = rfft2(Gaussian label), numerator_c =
+    Y * conj(X_c) and denominator = sum_c |X_c|^2, and the filter is
+    numerator / (denominator + regularization).
     """
-    if not np.any(patch.data):
+    if not patch.data.any():
         raise InvalidInputError("all-zero patch cannot train a filter")
-    return CorrelationFilter(*_sample_stats(patch, config), config.regularization)
+    x = _windowed_fft(patch)
+    return CorrelationFilter(x, _power(x), config.regularization, config.label_sigma)
 
 
 def _check_shapes(filt: CorrelationFilter, patch: FeaturePatch):
     h, w, c = patch.data.shape
-    if filt.numerator.shape != (h, w // 2 + 1, c):
+    if filt.spectrum.shape != (h, w // 2 + 1, c):
         raise InvalidInputError(
-            f"filter shape {filt.numerator.shape} is not the half spectrum of patch shape {patch.data.shape}")
+            f"filter shape {filt.spectrum.shape} is not the half spectrum of patch shape {patch.data.shape}")
 
 
 def response(filt: CorrelationFilter, patch: FeaturePatch) -> np.ndarray:
     """Real-valued correlation response over the patch grid."""
     _check_shapes(filt, patch)
-    z = _windowed_fft(patch)
-    spectrum = np.sum(filt.freq * z, axis=2)
+    spectrum = np.einsum("ijc,ijc->ij", filt.freq, _windowed_fft(patch))
     return scipy.fft.irfft2(spectrum, s=patch.data.shape[:2])
+
+
+@lru_cache(maxsize=8)
+def _sidelobe_band(size: int) -> np.ndarray:
+    """The (size, size) mask that is True outside the PSR exclusion window
+    around cell (0, 0), tiled twice along each axis. Its view
+    [size - py:2 * size - py, size - px:2 * size - px] is that mask rolled
+    circularly to a peak at (py, px)."""
+    d = np.arange(size)
+    near = np.minimum(d, size - d) <= PSR_EXCLUSION
+    band = ~(near[:, None] & near[None, :])
+    band = np.tile(band, (2, 2))
+    band.flags.writeable = False
+    return band
+
+
+def _subcell(prev_v: float, peak_v: float, next_v: float) -> float:
+    """Sub-cell peak offset of a quadratic through three samples, in
+    [-0.5, 0.5]; 0 when the peak is not a strict local maximum."""
+    denom = prev_v - 2.0 * peak_v + next_v
+    if denom >= -1e-12:
+        return 0.0
+    return max(-0.5, min(0.5, 0.5 * (prev_v - next_v) / denom))
 
 
 def localize(filt: CorrelationFilter, patch: FeaturePatch) -> tuple[np.ndarray, float]:
@@ -208,49 +247,38 @@ def localize(filt: CorrelationFilter, patch: FeaturePatch) -> tuple[np.ndarray, 
     if s < MIN_FILTER_CELLS:
         raise InvalidInputError(
             f"a {s}-cell patch leaves no sidelobe outside the PSR window; need >= {MIN_FILTER_CELLS}")
-    if not np.any(patch.data):
+    if not patch.data.any():
         raise InvalidInputError("all-zero patch has no target to locate")
     r = response(filt, patch)
-    c = s // 2
-    peak_flat = int(np.argmax(r))
-    py, px = np.unravel_index(peak_flat, r.shape)
+    py, px = divmod(int(np.argmax(r)), s)
+    peak = float(r[py, px])
+    dy = _subcell(float(r[py - 1, px]), peak, float(r[(py + 1) % s, px]))
+    dx = _subcell(float(r[py, px - 1]), peak, float(r[py, (px + 1) % s]))
 
-    def _subcell(axis_vals) -> float:
-        prev_v, peak_v, next_v = axis_vals
-        denom = prev_v - 2.0 * peak_v + next_v
-        if denom >= -1e-12:  # not a strict local maximum
-            return 0.0
-        delta = 0.5 * (prev_v - next_v) / denom
-        return float(np.clip(delta, -0.5, 0.5))
+    # signed displacement from the centre cell s // 2, in [-s/2, s/2)
+    off_y = py - s // 2 + dy
+    off_x = px - s // 2 + dx
 
-    dy = _subcell((r[(py - 1) % s, px], r[py, px], r[(py + 1) % s, px]))
-    dx = _subcell((r[py, (px - 1) % s], r[py, px], r[py, (px + 1) % s]))
-
-    # signed displacement from the centre cell, wrapped into [-s/2, s/2)
-    off_y = ((py - c + s // 2) % s) - s // 2 + dy
-    off_x = ((px - c + s // 2) % s) - s // 2 + dx
-
-    yy = (np.arange(s)[:, None] - py + s // 2) % s - s // 2
-    xx = (np.arange(s)[None, :] - px + s // 2) % s - s // 2
-    sidelobe = r[(np.abs(yy) > PSR_EXCLUSION) | (np.abs(xx) > PSR_EXCLUSION)]
+    sidelobe = r[_sidelobe_band(s)[s - py:2 * s - py, s - px:2 * s - px]]
     sd = float(sidelobe.std())
     if sd < 1e-12:
         psr = float("inf")
     else:
-        psr = float((r[py, px] - sidelobe.mean()) / sd)
+        psr = (peak - float(sidelobe.mean())) / sd
 
     offset = np.array([off_x * patch.stride, off_y * patch.stride])
     return offset, psr
 
 
 def update_filter(filt: CorrelationFilter, patch: FeaturePatch, config: DcfConfig) -> CorrelationFilter:
-    """Blend the running model statistics with a new patch's at
-    config.learning_rate and rebuild; config is the one that trained filt."""
+    """Blend the running spectrum and power averages with a new patch's at
+    config.learning_rate; config is the one that trained filt."""
     _check_shapes(filt, patch)
     eta = config.learning_rate
-    num_new, den_new = _sample_stats(patch, config)
-    numerator = np.multiply(1.0 - eta, filt.numerator)
-    numerator += np.multiply(eta, num_new, out=num_new)
+    x = _windowed_fft(patch)
+    power = _power(x)
+    spectrum = np.multiply(1.0 - eta, filt.spectrum)
+    spectrum += np.multiply(eta, x, out=x)
     denominator = np.multiply(1.0 - eta, filt.denominator)
-    denominator += np.multiply(eta, den_new, out=den_new)
-    return CorrelationFilter(numerator, denominator, config.regularization)
+    denominator += np.multiply(eta, power, out=power)
+    return CorrelationFilter(spectrum, denominator, config.regularization, config.label_sigma)

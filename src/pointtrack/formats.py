@@ -328,7 +328,9 @@ def read_feature_map(blob: bytes) -> FeatureMap:
     if min(h, w, c) < 1:
         raise FormatError(f"bad dimensions {h}x{w}x{c}")
     expected = h * w * c * 4
-    payload = blob[24:]
+    payload = memoryview(blob)[24:]  # a view of immutable bytes, not a copy
+    if not isinstance(blob, bytes):  # a buffer its owner may change: copy it
+        payload = bytes(payload)
     if len(payload) != expected:
         raise FormatError(f"payload is {len(payload)} bytes, header implies {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, c)

@@ -477,6 +477,27 @@ class TestFeatureMapBinary:
         again = read_feature_map(blob)
         assert np.array_equal(again.data, data)
 
+    def test_payload_of_bytes_is_a_read_only_view(self):
+        """The map's array reads the payload where it lies in an immutable
+        bytes blob, without a copy."""
+        data = np.arange(4 * 3 * 2, dtype=np.float32).reshape(4, 3, 2)
+        blob = write_feature_map(FeatureMap(data=data, stride=1.0))
+        fmap = read_feature_map(blob)
+        assert np.array_equal(fmap.data, data)
+        assert not fmap.data.flags.writeable
+        assert np.shares_memory(fmap.data, np.frombuffer(blob, dtype=np.uint8))
+
+    def test_payload_of_a_mutable_buffer_is_copied(self):
+        """A bytearray blob may be reused or resized after the read: the map
+        owns a read-only copy of its payload and does not change with it."""
+        data = np.arange(4 * 3 * 2, dtype=np.float32).reshape(4, 3, 2)
+        blob = bytearray(write_feature_map(FeatureMap(data=data, stride=1.0)))
+        fmap = read_feature_map(blob)
+        assert not fmap.data.flags.writeable
+        blob[24:] = bytes(len(blob) - 24)
+        blob.extend(b"more")  # no BufferError: no view of blob is held
+        assert np.array_equal(fmap.data, data)
+
     def test_truncated_payload(self):
         fmap = FeatureMap(data=np.ones((4, 4, 2)), stride=1.0)
         blob = write_feature_map(fmap)
