@@ -91,9 +91,9 @@ class FeaturePatch:
 
 @dataclass(frozen=True)
 class CorrelationFilter:
-    """The running model statistics of a filter, the regularization and the
-    label width of the DcfConfig that trained it; that config also supplies
-    the learning rate to every update.
+    """The running model statistics of a filter and the DcfConfig that
+    trained it, whose regularization, label width and learning rate every
+    read and update of the filter uses.
 
     The model keeps the average spectrum of its windowed patches and the
     average of their power. The Gaussian label is constant per config, so
@@ -102,15 +102,14 @@ class CorrelationFilter:
 
     spectrum: np.ndarray     # (s, s//2 + 1, c) complex, average of X_c
     denominator: np.ndarray  # (s, s//2 + 1) real, average of sum_c |X_c|^2
-    regularization: float
-    label_sigma: float
+    config: DcfConfig
 
     @property
     def numerator(self) -> np.ndarray:
         """(s, s//2 + 1, c) Y * conj(spectrum), with Y the label's half
         spectrum."""
         numerator = np.conj(self.spectrum)
-        numerator *= _gaussian_label_fft(self.spectrum.shape[0], self.label_sigma)[:, :, None]
+        numerator *= _gaussian_label_fft(self.spectrum.shape[0], self.config.label_sigma)[:, :, None]
         return numerator
 
     @cached_property
@@ -119,7 +118,7 @@ class CorrelationFilter:
         + regularization); built on the first localization, as a filter that
         is only updated never needs it."""
         freq = self.numerator
-        freq /= (self.denominator + self.regularization)[:, :, None]
+        freq /= (self.denominator + self.config.regularization)[:, :, None]
         return freq
 
 
@@ -193,7 +192,7 @@ def train_filter(patch: FeaturePatch, config: DcfConfig = DcfConfig()) -> Correl
     if not patch.data.any():
         raise InvalidInputError("all-zero patch cannot train a filter")
     x = _windowed_fft(patch)
-    return CorrelationFilter(x, _power(x), config.regularization, config.label_sigma)
+    return CorrelationFilter(x, _power(x), config)
 
 
 def _check_shapes(filt: CorrelationFilter, patch: FeaturePatch):
@@ -270,15 +269,15 @@ def localize(filt: CorrelationFilter, patch: FeaturePatch) -> tuple[np.ndarray, 
     return offset, psr
 
 
-def update_filter(filt: CorrelationFilter, patch: FeaturePatch, config: DcfConfig) -> CorrelationFilter:
+def update_filter(filt: CorrelationFilter, patch: FeaturePatch) -> CorrelationFilter:
     """Blend the running spectrum and power averages with a new patch's at
-    config.learning_rate; config is the one that trained filt."""
+    the learning rate of the filter's config."""
     _check_shapes(filt, patch)
-    eta = config.learning_rate
+    eta = filt.config.learning_rate
     x = _windowed_fft(patch)
     power = _power(x)
     spectrum = np.multiply(1.0 - eta, filt.spectrum)
     spectrum += np.multiply(eta, x, out=x)
     denominator = np.multiply(1.0 - eta, filt.denominator)
     denominator += np.multiply(eta, power, out=power)
-    return CorrelationFilter(spectrum, denominator, config.regularization, config.label_sigma)
+    return CorrelationFilter(spectrum, denominator, filt.config)

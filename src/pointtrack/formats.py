@@ -103,13 +103,13 @@ _UNIT_INTERVAL = ("conf", "score")
 _VOCABULARY = {"source": frozenset(TRACK_SOURCES)}
 
 
-def _fault(name: str, column, cells: list[str] | None = None) -> tuple[int, str] | None:
+def column_fault(name: str, column, cells: list[str] | None = None) -> tuple[int, str] | None:
     """The first cell of column that breaks the column's rule, as its index
     and a message naming the column; None when every cell keeps it. The
-    rule that parse_columns and both writers apply: an int64 column has its
-    minimum, a float64 column is finite (and in [0, 1] for conf and score),
-    text keeps to its vocabulary. cells, the text the column was parsed
-    from, puts the bad cell into a float column's message."""
+    rule of parse_columns, both writers and process_frame: an int64 column
+    has its minimum, a float64 column is finite (and in [0, 1] for conf and
+    score), text keeps to its vocabulary. cells, the text the column was
+    parsed from, puts the bad cell into a float column's message."""
     if name in _VOCABULARY:
         vocabulary = _VOCABULARY[name]
         if vocabulary.issuperset(column):
@@ -133,16 +133,16 @@ def _fault(name: str, column, cells: list[str] | None = None) -> tuple[int, str]
 
 
 def _parse_column(name: str, dtype, cells: list[str]) -> tuple[np.ndarray | None, tuple[int, str] | None]:
-    """cells as one array, and the column's first fault as _fault gives it
-    (the array is None when np.array refuses a cell). Valid cells take one
-    np.array call and one _fault; only a column that np.array refuses is
-    converted cell by cell, to find the cell."""
+    """cells as one array, and the column's first fault as column_fault
+    gives it (the array is None when np.array refuses a cell). Valid cells
+    take one np.array call and one column_fault; only a column that np.array
+    refuses is converted cell by cell, to find the cell."""
     try:
         column = np.array(cells, dtype=dtype)
     except (ValueError, OverflowError):
         pass
     else:
-        return column, _fault(name, column, cells)
+        return column, column_fault(name, column, cells)
     for bad, cell in enumerate(cells):
         try:
             np.array(cell, dtype=dtype)
@@ -152,10 +152,10 @@ def _parse_column(name: str, dtype, cells: list[str]) -> tuple[np.ndarray | None
         except OverflowError:
             # an integer beyond int64: the minimum rule names one below it
             v = int(cell)
-            fault = _fault(name, np.array([v], dtype=object))
+            fault = column_fault(name, np.array([v], dtype=object))
             message = fault[1] if fault else f"{name} {v} exceeds {_INT_MAXIMUM}"
             break
-    return None, _fault(name, np.array(cells[:bad], dtype=dtype), cells) or (bad, message)
+    return None, column_fault(name, np.array(cells[:bad], dtype=dtype), cells) or (bad, message)
 
 
 def number_column(name: str, dtype, values) -> np.ndarray:
@@ -175,15 +175,15 @@ def number_column(name: str, dtype, values) -> np.ndarray:
 
 def _write_column(name: str, dtype, values, optional: bool) -> list:
     """One column's values as the Python scalars its cells show, after
-    _fault: str for text, int for int64 and float for float64. A float None
-    becomes NaN, which an optional column writes as 0."""
+    column_fault: str for text, int for int64 and float for float64. A float
+    None becomes NaN, which an optional column writes as 0."""
     if dtype is object:
         column = list(map(str, values))
     else:
         column = number_column(name, dtype, values)
         if optional:
             column = np.where(np.isnan(column), 0.0, column)
-    fault = _fault(name, column)
+    fault = column_fault(name, column)
     if fault:
         raise InvalidInputError(fault[1])
     return column if dtype is object else column.tolist()
@@ -255,26 +255,20 @@ class Table:
         the optional columns no row sets. Number columns go through
         number_column, so a cell that is not an int64 integer or a number
         raises InvalidInputError."""
-        n = self._width(rows) if width is None else width
+        if width is None:
+            optional = self.names[self.required:]
+            width = len(self.names) if any(getattr(r, name) is not None
+                                           for name in optional for r in rows) else self.required
         columns = []
-        for column, name, dtype in zip(self.columns[:n], self.names, self._dtypes):
+        for column, name, dtype in zip(self.columns[:width], self.names, self._dtypes):
             values = list(map(attrgetter(name), rows))
             columns.append(np.array(values, dtype=object) if dtype is object
                            else number_column(column, dtype, values))
-        return columns + [None] * (len(self.names) - n)
-
-    def _width(self, rows: list) -> int:
-        """The number of columns rows fill: all of them when any row sets an
-        optional column, else the required ones."""
-        k = self.required
-        return len(self.names) if any(getattr(r, name) is not None
-                                      for name in self.names[k:] for r in rows) else k
+        return columns + [None] * (len(self.names) - width)
 
     def write(self, rows: list) -> str:
-        """write_columns of one list per field (to_columns' arrays are slower)."""
-        n = self._width(rows)
-        return self.write_columns([list(map(attrgetter(name), rows)) for name in self.names[:n]]
-                                  + [None] * (len(self.names) - n))
+        """write_columns of to_columns(rows)."""
+        return self.write_columns(self.to_columns(rows))
 
     def write_columns(self, columns: list) -> str:
         """The inverse of parse_columns: the text of one sequence per column

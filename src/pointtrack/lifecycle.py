@@ -4,8 +4,8 @@ A track is born tentative from an unmatched detection. Shortly before it
 reaches the minimum trajectory length its surroundings start being scored
 by a pluggable validator, and from its first score on it is pending
 classification. It is confirmed only when it is old enough AND the running
-mean of those scores clears the confirmation threshold. With no validator
-configured, confirmation falls back to the age rule alone.
+mean of those scores clears the confirmation threshold. With classification
+off, confirmation falls back to the age rule alone.
 
 A tracker keeps every live track as one row of a TrackTable, whose
 confirmed flag and score count (cls_count) hold this state. on_match and
@@ -169,23 +169,24 @@ def classification_gate_active(hits: int, config: LifecycleConfig) -> bool:
     return hits >= config.min_hits - config.cls_lead
 
 
-def on_match(tracks: TrackTable, rows, points, confidences, probs,
-             config: LifecycleConfig, classification_enabled: bool = True) -> np.ndarray:
+def on_match(tracks: TrackTable, rows, points, confidences, probs, config: LifecycleConfig) -> np.ndarray:
     """Fold each row's gated, assigned detection (its point and confidence)
     into the row's bookkeeping; the caller corrects the rows' Kalman states
     with the same points. rows are distinct.
 
     probs holds each row's classifier score for this frame's surroundings,
-    NaN where there is none (classification off or no context available).
+    NaN where there is none (no context available); probs=None means
+    classification is off, and rows are confirmed by age alone.
     Returns the rows whose pending_fail_patience ran out this frame, which
     the classification decision ends, as an ascending integer array.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    probs = np.asarray(probs, dtype=float).reshape(len(rows))
-    scored = ~np.isnan(probs)
-    bad = scored & ~((probs >= 0.0) & (probs <= 1.0))
-    if bad.any():
-        raise InvalidInputError(f"validator probability {probs[bad][0]!r} outside [0, 1]")
+    if probs is not None:
+        probs = np.asarray(probs, dtype=float).reshape(len(rows))
+        scored = ~np.isnan(probs)
+        bad = scored & ~((probs >= 0.0) & (probs <= 1.0))
+        if bad.any():
+            raise InvalidInputError(f"validator probability {probs[bad][0]!r} outside [0, 1]")
     hits = tracks.hits[rows] + 1
     tracks.hits[rows] = hits
     tracks.misses[rows] = 0
@@ -193,7 +194,7 @@ def on_match(tracks: TrackTable, rows, points, confidences, probs,
     tracks.last_confidence[rows] = confidences
 
     unconfirmed = ~tracks.confirmed[rows]
-    if not classification_enabled:
+    if probs is None:
         tracks.confirmed[rows[unconfirmed & (hits >= config.min_hits)]] = True
         return np.zeros(0, dtype=np.intp)
     # an unconfirmed row takes each score from its gate on; hits never fall,

@@ -25,7 +25,7 @@ from .ddcf import DcfConfig, FeatureMap, extract_patch, localize, train_filter, 
 from .errors import InvalidInputError, NoMotionEstimateError, SequencingError
 from .formats import (
     CORRESPONDENCES, DETECTIONS, METADATA, SOURCE_COASTED, SOURCE_DDCF, SOURCE_DETECTION, TRACKS,
-    CorrespondenceRow, Detection, SequenceBundlePaths, TrackRow, read_feature_map,
+    CorrespondenceRow, Detection, SequenceBundlePaths, TrackRow, column_fault, read_feature_map,
 )
 from .lifecycle import LifecycleConfig, TrackTable, TrajectoryValidator, ValidationContext
 from .metrics import TrajectorySet
@@ -65,15 +65,24 @@ class FrameInput:
     features: FeatureMap | None = None
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        self.conf = np.asarray(self.conf, dtype=float)
+        self.points = self._array("points", self.points, (-1, 2))
+        self.conf = self._array("conf", self.conf, (len(self.points),))
         if self.score is not None:
-            self.score = np.asarray(self.score, dtype=float)
-        if self.conf.shape != (len(self.points),) or (self.score is not None
-                                                      and self.score.shape != self.conf.shape):
-            raise InvalidInputError(f"frame {self.frame}: {len(self.points)} points need as many "
-                                    "conf and score values")
-        self.correspondences = np.asarray(self.correspondences, dtype=float).reshape(-1, 4)
+            self.score = self._array("score", self.score, (len(self.points),))
+        self.correspondences = self._array("correspondences", self.correspondences, (-1, 4))
+
+    def _array(self, name: str, values, shape: tuple) -> np.ndarray:
+        """values as a float array of shape, in which -1 stands for any
+        length and an empty input has no rows; else InvalidInputError."""
+        try:
+            array = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"frame {self.frame}: {name} is not an array of numbers") from None
+        if array.size == 0:
+            array = array.reshape(0, *shape[1:])
+        if array.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, array.shape)):
+            raise InvalidInputError(f"frame {self.frame}: {name} has shape {array.shape}, expected {shape}")
+        return array
 
     @classmethod
     def from_rows(cls, frame: int, detections: list[Detection] = (), altitude: float | None = None,
@@ -114,15 +123,12 @@ class PointTracker:
     def __init__(self, config: TrackerConfig | None = None,
                  validator: TrajectoryValidator | None = None):
         self.config = config or TrackerConfig()
-        self.validator = validator
+        # classification runs exactly when the tracker keeps a validator
+        self.validator = validator if self.config.use_cls else None
         self.tracks = TrackTable.born(1, [], [], motion.init_state(np.zeros((0, 2)), self.config.motion))
         self._next_id = 1
         self._last_frame: int | None = None
         self._prev_features: FeatureMap | None = None
-
-    @property
-    def _cls_enabled(self) -> bool:
-        return self.config.use_cls and self.validator is not None
 
     def process_frame(self, frame_input: FrameInput) -> FrameOutput:
         frame = frame_input.frame
@@ -131,17 +137,13 @@ class PointTracker:
                 f"frame {frame} does not follow frame {self._last_frame}")
         if self._last_frame is None and frame < 0:
             raise SequencingError(f"negative frame index {frame}")
-        # the checks of the detections table, written so that NaN fails them;
-        # they run before any track moves, so a rejected frame changes nothing
+        # the detections table's column rule, in which NaN fails; it runs
+        # before any track moves, so a rejected frame changes nothing
         points, conf, score = frame_input.points, frame_input.conf, frame_input.score
-        bad = ~(np.isfinite(points).all(axis=1) & (conf >= 0.0) & (conf <= 1.0))
-        if score is not None:
-            bad |= ~((score >= 0.0) & (score <= 1.0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise InvalidInputError(f"frame {frame}: detection {i} (x, y {points[i].tolist()}, conf "
-                                    f"{conf[i]!r}, score {None if score is None else score[i]!r}) needs "
-                                    "finite x and y and conf and score in [0, 1]")
+        for name, column in zip(DETECTIONS.columns[1:], (*points.T, conf, score)):
+            fault = None if column is None else column_fault(name, column)
+            if fault:
+                raise InvalidInputError(f"frame {frame}: detection {fault[0]}: {fault[1]}")
 
         gate = self._gate(frame_input)
         affine = self._camera_motion(frame_input)
@@ -210,8 +212,8 @@ class PointTracker:
         classification decision ended."""
         tracks, score = self.tracks, frame_input.score
         rows, dets = result.matches.T
-        probs = np.full(len(rows), np.nan)
-        if self._cls_enabled:
+        probs = None if self.validator is None else np.full(len(rows), np.nan)
+        if probs is not None:
             # only the rows inside the classification window are scored
             window = (~tracks.confirmed[rows]
                       & lifecycle.classification_gate_active(tracks.hits[rows] + 1, self.config.lifecycle))
@@ -224,7 +226,7 @@ class PointTracker:
                 except lifecycle.ValidationUnavailableError:
                     pass  # no context for this detection, so no score
         rejected = lifecycle.on_match(tracks, rows, points[dets], frame_input.conf[dets], probs,
-                                      self.config.lifecycle, classification_enabled=self._cls_enabled)
+                                      self.config.lifecycle)
         features = frame_input.features
         if self.config.use_ddcf and features is not None:
             for k in np.flatnonzero(tracks.confirmed[rows]).tolist():
@@ -249,7 +251,7 @@ class PointTracker:
             if filters[row] is None:
                 filters[row] = train_filter(patch, dcf)
             else:
-                filters[row] = update_filter(filters[row], patch, dcf)
+                filters[row] = update_filter(filters[row], patch)
         except InvalidInputError:
             pass  # degenerate patch; keep whatever model we had
 

@@ -261,7 +261,7 @@ class TestLocalize:
         for size in (32, 33):
             p_train = center_patch(blob_map(rng, 32, 32), size)
             p_test = center_patch(blob_map(rng, 33, 31), size)
-            f = update_filter(train_filter(p_train, cfg), p_test, cfg)
+            f = update_filter(train_filter(p_train, cfg), p_test)
             oracle = FullSpectrum.update(FullSpectrum.train(p_train, cfg), p_test, cfg)
             raw = FullSpectrum.raw_response(oracle, p_test, cfg)
             r = response(f, p_test)
@@ -307,7 +307,7 @@ class TestLocalize:
             localize(f, small)
         odd = extract_patch(blob_map(rng, 32, 32), (128, 128), 33)
         with pytest.raises(InvalidInputError, match="half spectrum"):
-            update_filter(f, odd, DcfConfig())
+            update_filter(f, odd)
 
     @pytest.mark.parametrize("size", [8, 11])
     def test_patch_without_sidelobe_rejected(self, size):
@@ -333,7 +333,7 @@ class TestUpdateFilter:
         p2 = center_patch(blob_map(rng, 30, 34))
         cfg = DcfConfig(learning_rate=1.0)
         f = train_filter(p1, cfg)
-        updated = update_filter(f, p2, cfg)
+        updated = update_filter(f, p2)
         fresh = train_filter(p2, cfg)
         assert np.allclose(updated.freq, fresh.freq, atol=1e-12)
 
@@ -341,7 +341,7 @@ class TestUpdateFilter:
         rng = np.random.default_rng(16)
         p = center_patch(blob_map(rng, 32, 32))
         cfg = DcfConfig(regularization=0.5)
-        f = update_filter(train_filter(p, cfg), p, cfg)
+        f = update_filter(train_filter(p, cfg), p)
         assert "freq" not in vars(f)  # updates never divide
         freq = f.freq
         assert f.freq is freq
@@ -352,7 +352,7 @@ class TestUpdateFilter:
         rng = np.random.default_rng(14)
         p = center_patch(blob_map(rng, 32, 32))
         f = train_filter(p)
-        f2 = update_filter(update_filter(f, p, DcfConfig()), p, DcfConfig())
+        f2 = update_filter(update_filter(f, p), p)
         rel = np.max(np.abs(f2.freq - f.freq)) / np.max(np.abs(f.freq))
         assert rel <= 1e-10
 
@@ -375,7 +375,7 @@ class TestUpdateFilter:
             err = np.max(np.abs(estimate - np.array([cx, cy]) * STRIDE))
             assert err < 1.0 * STRIDE
             center = estimate
-            f = update_filter(f, extract_patch(fmap, estimate, 32), DcfConfig())
+            f = update_filter(f, extract_patch(fmap, estimate, 32))
 
     def test_learning_rate_validation(self):
         with pytest.raises(ConfigError):
@@ -411,7 +411,7 @@ class TestAgainstFullSpectrum:
         assert np.unravel_index(np.argmax(r), r.shape) == (size // 2, size // 2)
         for _ in range(updates):
             p = patch()
-            f = update_filter(f, p, cfg)
+            f = update_filter(f, p)
             model = FullSpectrum.update(model, p, cfg)
         half = size // 2 + 1
         assert f.numerator.shape == (size, half, channels)

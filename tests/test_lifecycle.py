@@ -38,8 +38,7 @@ def make_track(**columns) -> TrackTable:
 
 
 def match(track, pos=(0.0, 0.0), prob=None, cls=True, conf=0.9) -> np.ndarray:
-    return on_match(track, [0], [pos], [conf], [np.nan if prob is None else prob], CFG,
-                    classification_enabled=cls)
+    return on_match(track, [0], [pos], [conf], [np.nan if prob is None else prob] if cls else None, CFG)
 
 
 def miss(track) -> np.ndarray:
@@ -197,8 +196,9 @@ class TestEndedRows:
     @pytest.mark.parametrize("cls", [True, False])
     def test_nothing_ended_is_an_empty_array(self, cls):
         t = make_tracks(dict(hits=29, cls_scores=[0.9]), dict(hits=3, misses=1))
-        for ended in (on_match(t, [0], [(0.0, 0.0)], [0.9], [0.9], CFG, cls), on_miss(t, [1], CFG),
-                      on_match(t, [], np.zeros((0, 2)), [], [], CFG, cls), on_miss(t, [], CFG)):
+        for ended in (on_match(t, [0], [(0.0, 0.0)], [0.9], [0.9] if cls else None, CFG),
+                      on_miss(t, [1], CFG),
+                      on_match(t, [], np.zeros((0, 2)), [], [] if cls else None, CFG), on_miss(t, [], CFG)):
             assert isinstance(ended, np.ndarray) and ended.dtype.kind == "i" and ended.shape == (0,)
 
 
@@ -395,12 +395,12 @@ class TestBatchedRules:
         points = np.array([[10.0 * r, 1.0] for r in matched]).reshape(-1, 2)
         confs = [0.25] * len(matched)
         nan_probs = [np.nan if p is None else p for p in probs]
-        ended = [on_match(batched, matched, points, confs, nan_probs, config, cls),
+        ended = [on_match(batched, matched, points, confs, nan_probs if cls else None, config),
                  on_miss(batched, unmatched, config)]
         single_ended, reference_ended = [], []
         for k, row in enumerate(matched):
-            single_ended += on_match(single, [row], points[k:k + 1], confs[k:k + 1], nan_probs[k:k + 1],
-                                     config, cls).tolist()
+            single_ended += on_match(single, [row], points[k:k + 1], confs[k:k + 1],
+                                     nan_probs[k:k + 1] if cls else None, config).tolist()
             reference_ended += [row] * reference_match(reference[row], probs[k], config, cls)
         assert ended[0].tolist() == sorted(single_ended) == sorted(reference_ended)
         single_ended, reference_ended = [], []

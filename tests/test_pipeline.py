@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from pointtrack import lifecycle, motion
@@ -181,6 +183,47 @@ class TestLibraryInput:
         with pytest.raises(InvalidInputError):
             run_sequence(frames, cfg)
 
+    CELLS = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 0.5, 40.0,
+                             np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)])
+
+    @staticmethod
+    def _tracker_with_tracks() -> PointTracker:
+        tracker = PointTracker(replace(BASELINE, lifecycle=LifecycleConfig(min_hits=3, cls_lead=1)))
+        for fi in frames_from_points([[(10.0 + f, 10.0), (60.0, 20.0 + f)] for f in range(4)]):
+            tracker.process_frame(fi)
+        return tracker
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(data=st.data(), n=st.integers(0, 3), with_score=st.booleans())
+    def test_frame_rule_is_the_detections_table_rule(self, data, n, with_score):
+        """process_frame rejects a frame exactly when DETECTIONS.write_columns
+        rejects its columns, with the table's message, and a rejected frame
+        leaves the tracker as it was. The one difference: write_columns
+        writes NaN in the optional score column as 0 (a row without a score),
+        while a frame's score column scores every detection, so
+        process_frame, like parse_columns, rejects a NaN score."""
+        x, y, conf, *score = (np.array(data.draw(st.lists(self.CELLS, min_size=n, max_size=n)))
+                              for _ in range(4 + with_score))
+        score = score[0] if score else None
+        tracker = self._tracker_with_tracks()
+        before = [getattr(tracker.tracks, f.name).copy() for f in fields(TrackTable)]
+        try:
+            DETECTIONS.write_columns([np.full(n, 4), x, y, conf, score])
+            table_error = None
+        except InvalidInputError as exc:
+            table_error = str(exc)
+        frame_input = FrameInput(4, np.column_stack([x, y]).reshape(n, 2), conf, score)
+        if table_error is None and (score is None or not np.isnan(score).any()):
+            tracker.process_frame(frame_input)
+            return
+        with pytest.raises(InvalidInputError, match=r"^frame 4: detection \d+: ") as raised:
+            tracker.process_frame(frame_input)
+        if table_error is not None:
+            assert str(raised.value).endswith(": " + table_error)
+        for f, column in zip(fields(TrackTable), before):
+            assert np.array_equal(getattr(tracker.tracks, f.name), column), f.name
+        assert tracker._last_frame == 3
+
 
 class TestBundleInput:
     """frame_inputs_from_bundle against FrameInputs built with from_rows from
@@ -318,6 +361,28 @@ class TestHostileLibraryInput:
         result = SequenceResult([replace(out, records=[TrackRow(0.5, 1, 1.0, 2.0, 0.9, "detection")])])
         with pytest.raises(InvalidInputError, match="^frame holds"):
             result.to_trajectories()
+
+    @pytest.mark.parametrize("accepted,points,conf,correspondences", [
+        (True, (), (), ()),
+        (True, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 4))),
+        (True, [(1.0, 2.0), (3.0, 4.0)], [0.5, 0.5], np.zeros((3, 4))),
+        (False, (), (), np.zeros((4, 2))),              # not 2 correspondences
+        (False, np.zeros((2, 4)), np.full(4, 0.5), ()),  # not 4 points
+        (False, np.zeros((3, 3)), np.full(3, 0.5), ()),
+        (False, [(1.0, 2.0)], [0.5], np.zeros(4)),
+        (False, [("x", 2.0)], [0.5], ()),
+        (False, [(1.0, 2.0)], ["high"], ()),
+        (False, [(1.0, 2.0), (3.0,)], [0.5, 0.5], ()),
+    ])
+    def test_only_k_by_2_points_and_m_by_4_correspondences_accepted(self, accepted, points, conf,
+                                                                     correspondences):
+        if accepted:
+            fi = FrameInput(0, points, conf, correspondences=correspondences)
+            assert fi.points.shape == (len(fi.conf), 2)
+            assert fi.correspondences.shape == (len(correspondences), 4)
+        else:
+            with pytest.raises(InvalidInputError, match="^frame 0: "):
+                FrameInput(0, points, conf, correspondences=correspondences)
 
     def test_missing_score_beside_a_score_is_nan(self):
         fi = FrameInput.from_rows(0, [Detection(0, 1.0, 2.0, 0.5, 0.9), Detection(0, 3.0, 4.0, 0.5)])
@@ -661,6 +726,11 @@ class TestClassificationWiring:
         # agents light the feature map up around themselves, so the energy
         # score clears the confirmation threshold
         assert result.summary.trajectory_count == 3
+
+    def test_validator_kept_only_with_classification_on(self):
+        validator = ScoreColumnValidator()
+        assert PointTracker(TrackerConfig(), validator).validator is validator
+        assert PointTracker(replace(TrackerConfig(), use_cls=False), validator).validator is None
 
     def test_zero_validator_confirms_nothing(self):
         class Zero:
