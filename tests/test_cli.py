@@ -279,6 +279,16 @@ class TestConfigValues:
         assert run(capsys, "track", "--bundle", str(small_bundle), "--config", str(cfg),
                    "--out", str(out))[0] == 0
 
+    def test_huge_ransac_iteration_count_exits_one(self, capsys, tmp_path, small_bundle):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("ransac_iters = 1000000000\n")
+        out = tmp_path / "t.csv"
+        code, _, err = run(capsys, "track", "--bundle", str(small_bundle), "--config", str(cfg),
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "iterations must be in [1, 10000]" in err
+        assert not out.exists()
+
     def test_negative_gap_penalty_exits_one(self, capsys, tmp_path, small_bundle):
         cfg = tmp_path / "config.txt"
         cfg.write_text("gog_gap_penalty = -1\n")

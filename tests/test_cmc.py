@@ -353,7 +353,7 @@ class TestBatchedHypotheses:
     def test_huge_iteration_count_stops_at_full_consensus(self, scored_blocks):
         # memory stays one block whatever iterations is, and the outlier-free
         # set stops after its first block as with the default 100
-        huge = outcome(estimate_affine, OUTLIER_FREE, RansacConfig(iterations=10**9))
+        huge = outcome(estimate_affine, OUTLIER_FREE, RansacConfig(iterations=cmc.MAX_ITERATIONS))
         assert scored_blocks == [cmc._FIRST_BLOCK]
         assert huge == outcome(estimate_affine, OUTLIER_FREE, RansacConfig(iterations=100))
 
@@ -450,6 +450,17 @@ class TestConfigs:
             RansacConfig(inlier_threshold=0)
         with pytest.raises(ConfigError):
             RansacConfig(seed=-1)
+
+    @pytest.mark.parametrize("iterations", [0, cmc.MAX_ITERATIONS + 1, 10**9])
+    def test_iteration_count_out_of_range(self, iterations):
+        # a frame with an outlier scores every hypothesis, so an unbounded
+        # count would hold one frame for hours
+        with pytest.raises(ConfigError, match="iterations must be in"):
+            RansacConfig(iterations=iterations)
+
+    def test_iteration_count_bounds_accepted(self):
+        assert RansacConfig(iterations=1).iterations == 1
+        assert RansacConfig(iterations=cmc.MAX_ITERATIONS).iterations == cmc.MAX_ITERATIONS
 
     def test_affine_requires_finite(self):
         with pytest.raises(InvalidInputError):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from pointtrack import lifecycle, motion
-from pointtrack.ddcf import FeatureMap, extract_patch, localize
+from pointtrack import lifecycle, motion, pipeline
+from pointtrack.ddcf import DcfConfig, FeatureMap, extract_patch, localize
 from pointtrack.errors import InvalidInputError, SequencingError
 from pointtrack.formats import (
     CORRESPONDENCES, DETECTIONS, Detection, SequenceBundlePaths, TrackRow,
@@ -562,6 +562,73 @@ class TestDdcfBranches:
         assert out.recoveries == 0
 
 
+class TestSparseFilterUpdates:
+    """A matched confirmed track's filter is trained on its first match in
+    the feature map, on any frame, and then updated only on frames that are
+    multiples of DCF_UPDATE_INTERVAL, at the compounded learning rate."""
+
+    INTERVAL = pipeline.DCF_UPDATE_INTERVAL
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """{"train": [...], "update": [...]}: the frame of each call, read
+        from the frame the test is processing."""
+        calls = {"train": [], "update": [], "frame": None}
+
+        def spy(name, fit):
+            def call(*args):
+                calls[name].append(calls["frame"])
+                return fit(*args)
+            return call
+
+        monkeypatch.setattr(pipeline, "train_filter", spy("train", pipeline.train_filter))
+        monkeypatch.setattr(pipeline, "update_filter", spy("update", pipeline.update_filter))
+        return calls
+
+    def run(self, fits, tracker, frame_inputs):
+        outputs = []
+        for frame_input in frame_inputs:
+            fits["frame"] = frame_input.frame
+            outputs.append(tracker.process_frame(frame_input))
+        return outputs
+
+    @pytest.mark.parametrize("start", range(4))
+    def test_one_track_in_every_phase(self, fits, start):
+        features = TestDdcfBranches.blob_features()
+        tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=5)))
+        frames = [FrameInput.from_rows(f, [Detection(f, *TestDdcfBranches.POINT, conf=0.9)], features=features)
+                  for f in range(start, start + 20)]
+        self.run(fits, tracker, frames)
+        confirmed = start + 4  # born on start, confirmed by its fifth hit
+        assert fits["train"] == [confirmed]
+        assert fits["update"] == [f for f in range(confirmed + 1, start + 20) if f % self.INTERVAL == 0]
+
+    def test_simulated_scene(self, fits):
+        eta = DcfConfig().learning_rate
+        cfg = ScenarioConfig(n_agents=5, frames=90, arena_width=200, arena_height=200, fn_rate=0.1,
+                             jitter_sigma=0.2, feature_channels=4, feature_stride=4.0, seed=17)
+        tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=6)))
+        outputs = self.run(fits, tracker, generate(cfg).frames)
+        # each track's first detection record is its first confirmed match
+        first = {}
+        for out in outputs:
+            for r in out.records:
+                if r.source == "detection":
+                    first.setdefault(r.track_id, out.frame)
+        later_matches = Counter(out.frame for out in outputs for r in out.records
+                                if r.source == "detection" and first[r.track_id] < out.frame)
+        assert Counter(fits["train"]) == Counter(first.values())
+        assert {f % self.INTERVAL for f in fits["train"]} == set(range(self.INTERVAL))
+        assert fits["update"] and Counter(fits["update"]) == Counter(
+            {f: n for f, n in later_matches.items() if f % self.INTERVAL == 0})
+        assert tracker.config.dcf == DcfConfig()
+        filters = [f for f in tracker.tracks.filters if f is not None]
+        assert filters
+        for filt in filters:
+            assert filt.config.learning_rate == 1 - (1 - eta) ** 4
+            assert filt.config == replace(tracker.config.dcf, learning_rate=filt.config.learning_rate)
+
+
 class TestDeterminism:
     def test_identical_runs_identical_outputs(self):
         cfg = ScenarioConfig(n_agents=5, frames=80, fn_rate=0.15, jitter_sigma=0.4,
@@ -591,7 +658,7 @@ class TestDeterminism:
         text = write_tracks([r for out in result.outputs for r in out.records])
         assert result.summary.recoveries > 0
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "3c6e06d958d3e3d9046c472721ba4154a14581e955b1bfc6c198257605c862a4"
+            "93a22a9dfa2d4698dde663063a825e3082feab4cc5ab857e0b6c47c9a74d00d1"
 
     def test_streaming_matches_run_sequence(self):
         pts = [[(5.0 + f, 5.0)] for f in range(50)]
