@@ -25,6 +25,10 @@ MIN_PATCH_CELLS = 8
 # patch must leave sidelobe cells outside it
 PSR_EXCLUSION = 5
 MIN_FILTER_CELLS = 2 * PSR_EXCLUSION + 2
+# bounds each track's filter: one of its (s, s//2 + 1, c) complex spectra
+# takes about 4 MB at 256 cells and 8 channels, and a patch that wide spans
+# 1,024 px at a 4 px stride
+MAX_FILTER_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,8 @@ class DcfConfig:
     def __post_init__(self):
         if self.patch_cells < MIN_FILTER_CELLS:
             raise ConfigError(f"patch_cells must be >= {MIN_FILTER_CELLS}")
+        if self.patch_cells > MAX_FILTER_CELLS:
+            raise ConfigError(f"patch_cells must be <= {MAX_FILTER_CELLS}")
         if not (math.isfinite(self.regularization) and self.regularization > 0):
             raise ConfigError("regularization must be finite and > 0")
         if not (0.0 < self.learning_rate <= 1.0):

@@ -14,16 +14,39 @@ later one stays no better). Walking forward from the path's first frame,
 a detection is recomputed only when its predecessor was removed or its dp
 rose, which gives bitwise the same paths as a full DP rerun per path.
 
-Each step of the DP relaxes detections of one frame against a window of
-predecessors, the detections 1 to max_gap frames back, in tie order
-(nearest frame first, then lowest index). Detections that earlier paths
-removed leave the window. FlowGraph.link_terms states the admission rule
-and gives what depends only on the predecessor, once per window column:
-its position, gate, gate radius gate * gap, gap penalty. Per cell
-(detection x predecessor) link_costs computes only the distance, the
+Each step of the DP relaxes detections of one frame (rows) against a window
+of predecessors, the live detections 1 to max_gap frames back, in tie order
+(nearest frame first, then lowest index). The live detections are kept in
+tie order in a compacted graph of their own, rebuilt once per extracted
+path, so every window is a slice of it. FlowGraph.link_terms states the
+admission rule and gives what depends only on the predecessor, once per
+window column: its position, gate, gate radius gate * gap, gap penalty. Per
+cell (detection x predecessor) link_costs computes only the distance, the
 radius test and distance / gate + penalty, and the DP adds the
 predecessor's dp and takes the argmin, in blocks of at most _BLOCK cells.
 transition_cost applies the same two methods to a single pair.
+
+A row's result depends only on the predecessors that can reach its best,
+so a relax of more than _GROUP rows, a frame's or a repair's, skips the
+others:
+
+- Bound. A link from i costs dp[i] + (distance / gate + penalty), at
+  least lb[i] = dp[i] + penalty, since distance / gate >= 0 and rounded
+  float addition is monotone.
+- Probe. Each row's best is at most its cheapest link into the _PROBE
+  nearest frames, a prefix of the window, and at most the entry cost.
+- Groups. The rows, sorted by that bound, are relaxed _GROUP at a time
+  against the columns with lb <= the group's largest bound, kept in tie
+  order.
+
+Exactness: a column with lb above a row's bound costs more than the row's
+best, so it can neither be the argmin nor tie with it; the columns kept
+hold every one that reaches the best, in the same order, so the argmin
+and the strict comparison with the entry cost pick the same result as
+over the whole window. The comparison must stay <=: a column whose lb
+equals the bound can tie the best and win it by tie order. Row sets of at
+most _GROUP rows, nearly all of the repairs, scan the whole window, where
+a probe would cost more than it saves.
 """
 
 import math
@@ -38,6 +61,10 @@ from .metrics import TrajectorySet
 
 # cells per (detections x predecessor window) block, bounding DP temporaries
 _BLOCK = 1 << 12
+# rows relaxed against one set of columns; more rows than this are grouped
+_GROUP = 6
+# frames back that the probe bounding a grouped row's best reaches
+_PROBE = 2
 
 
 @dataclass(frozen=True)
@@ -65,7 +92,7 @@ class FlowGraph:
     """Flattened detection DAG; transition edges are implicit in the
     admission rule (see link_terms)."""
 
-    frames: np.ndarray     # (n,) int, sorted non-decreasing
+    frames: np.ndarray     # (n,) int; build_graph sorts them non-decreasing
     xs: np.ndarray         # (n,)
     ys: np.ndarray         # (n,)
     confs: np.ndarray      # (n,)
@@ -158,35 +185,69 @@ def _extract(graph: FlowGraph):
     frame_list = sorted(graph.frame_slices)
     if not frame_list:
         return
-    # Predecessor candidates in tie order: nearest frame first, then
-    # ascending index, so each frame's window is one slice of `order`.
-    order = np.lexsort((np.arange(n), -graph.frames))
+    frames = np.array(frame_list)
     span = min(cfg.max_gap, frame_list[-1] - frame_list[0])  # stays within int64
-    window_lo = np.searchsorted(graph.frames, np.array(frame_list) - span)
+    # the live detections in tie order: nearest frame first, then ascending index
+    live = np.lexsort((np.arange(n), -graph.frames))
+
+    def compact():
+        """The live detections as a graph of their own, in tie order, and
+        per frame the bounds of its window in that graph and the length of
+        its probe, the window's prefix over the _PROBE nearest frames."""
+        view = FlowGraph(frames=graph.frames[live], xs=graph.xs[live], ys=graph.ys[live],
+                         confs=graph.confs[live], det_costs=graph.det_costs[live],
+                         gates=graph.gates[live], config=cfg)
+        back = -view.frames  # non-decreasing
+        start = np.searchsorted(back, -frames, side="right")
+        stop = np.searchsorted(back, span - frames, side="right")
+        probe = np.minimum(np.searchsorted(back, _PROBE - frames, side="right"), stop) - start
+        return view, start.tolist(), stop.tolist(), probe.tolist()
+
+    def scan(rows, terms, dp_window):
+        """Each row's minimum of dp_window + its link costs, and the first
+        window position that reaches it, in blocks of at most _BLOCK cells."""
+        best = np.empty(rows.size)
+        arg = np.empty(rows.size, dtype=int)
+        step = max(1, _BLOCK // dp_window.size)
+        for a in range(0, rows.size, step):
+            total = dp_window + graph.link_costs(terms, rows[a:a + step])
+            k = total.argmin(axis=1)
+            best[a:a + step] = total[np.arange(k.size), k]
+            arg[a:a + step] = k
+        return best, arg
 
     def relax(fi: int, rows: np.ndarray) -> None:
-        lo, _ = graph.frame_slices[frame_list[fi]]
-        window = order[n - lo:n - window_lo[fi]]
-        # a removed detection (dp inf) never wins; the rest keep tie order
-        window = window[dp[window] < np.inf]
+        a, b = start[fi], stop[fi]
         best = np.full(rows.size, cfg.entry_cost, dtype=float)
         via = np.full(rows.size, -1)
-        if window.size:
-            terms = graph.link_terms(window, frame_list[fi])
+        if a < b:
+            window = live[a:b]
+            terms = view.link_terms(slice(a, b), frame_list[fi])
             dp_window = dp[window]
-            step = max(1, _BLOCK // window.size)
-            for a in range(0, rows.size, step):
-                cur = rows[a:a + step]
-                total = dp_window + graph.link_costs(terms, cur)
-                k = np.argmin(total, axis=1)
-                cand = total[np.arange(cur.size), k]
-                # the entry cost wins ties: a link must be strictly cheaper
-                better = cand < cfg.entry_cost
-                best[a:a + step] = np.where(better, cand, cfg.entry_cost)
-                via[a:a + step] = np.where(better, window[k], -1)
-        dp[rows] = graph.det_costs[rows] + best
-        pred[rows] = via
+            if rows.size <= _GROUP:
+                best, k = scan(rows, terms, dp_window)
+                via = window[k]
+            else:
+                # bound each row's best by the entry cost and its probe
+                # (see the module docstring)
+                bound = best.copy()
+                p = probe[fi]
+                if p:
+                    reach, _ = scan(rows, tuple(t[:p] for t in terms), dp_window[:p])
+                    np.minimum(bound, reach, out=bound)
+                lower = dp_window + terms[-1]  # dp + gap penalty
+                ranked = np.argsort(bound, kind="stable")
+                for g in np.array_split(ranked, range(_GROUP, rows.size, _GROUP)):
+                    cand = np.flatnonzero(lower <= bound[g[-1]])
+                    if cand.size:
+                        best[g], k = scan(rows[g], tuple(t[cand] for t in terms), dp_window[cand])
+                        via[g] = window[cand[k]]
+        # the entry cost wins ties: a link must be strictly cheaper
+        better = best < cfg.entry_cost
+        dp[rows] = graph.det_costs[rows] + np.where(better, best, cfg.entry_cost)
+        pred[rows] = np.where(better, via, -1)
 
+    view, start, stop, probe = compact()
     for fi, frame in enumerate(frame_list):
         relax(fi, np.arange(*graph.frame_slices[frame]))
 
@@ -206,6 +267,8 @@ def _extract(graph: FlowGraph):
         changed[:] = False
         changed[path] = True
         dp[path] = np.inf
+        live = live[np.isfinite(dp[live])]
+        view, start, stop, probe = compact()
         last_change = int(graph.frames[path[-1]])
         for fi in range(bisect_right(frame_list, graph.frames[path[0]]), len(frame_list)):
             frame = frame_list[fi]

@@ -7,6 +7,7 @@ import pytest
 from pointtrack import cli
 from pointtrack.cli import main
 from pointtrack.config import _KINDS
+from pointtrack.ddcf import MAX_FILTER_CELLS
 from pointtrack.formats import (
     CorrespondenceRow, parse_correspondences, parse_gt, parse_kv_text, parse_tracks,
     write_correspondences, write_tracks,
@@ -278,6 +279,17 @@ class TestConfigValues:
         cfg.write_text("dcf_patch_cells = 12\n")
         assert run(capsys, "track", "--bundle", str(small_bundle), "--config", str(cfg),
                    "--out", str(out))[0] == 0
+
+    def test_huge_patch_exits_one(self, capsys, tmp_path, small_bundle):
+        # a patch this wide would not fit in memory: its label alone is 80 GB
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("dcf_patch_cells = 100000\n")
+        out = tmp_path / "t.csv"
+        code, _, err = run(capsys, "track", "--bundle", str(small_bundle), "--config", str(cfg),
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and f"patch_cells must be <= {MAX_FILTER_CELLS}" in err
+        assert not out.exists()
 
     def test_huge_ransac_iteration_count_exits_one(self, capsys, tmp_path, small_bundle):
         cfg = tmp_path / "config.txt"

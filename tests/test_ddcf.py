@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointtrack.ddcf import (
-    DcfConfig, FeatureMap, FeaturePatch, extract_patch, localize, response, train_filter,
+    MAX_FILTER_CELLS, DcfConfig, FeatureMap, FeaturePatch, extract_patch, localize, response, train_filter,
     update_filter,
 )
 from pointtrack.errors import ConfigError, InvalidInputError
@@ -385,6 +385,11 @@ class TestUpdateFilter:
         with pytest.raises(ConfigError, match="patch_cells must be >= 12"):
             DcfConfig(patch_cells=11)
         assert DcfConfig(patch_cells=12).patch_cells == 12
+
+    def test_patch_cells_upper_bound(self):
+        with pytest.raises(ConfigError, match=f"patch_cells must be <= {MAX_FILTER_CELLS}"):
+            DcfConfig(patch_cells=MAX_FILTER_CELLS + 1)
+        assert DcfConfig(patch_cells=MAX_FILTER_CELLS).patch_cells == MAX_FILTER_CELLS
 
 
 class TestAgainstFullSpectrum:

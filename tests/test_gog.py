@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointtrack import gog
+from pointtrack.assignment import dynamic_threshold
 from pointtrack.errors import ConfigError, InvalidInputError
 from pointtrack.formats import Detection
 from pointtrack.gog import FlowGraph, GogConfig, _extract, build_graph, solve, solve_total_cost
 from pointtrack.metrics import TrajectorySet
+from pointtrack.simulate import ScenarioConfig, generate
 
 
 def det(frame, x, y, conf=0.9):
@@ -369,6 +372,25 @@ def tie_prone_graphs(draw):
     return build_graph(dets, cfg, gates)
 
 
+@st.composite
+def crowded_graphs(draw):
+    """Graphs whose frames hold 6 to 20 detections, so that each frame's
+    rows form several relax groups, on integer coordinates with few
+    distinct confidences and per-frame gates; frame numbers are sparse."""
+    frames = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=6)))
+    dets = [det(f, draw(st.integers(0, 6)), draw(st.integers(0, 6)),
+                conf=draw(st.sampled_from([0.5, 0.75, 0.9])))
+            for f in frames for _ in range(draw(st.integers(6, 20)))]
+    cfg = GogConfig(entry_cost=draw(st.sampled_from([0.5, 1, 2.0, 3])),
+                    exit_cost=draw(st.sampled_from([0.5, 1, 2.0])),
+                    gap_penalty=draw(st.sampled_from([0, 0.25, 0.5])),
+                    max_gap=draw(st.integers(1, 12)),
+                    gate=draw(st.sampled_from([1.0, 2.0, 4.0])))
+    gates = {f: float(draw(st.sampled_from([1, 2, 4]))) for f in frames
+             if draw(st.booleans())}
+    return build_graph(dets, cfg, gates)
+
+
 class TestIncrementalRepair:
     @settings(derandomize=True, max_examples=400, deadline=None, database=None)
     @given(tie_prone_graphs())
@@ -383,6 +405,42 @@ class TestIncrementalRepair:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gog, "_BLOCK", 7)
             assert_matches_reference(graph)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(crowded_graphs())
+    def test_equals_full_rerun_on_crowded_frames(self, graph):
+        assert_matches_reference(graph)
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(tie_prone_graphs())
+    def test_equals_full_rerun_in_groups_of_one_row(self, graph):
+        # every frame or repair of more than one row is relaxed in groups,
+        # each bounded by a probe of the nearest frame alone
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gog, "_GROUP", 1)
+            patch.setattr(gog, "_PROBE", 1)
+            assert_matches_reference(graph)
+
+    def test_rows_that_cannot_beat_entering_cost_only_their_probe(self):
+        # every detection's dp exceeds the entry cost and no two are close
+        # enough to link, so no predecessor can serve any row below the
+        # entry cost: each frame costs its probe of the frame before and
+        # nothing more
+        dets = [det(f, 100 * (8 * f + i), 0, conf=0.05) for f in range(6) for i in range(8)]
+        graph = build_graph(dets, GogConfig(entry_cost=1, exit_cost=1))
+        cells = []
+        link_costs = FlowGraph.link_costs
+
+        def counted(self, terms, j):
+            cells.append(len(j) * len(terms[0]))
+            return link_costs(self, terms, j)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gog, "_GROUP", 1)
+            patch.setattr(gog, "_PROBE", 1)
+            patch.setattr(FlowGraph, "link_costs", counted)
+            assert list(_extract(graph)) == []
+        assert sum(cells) == 5 * 8 * 8
 
     @pytest.mark.parametrize("dets,cfg", [
         ([], GogConfig()),
@@ -424,3 +482,24 @@ class TestIncrementalRepair:
     ], ids=["entry_tie", "tie_within_frame", "tie_across_frames", "removed_before_equal_link"])
     def test_tie_order(self, dets, cfg):
         assert_matches_reference(build_graph(dets, cfg))
+
+
+def test_output_bytes_on_a_simulated_scene():
+    """solve's columns on the first 40 frames of the s20_offline bench scene
+    at seed 7: 905 detections, about 22 a frame, so every frame is relaxed
+    in groups. Any change to the bytes of GOG's output fails here."""
+    cfg = ScenarioConfig(n_agents=20, frames=40, arena_width=512.0, arena_height=512.0,
+                         agent_speed_sigma=1.5, turn_sigma=0.1, camera_rotation_deg=0.1,
+                         camera_translation_x=1.0, camera_translation_y=0.5, fn_rate=0.1,
+                         fp_clutter_rate=2.0, persistent_fp_count=3, jitter_sigma=0.3,
+                         occlusion_windows=((3, 40, 70), (11, 60, 95)), feature_channels=0,
+                         seed=7)
+    bundle = generate(cfg)
+    dets = [det(fi.frame, x, y, conf) for fi in bundle.frames
+            for (x, y), conf in zip(fi.points.tolist(), fi.conf.tolist())]
+    gates = {fi.frame: dynamic_threshold(fi.altitude) for fi in bundle.frames}
+    graph = build_graph(dets, GogConfig(), gates)
+    result = solve(graph)
+    assert (len(graph), len(result)) == (905, 23)
+    assert hashlib.sha256(b"".join(c.tobytes() for c in result.columns)).hexdigest() == \
+        "137025adb7004cbd3fb3c5c7159a973f5e4978187c98b452222da67380f72f9a"
