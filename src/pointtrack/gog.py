@@ -6,13 +6,21 @@ path via dynamic programming while its total cost stays negative (the
 sequential-shortest-path scheme without residual-edge reversal; Pirsiavash
 et al., CVPR 2011).
 
-The DP runs in full once. After each extracted path only the detections it
-invalidated are recomputed: removing detections can only raise dp, so a
-detection whose chosen predecessor kept its dp keeps its dp and pred (every
-option before that predecessor in tie order stays strictly worse, every
-later one stays no better). Walking forward from the path's first frame,
-a detection is recomputed only when its predecessor was removed or its dp
-rose, which gives bitwise the same paths as a full DP rerun per path.
+The DP runs in full once. After each extracted path only the path's
+descendants in the pred forest (the detections whose chain of chosen
+predecessors runs through it) are recomputed, frame by frame in frame
+order. Exactness: removing detections can only raise dp, and a detection
+outside that set has a chosen predecessor outside it too, whose dp is
+unchanged by induction over the frames; every option before that
+predecessor in tie order stays strictly worse and every later one stays no
+better, so the detection keeps its dp and pred. A descendant whose result
+does not move is recomputed to the same dp and pred, which gives bitwise
+the same paths as a full DP rerun per path. The set is found before any
+relax, from the pred forest as it stood when the path was taken, by
+pointer doubling: each round ORs into every detection whether its current
+ancestor is marked and then doubles its ancestor step, so about
+log2(longest chain) vectorised passes over the detections from the path's
+first one on.
 
 Each step of the DP relaxes detections of one frame (rows) against a window
 of predecessors, the live detections 1 to max_gap frames back, in tie order
@@ -24,7 +32,9 @@ window column: its position, gate, gate radius gate * gap, gap penalty. Per
 cell (detection x predecessor) link_costs computes only the distance, the
 radius test and distance / gate + penalty, and the DP adds the
 predecessor's dp and takes the argmin, in blocks of at most _BLOCK cells.
-transition_cost applies the same two methods to a single pair.
+transition_cost applies the same two methods to a single pair. A window's
+gaps all lie in 1..max_gap by construction, so link_terms skips the gap
+test for a slice.
 
 A row's result depends only on the predecessors that can reach its best,
 so a relax of more than _GROUP rows, a frame's or a repair's, skips the
@@ -50,7 +60,6 @@ a probe would cost more than it saves.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,12 +120,15 @@ class FlowGraph:
 
         The admission rule: a link bridges a gap of 1 to max_gap frames and
         spans at most gate * gap px, with the gate of i's frame. Outside that
-        gap range the radius is -inf, which no distance meets."""
+        gap range the radius is -inf, which no distance meets. A slice i is
+        a DP window, whose gaps all lie in that range, so it skips the test."""
         gap = frame - self.frames[i]
         gate = self.gates[i]
         # a +inf gate * gap admits every finite distance
         with np.errstate(over="ignore"):
-            radius = np.where((gap >= 1) & (gap <= self.config.max_gap), gate * gap, -np.inf)
+            radius = gate * gap
+            if not isinstance(i, slice):
+                radius = np.where((gap >= 1) & (gap <= self.config.max_gap), radius, -np.inf)
             penalty = self.config.gap_penalty * (gap - 1)
         return self.xs[i], self.ys[i], gate, radius, penalty
 
@@ -175,17 +187,19 @@ def _extract(graph: FlowGraph):
     detections before the next search, until none remains.
 
     One full DP pass, then after each path an exact repair of only the
-    detections it invalidated (see the module docstring).
+    path's descendants in the pred forest (see the module docstring).
     """
     n = len(graph)
     cfg = graph.config
     dp = np.full(n, np.inf)                  # inf marks a removed detection
     pred = np.full(n, -1, dtype=int)         # -1: the path enters here
-    changed = np.zeros(n + 1, dtype=bool)    # changed[-1] is the entry, never set
     frame_list = sorted(graph.frame_slices)
     if not frame_list:
         return
+    entry = float(cfg.entry_cost)
+    det_costs = graph.det_costs.tolist()
     frames = np.array(frame_list)
+    frame_of = np.searchsorted(frames, graph.frames)  # each detection's index in frame_list
     span = min(cfg.max_gap, frame_list[-1] - frame_list[0])  # stays within int64
     # the live detections in tie order: nearest frame first, then ascending index
     live = np.lexsort((np.arange(n), -graph.frames))
@@ -206,46 +220,50 @@ def _extract(graph: FlowGraph):
     def scan(rows, terms, dp_window):
         """Each row's minimum of dp_window + its link costs, and the first
         window position that reaches it, in blocks of at most _BLOCK cells."""
-        best = np.empty(rows.size)
-        arg = np.empty(rows.size, dtype=int)
         step = max(1, _BLOCK // dp_window.size)
-        for a in range(0, rows.size, step):
-            total = dp_window + graph.link_costs(terms, rows[a:a + step])
-            k = total.argmin(axis=1)
-            best[a:a + step] = total[np.arange(k.size), k]
-            arg[a:a + step] = k
-        return best, arg
+        if rows.size > step:
+            blocks = [scan(rows[a:a + step], terms, dp_window) for a in range(0, rows.size, step)]
+            return tuple(np.concatenate(part) for part in zip(*blocks))
+        total = graph.link_costs(terms, rows)
+        total += dp_window
+        k = total.argmin(axis=1)
+        return total[np.arange(k.size), k], k
 
     def relax(fi: int, rows: np.ndarray) -> None:
         a, b = start[fi], stop[fi]
-        best = np.full(rows.size, cfg.entry_cost, dtype=float)
-        via = np.full(rows.size, -1)
-        if a < b:
-            window = live[a:b]
-            terms = view.link_terms(slice(a, b), frame_list[fi])
-            dp_window = dp[window]
-            if rows.size <= _GROUP:
-                best, k = scan(rows, terms, dp_window)
-                via = window[k]
+        if a == b:
+            dp[rows] = graph.det_costs[rows] + entry
+            pred[rows] = -1
+            return
+        window = live[a:b]
+        terms = view.link_terms(slice(a, b), frame_list[fi])
+        dp_window = dp[window]
+        if rows.size <= _GROUP:
+            best, k = scan(rows, terms, dp_window)
+            via = window[k]
+        else:
+            # bound each row's best by the entry cost and its probe
+            # (see the module docstring)
+            best = np.full(rows.size, entry)
+            via = np.full(rows.size, -1)
+            bound = best.copy()
+            p = probe[fi]
+            if p:
+                reach, _ = scan(rows, tuple(t[:p] for t in terms), dp_window[:p])
+                np.minimum(bound, reach, out=bound)
+            lower = dp_window + terms[-1]  # dp + gap penalty
+            ranked = np.argsort(bound, kind="stable")
+            for g in np.array_split(ranked, range(_GROUP, rows.size, _GROUP)):
+                cand = np.flatnonzero(lower <= bound[g[-1]])
+                if cand.size:
+                    best[g], k = scan(rows[g], tuple(t[cand] for t in terms), dp_window[cand])
+                    via[g] = window[cand[k]]
+        for r, link, i in zip(rows.tolist(), best.tolist(), via.tolist()):
+            # the entry cost wins ties: a link must be strictly cheaper
+            if link < entry:
+                dp[r], pred[r] = det_costs[r] + link, i
             else:
-                # bound each row's best by the entry cost and its probe
-                # (see the module docstring)
-                bound = best.copy()
-                p = probe[fi]
-                if p:
-                    reach, _ = scan(rows, tuple(t[:p] for t in terms), dp_window[:p])
-                    np.minimum(bound, reach, out=bound)
-                lower = dp_window + terms[-1]  # dp + gap penalty
-                ranked = np.argsort(bound, kind="stable")
-                for g in np.array_split(ranked, range(_GROUP, rows.size, _GROUP)):
-                    cand = np.flatnonzero(lower <= bound[g[-1]])
-                    if cand.size:
-                        best[g], k = scan(rows[g], tuple(t[cand] for t in terms), dp_window[cand])
-                        via[g] = window[cand[k]]
-        # the entry cost wins ties: a link must be strictly cheaper
-        better = best < cfg.entry_cost
-        dp[rows] = graph.det_costs[rows] + np.where(better, best, cfg.entry_cost)
-        pred[rows] = np.where(better, via, -1)
+                dp[r], pred[r] = det_costs[r] + entry, -1
 
     view, start, stop, probe = compact()
     for fi, frame in enumerate(frame_list):
@@ -262,28 +280,30 @@ def _extract(graph: FlowGraph):
         path.reverse()
         yield float(totals[end]), path
 
-        # Repair forward from the path's first frame; a frame more than
-        # max_gap past the last change has no changed predecessor.
-        changed[:] = False
-        changed[path] = True
+        # The path's descendants in the pred forest, by pointer doubling
+        # over the detections from its first one on (no earlier one can
+        # descend from it): before round r, up holds each detection's
+        # ancestor 2**r links up (m once past its root), and mark whether
+        # the detection or one of its 2**r - 1 nearest ancestors is on the
+        # path; each round doubles both reaches.
+        first = path[0]
+        m = n - first
+        up = np.append(pred[first:] - first, m)
+        up[up < 0] = m
+        mark = np.zeros(m + 1, dtype=bool)
+        mark[np.array(path) - first] = True
+        while up.min() < m:
+            mark |= mark[up]
+            up = up[up]
         dp[path] = np.inf
+        rows = first + np.flatnonzero(mark[:m] & np.isfinite(dp[first:]))  # live descendants
         live = live[np.isfinite(dp[live])]
         view, start, stop, probe = compact()
-        last_change = int(graph.frames[path[-1]])
-        for fi in range(bisect_right(frame_list, graph.frames[path[0]]), len(frame_list)):
-            frame = frame_list[fi]
-            if frame - last_change > cfg.max_gap:
-                break
-            lo, hi = graph.frame_slices[frame]
-            rows = lo + np.flatnonzero(np.isfinite(dp[lo:hi]) & changed[pred[lo:hi]])
-            if rows.size == 0:
-                continue
-            before = dp[rows]
-            relax(fi, rows)
-            moved = rows[dp[rows] != before]
-            if moved.size:
-                changed[moved] = True
-                last_change = max(last_change, frame)
+        # relax them frame by frame, in frame order
+        fis = frame_of[rows]
+        heads = np.flatnonzero(np.diff(fis, prepend=-1))
+        for fi, part in zip(fis[heads].tolist(), np.split(rows, heads[1:])):
+            relax(fi, part)
 
 
 def solve(graph: FlowGraph) -> TrajectorySet:

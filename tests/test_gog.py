@@ -484,6 +484,86 @@ class TestIncrementalRepair:
         assert_matches_reference(build_graph(dets, cfg))
 
 
+def recomputed_cost(graph: FlowGraph, path: list[int]) -> float:
+    """A path's cost summed in the DP's order: entry, then each link onto
+    the predecessor's running cost, then exit."""
+    cfg = graph.config
+    cost = graph.det_costs[path[0]] + cfg.entry_cost
+    for i, j in zip(path, path[1:]):
+        cost = graph.det_costs[j] + (cost + graph.transition_cost(i, j))
+    return cost + cfg.exit_cost
+
+
+def assert_extraction_invariants(graph: FlowGraph):
+    """Costs never fall in extraction order, no detection is used twice,
+    every link is admissible, and each cost is its path's, bit for bit."""
+    found = list(_extract(graph))
+    costs = [cost for cost, _ in found]
+    assert costs == sorted(costs)
+    used = [i for _, path in found for i in path]
+    assert len(used) == len(set(used))
+    for cost, path in found:
+        assert all(graph.transition_cost(i, j) is not None for i, j in zip(path, path[1:]))
+        assert np.float64(cost).tobytes() == np.float64(recomputed_cost(graph, path)).tobytes()
+
+
+class TestExtractionInvariants:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(tie_prone_graphs())
+    def test_on_tie_prone_graphs(self, graph):
+        assert_extraction_invariants(graph)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(crowded_graphs())
+    def test_on_crowded_graphs(self, graph):
+        assert_extraction_invariants(graph)
+
+
+class TestRepairSet:
+    """After a path is removed, exactly its descendants in the pred forest
+    are recomputed; each case checks one shape of that set against the
+    full rerun. The first path is always the main track on y = 0."""
+
+    @staticmethod
+    def track(frames, y, conf):
+        """One still detection at (0, y) on each of frames."""
+        return [det(f, 0, y, conf) for f in frames]
+
+    def test_chain_longer_than_64_detections(self):
+        # frame 0's wide gate lets the branch at y = 2000 hang off the main
+        # track's first detection, and no other main detection reaches it:
+        # a chain of 80 descendants, which takes seven doubling rounds
+        dets = self.track(range(100), 0, 0.9) + self.track(range(1, 81), 2000, 0.75)
+        graph = build_graph(dets, GogConfig(entry_cost=1, exit_cost=1), {0: 10000.0})
+        assert [len(path) for _, path in _extract(graph)] == [100, 80]
+        assert_matches_reference(graph)
+
+    def test_descendants_beyond_max_gap_after_the_path(self):
+        # as above, the branch hangs off the main track's first detection;
+        # the main track ends at frame 9 and its descendants run to frame
+        # 30, far more than max_gap = 5 frames later
+        dets = self.track(range(10), 0, 0.9) + self.track(range(1, 31), 2000, 0.55)
+        graph = build_graph(dets, GogConfig(entry_cost=1, exit_cost=1, max_gap=5), {0: 10000.0})
+        assert [len(path) for _, path in _extract(graph)] == [10, 30]
+        assert_matches_reference(graph)
+
+    def test_path_without_descendants(self):
+        # the tracks lie farther apart than any gate reaches
+        dets = self.track(range(10), 0, 0.9) + [det(f, 500, 0, 0.75) for f in range(10)]
+        graph = build_graph(dets, GogConfig(entry_cost=1, exit_cost=1))
+        assert [len(path) for _, path in _extract(graph)] == [10, 10]
+        assert_matches_reference(graph)
+
+    def test_descendant_whose_new_best_is_another_descendant(self):
+        # a (frame 3) and b (frame 4) both link from the main track; once it
+        # is gone, a enters and b links from a, which is recomputed first
+        dets = self.track(range(6), 0, 0.9) + [det(3, 1, 0, 0.8), det(4, 2, 0, 0.8)]
+        graph = build_graph(dets, GogConfig(entry_cost=1, exit_cost=1))
+        a, b = (int(np.flatnonzero((graph.frames == f) & (graph.xs == x))[0]) for f, x in ((3, 1), (4, 2)))
+        assert [path for _, path in _extract(graph)][1] == [a, b]
+        assert_matches_reference(graph)
+
+
 def test_output_bytes_on_a_simulated_scene():
     """solve's columns on the first 40 frames of the s20_offline bench scene
     at seed 7: 905 detections, about 22 a frame, so every frame is relaxed

@@ -31,6 +31,8 @@ def test_tiny_ladder_is_deterministic_and_complete(tmp_path):
             assert row["mean_tr_nae"] == sum(s["tr_nae"] for s in scenes) / len(scenes)
             assert row["total_id_sw"] == sum(s["id_sw"] for s in scenes)
             assert row["mean_t_ap10"] == sum(s["t_ap10"] for s in scenes) / len(scenes)
+        # tiny scenes are long enough to confirm and score online tracks
+        assert any(variant["rows"][rung]["mean_t_ap10"] > 0 for rung in ROWS[:-1])
         for flip in variant["flips"]:
             assert flip["rung"] in ROWS[1:-1]
             assert flip["value"] == variant["rows"][flip["rung"]]["scenes"][str(flip["scene"])][flip["metric"]]

@@ -97,3 +97,15 @@ def test_tree_without_the_benchmark_is_a_usage_error(tmp_path, missing):
                           cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "holds no perfbench/run.py" in proc.stderr
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--workload", "s20_offline", "--pairs", "0"], "--pairs 0 runs nothing without --digests"),
+    (["--workload", "no_such_workload"], "unknown workload 'no_such_workload'"),
+], ids=["zero_pairs_without_digests", "unknown_workload"])
+def test_argument_that_runs_nothing_is_a_usage_error(args, message):
+    proc = subprocess.run([sys.executable, "tools/pairs.py", "--base", str(ROOT), "--head", str(ROOT), *args],
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""

@@ -6,7 +6,8 @@ switched on one at a time, with the offline GOG baseline beside them.
 The scenes are perfbench/workloads.json's s20_online scenario at seeds
 7 + k * 1,000,000, in two altitude variants: constant 100 m, and linear
 from 100 to 40 m. --size full runs 8 scenes per variant; --size tiny runs 2,
-with the workload's tiny overrides. Each scene goes through
+with the workload's tiny overrides but 100 frames, so that a track can be
+confirmed and scored on the online rungs. Each scene goes through
 simulate.generate and write_bundle, and each ladder row is the CLI run on
 that bundle: ``pointtrack track`` with the additions above the rung
 disabled (or ``pointtrack gog``), then ``pointtrack evaluate`` with the
@@ -37,6 +38,8 @@ from pointtrack.simulate import ScenarioConfig, generate, write_bundle  # noqa: 
 WORKLOAD = "s20_online"
 SEED_STRIDE = 1_000_000
 SCENES = {"full": 8, "tiny": 2}
+# the workload's tiny scenes (50 frames) are shorter than twice min_hits: every online rung read T-AP@10 0
+TINY_FRAMES = 100
 VARIANTS = {
     "constant": {"altitude_shape": "constant", "altitude_start": 100.0, "altitude_end": 100.0},
     "linear": {"altitude_shape": "linear", "altitude_start": 100.0, "altitude_end": 40.0},
@@ -67,7 +70,8 @@ def _score(bundle: Path, command: list[str]) -> dict:
 
 def _scenario(size: str, variant: dict, seed: int) -> ScenarioConfig:
     workload = json.loads((ROOT / "perfbench" / "workloads.json").read_text())[WORKLOAD]
-    fields = dict(workload["scenario"], **(workload["tiny"] if size == "tiny" else {}), **variant, seed=seed)
+    tiny = dict(workload["tiny"], frames=TINY_FRAMES) if size == "tiny" else {}
+    fields = dict(workload["scenario"], **tiny, **variant, seed=seed)
     fields["occlusion_windows"] = tuple(map(tuple, fields["occlusion_windows"]))
     return ScenarioConfig(**fields)
 

@@ -148,7 +148,12 @@ def main(argv=None) -> int:
             parser.error(f"{tree} holds no perfbench/run.py")
     if args.pairs < 0:
         parser.error("--pairs must be >= 0")
+    if args.pairs == 0 and not args.digests:
+        parser.error("--pairs 0 runs nothing without --digests")
     bench = json.loads((args.base / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload not in names:
+        parser.error(f"unknown workload {args.workload!r}; the base's BENCHMARK.json has {', '.join(names)}")
     ok = True
     try:
         if args.pairs:
