@@ -7,7 +7,10 @@ exact inverse of writing at that precision.
 """
 
 import dataclasses
+import gc
 import struct
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -86,6 +89,22 @@ def format_float(v: float) -> str:
     return FLOAT_CELL % float(v)
 
 
+@contextmanager
+def collector_paused():
+    """Disable the cyclic garbage collector for the block, then restore the
+    state it found. Builders of many rows run in it: their rows hold only
+    ints, floats and strings, so they form no cycles and reference counting
+    frees them, while each collection pass would walk every live object of
+    the process."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _split_lines(text: str) -> list[str]:
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -158,6 +177,37 @@ def _parse_column(name: str, dtype, cells: list[str]) -> tuple[np.ndarray | None
     return None, column_fault(name, np.array(cells[:bad], dtype=dtype), cells) or (bad, message)
 
 
+def _loadtxt(lines: list[str], dtype) -> np.ndarray:
+    """lines as one array of dtype, by the C tokenizer and converters of
+    np.loadtxt: fields split at every comma, no comment or quote character,
+    and any warning raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+
+
+def _loadtxt_refuses_float_ints() -> bool:
+    """Whether np.loadtxt refuses "1.0" in an int64 column, as int() does.
+    Older numpy releases parse it as 1 and only warn; with them, every table
+    takes the cell pass."""
+    try:
+        _loadtxt(["1.0"], np.int64)
+    except ValueError:
+        return True
+    except Warning:  # the warning of a numpy that reads 1
+        pass
+    return False
+
+
+_LOADTXT_PASS = _loadtxt_refuses_float_ints()
+# ASCII that loadtxt reads otherwise than the cell pass: it ends a line at
+# "\r", cuts a text cell's trailing "\0"s, and strips "\x1c" to "\x1f"
+# around a number as whitespace, where int() and float() refuse them.
+# Text with any of them, or with any non-ASCII character (loadtxt reads
+# some digits of other scripts as wrong numbers), takes the cell pass.
+_LOADTXT_UNSAFE = "\r\0\x1c\x1d\x1e\x1f"
+
+
 def number_column(name: str, dtype, values) -> np.ndarray:
     """values as a 1-d int64 or float64 array, a float None as NaN. Raises
     InvalidInputError naming the column for a nested cell, text that is no
@@ -206,21 +256,34 @@ class Table:
         self.headers = tuple(",".join(self.columns[:n]) for n in sorted({self.required, len(fields)}))
         self._dtypes = [{int: np.int64, float: np.float64, str: object}[k] for k in kinds]
         self._cells = [{int: "%d", float: FLOAT_CELL, str: "%s"}[k] for k in kinds]
+        # np.loadtxt's record type under each header; a text column is one
+        # character wider than its longest word, so a cut longer cell is
+        # no word either
+        self._records = {
+            len(h.split(",")): np.dtype([
+                (name, f"U{max(map(len, _VOCABULARY[name])) + 1}" if dtype is object else dtype)
+                for name, dtype in zip(h.split(","), self._dtypes)])
+            for h in self.headers}
 
     def parse(self, text: str) -> list:
-        """One row per line, built from the arrays of parse_columns."""
-        return list(map(self.row, *[c.tolist() for c in self.parse_columns(text) if c is not None]))
+        """One row per line, built from the arrays of parse_columns with the
+        collector paused."""
+        with collector_paused():
+            return list(map(self.row, *[c.tolist() for c in self.parse_columns(text) if c is not None]))
 
     def parse_columns(self, text: str) -> list:
         """The table as one array per column, in header order: int64,
         float64, or object for text. An optional column the header leaves
         out is None.
 
-        One vectorised pass splits the text and converts and checks each
-        column whole. After a failed check, a ParseError names the first
-        bad line as a reader going line by line finds it: a wrong header at
-        line 1, else the first line of the wrong length or with a bad cell,
-        and its field count or its leftmost bad cell."""
+        One np.loadtxt pass converts the body, and each column is checked
+        whole. Text that pass refuses, or that it could read otherwise than
+        int() and float() (see _loadtxt_columns), takes the cell pass, which
+        splits the text and converts and checks each column whole. After a
+        failed check, a ParseError names the first bad line as a reader
+        going line by line finds it: a wrong header at line 1, else the
+        first line of the wrong length or with a bad cell, and its field
+        count or its leftmost bad cell."""
         lines = _split_lines(text)
         if not lines:
             raise ParseError(f"empty file, expected header {self.headers[0]!r}", line=1)
@@ -228,6 +291,9 @@ class Table:
             expected = " or ".join(map(repr, self.headers))
             raise ParseError(f"bad header {lines[0]!r}, expected {expected}", line=1)
         n, rows = lines[0].count(",") + 1, len(lines) - 1
+        columns = self._loadtxt_columns(text, lines[1:], n)
+        if columns is not None:
+            return columns + [None] * (len(self.names) - n)
         # a "\n" cell between the lines: a line of the wrong length changes
         # the cell count, or moves a marker into a column, where no rule
         # accepts it
@@ -248,6 +314,24 @@ class Table:
             faults.append((wrong, -1, f"expected {n} fields, got {fields[wrong]}"))
         index, _, message = min(faults)
         raise ParseError(message, line=index + 2)
+
+    def _loadtxt_columns(self, text: str, body: list[str], n: int) -> list | None:
+        """The columns of body, the lines of text under an n-column header,
+        by one np.loadtxt pass. None where that pass is off, where text may
+        read otherwise (see _LOADTXT_UNSAFE), and where the pass refuses or
+        warns, skips a line (a blank one) or gives a column that breaks its
+        rule: the cell pass then converts the text, or names its first bad
+        line."""
+        if not (_LOADTXT_PASS and body and text.isascii()) or any(c in text for c in _LOADTXT_UNSAFE):
+            return None
+        try:
+            records = _loadtxt(body, self._records[n])
+        except (ValueError, Warning):
+            return None
+        columns = [records[name].astype(dtype) for name, dtype in zip(self.columns, self._dtypes[:n])]
+        if len(records) != len(body) or any(map(column_fault, self.columns, columns)):
+            return None
+        return columns
 
     def to_columns(self, rows: list, width: int | None = None) -> list:
         """rows as parse_columns gives them: one array per column, and None

@@ -10,7 +10,7 @@ import numpy as np
 
 from .assignment import build_cost_matrix, solve_assignment
 from .errors import InvalidInputError
-from .formats import Table, number_column
+from .formats import Table, collector_paused, number_column
 
 T_MAP_THRESHOLDS = tuple(range(1, 26))  # px, T-mAP averages T-AP over these
 EXPORT_BOX_HALF_SIZE = 10.0             # px, fixed box half-size for box-based evaluators
@@ -66,9 +66,11 @@ class TrajectorySet:
             col.setflags(write=False)
 
     @classmethod
+    @collector_paused()
     def from_rows(cls, rows) -> "TrajectorySet":
         """Build from (frame, id, x, y[, conf]) tuples in any order; a conf
-        of None, or none given, means no confidence."""
+        of None, or none given, means no confidence. The collector is paused
+        while rows is read and converted."""
         rows = list(rows)
         try:
             widths = set(map(len, rows))
@@ -80,9 +82,7 @@ class TrajectorySet:
         conf_array = number_column("conf", np.float64, conf)
         if np.count_nonzero(np.isnan(conf_array)) > conf.count(None):
             raise InvalidInputError("trajectory conf is NaN")
-        # one itemgetter pass per column: zip(*rows) makes an iterator per
-        # row, and the garbage collector's passes over those made it several
-        # times slower in a process holding many live objects
+        # one itemgetter pass per column: zip(*rows) makes an iterator per row
         return cls(*(list(map(itemgetter(k), rows)) for k in range(4)), conf_array)
 
     def __len__(self) -> int:
@@ -98,9 +98,11 @@ class TrajectorySet:
         return tuple(col[self.frame_order] for col in self.columns)
 
     @cached_property
+    @collector_paused()
     def tracks(self) -> dict[int, list[TrackPoint]]:
         """{id: [TrackPoint]} of Python scalars, conf None where a point has
-        none; built once, as the columns cannot change under it."""
+        none; built once with the collector paused, as the columns cannot
+        change under it."""
         conf = [None if math.isnan(c) else c for c in self.conf.tolist()]
         points = list(map(TrackPoint, self.frame.tolist(), self.x.tolist(), self.y.tolist(), conf))
         return {tid: points[span] for tid, span in self.slices.items()}
