@@ -48,9 +48,10 @@ def dynamic_threshold(altitude: float, policy: GatingPolicy = GatingPolicy()) ->
     return gate
 
 
-def _check_gate(gate: float):
+def check_gate(gate: float):
+    """Raise InvalidInputError unless gate is finite and > 0."""
     if not (gate > 0 and math.isfinite(gate)):
-        raise InvalidInputError(f"gate must be > 0, got {gate!r}")
+        raise InvalidInputError(f"gate must be finite and > 0, got {gate!r}")
 
 
 # Up to this many cells, a dense cdist and a nonzero find the in-gate pairs
@@ -78,6 +79,21 @@ class GatedCosts:
         return cls(costs.shape, gate, rows, cols, costs[rows, cols])
 
 
+def band_pairs(queries, data, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Every (query, datum) index pair of two 1-d float arrays with the
+    datum in the closed band [q - radius, q + radius] of the query q, as
+    two index arrays, query by query; radius is one float or one per query.
+    The data are sorted once and each band bound is a searchsorted."""
+    order = np.argsort(data)
+    keys = data[order]
+    lo = np.searchsorted(keys, queries - radius, side="left")
+    counts = np.searchsorted(keys, queries + radius, side="right") - lo
+    rows = np.repeat(np.arange(len(counts)), counts)
+    # the k-th candidate of a query is the k-th datum of its band
+    cols = order[np.arange(len(rows)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    return rows, cols
+
+
 def build_cost_matrix(predicted, detections, gate: float) -> GatedCosts:
     """The in-gate cells of the Euclidean distance matrix, shape
     (len(predicted), len(detections)).
@@ -92,19 +108,13 @@ def build_cost_matrix(predicted, detections, gate: float) -> GatedCosts:
     d = np.asarray(detections, dtype=float).reshape(-1, 2)
     if not (np.isfinite(p).all() and np.isfinite(d).all()):
         raise InvalidInputError("non-finite coordinates in cost matrix input")
-    _check_gate(gate)
+    check_gate(gate)
     n, m = len(p), len(d)
     if n * m <= DENSE_CELLS:
         return GatedCosts.from_dense(cdist(p, d), gate)
-    order = np.argsort(d[:, 0], kind="stable")
-    xs = d[order, 0]
     # a closed band: |dx| < gate puts the detection inside it whatever the
     # rounding of x -/+ gate
-    lo = np.searchsorted(xs, p[:, 0] - gate, side="left")
-    counts = np.searchsorted(xs, p[:, 0] + gate, side="right") - lo
-    rows = np.repeat(np.arange(n), counts)
-    # the k-th candidate of a row is the k-th detection of its band
-    cols = order[np.arange(len(rows)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    rows, cols = band_pairs(p[:, 0], d[:, 0], gate)
     dx, dy = p[rows, 0] - d[cols, 0], p[rows, 1] - d[cols, 1]
     costs = np.sqrt(dx * dx + dy * dy)
     inside = np.flatnonzero(costs < gate)
@@ -127,7 +137,7 @@ def solve_assignment(costs, gate: float) -> AssignmentResult:
     columns left. Where the optimum is unique the result equals one dense
     solve; among tied optima, it may pick another one.
     """
-    _check_gate(gate)
+    check_gate(gate)
     if not isinstance(costs, GatedCosts):
         costs = np.asarray(costs, dtype=float)
         if costs.ndim != 2:

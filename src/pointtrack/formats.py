@@ -200,12 +200,14 @@ def _loadtxt_refuses_float_ints() -> bool:
 
 
 _LOADTXT_PASS = _loadtxt_refuses_float_ints()
-# ASCII that loadtxt reads otherwise than the cell pass: it ends a line at
-# "\r", cuts a text cell's trailing "\0"s, and strips "\x1c" to "\x1f"
-# around a number as whitespace, where int() and float() refuse them.
-# Text with any of them, or with any non-ASCII character (loadtxt reads
-# some digits of other scripts as wrong numbers), takes the cell pass.
-_LOADTXT_UNSAFE = "\r\0\x1c\x1d\x1e\x1f"
+# ASCII that loadtxt reads otherwise than the cell pass: it cuts a text
+# cell's trailing "\0"s, and strips "\x1c" to "\x1f" around a number as
+# whitespace, where int() and float() refuse them. Text with any of them,
+# or with any non-ASCII character (loadtxt reads some digits of other
+# scripts as wrong numbers), takes the cell pass. So does text with a "\r"
+# that is not part of a "\r\n", as loadtxt ends a line there; _split_lines
+# strips the "\r" of each "\r\n" before loadtxt sees the line.
+_LOADTXT_UNSAFE = "\0\x1c\x1d\x1e\x1f"
 
 
 def number_column(name: str, dtype, values) -> np.ndarray:
@@ -323,6 +325,8 @@ class Table:
         rule: the cell pass then converts the text, or names its first bad
         line."""
         if not (_LOADTXT_PASS and body and text.isascii()) or any(c in text for c in _LOADTXT_UNSAFE):
+            return None
+        if "\r" in text and text.count("\r") != text.count("\r\n"):
             return None
         try:
             records = _loadtxt(body, self._records[n])

@@ -5,10 +5,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import build_cost_matrix, solve_assignment
+from .assignment import GatedCosts, band_pairs, check_gate, solve_assignment
 from .errors import InvalidInputError
 from .formats import Table, collector_paused, number_column
 
@@ -32,8 +33,7 @@ class TrajectorySet:
     The columns frame, id, x and y are sorted by (id, frame); conf is NaN
     where a point has no confidence. slices[id] is each identity's
     contiguous slice, in id order. frame_order lists the rows frame-major
-    and id-ordered; frame_groups maps each frame, ascending, to its rows in
-    that order. Raises InvalidInputError when an identity's frames are not
+    and id-ordered. Raises InvalidInputError when an identity's frames are not
     strictly increasing, on a non-finite x or y, and on a conf that is
     infinite or outside [0, 1].
     """
@@ -60,9 +60,7 @@ class TrajectorySet:
         self.slices = {int(self.id[a]): slice(a, b) for a, b in zip(starts, starts[1:] + [len(order)])}
         self.ids = list(self.slices)
         self.frame_order = np.lexsort((self.id, self.frame))
-        groups = np.split(self.frame_order, np.flatnonzero(np.diff(self.frame[self.frame_order])) + 1)
-        self.frame_groups = {int(self.frame[g[0]]): g for g in groups if len(g)}
-        for col in (*self.columns, self.frame_order, *groups):
+        for col in (*self.columns, self.frame_order):
             col.setflags(write=False)
 
     @classmethod
@@ -181,59 +179,139 @@ def tr_nmae(gt_counts, pred_counts) -> float:
     return float(np.mean(np.abs(y - yhat) / y))
 
 
+class _FrameRows(NamedTuple):
+    """A set's rows in the frames that two sets share, frame-major and
+    id-ordered, as indices into its columns. Frames are keyed by their rank
+    among the shared frames: ranks, unlike frame numbers near 2**63, are
+    exact as float64."""
+
+    rows: np.ndarray
+    rank: np.ndarray   # each row's frame rank
+    place: np.ndarray  # each row's place among its frame's rows
+    first: np.ndarray  # per rank, the index of the frame's first row in rows
+    count: np.ndarray  # per rank, the frame's row count
+
+
+def _shared_frame_rows(gt: TrajectorySet, pred: TrajectorySet) -> tuple[_FrameRows, _FrameRows]:
+    majors = [s.frame[s.frame_order] for s in (gt, pred)]
+    # each set's frames, read off its sorted frame column
+    shared = np.intersect1d(*(m[np.flatnonzero(np.diff(m, prepend=m[:1] - 1))] for m in majors),
+                            assume_unique=True)
+    out = []
+    for s, major in zip((gt, pred), majors):
+        rank = np.searchsorted(shared, major)
+        keep = rank < len(shared)
+        keep[keep] = shared[rank[keep]] == major[keep]
+        rank = rank[keep]
+        count = np.bincount(rank, minlength=len(shared))
+        first = np.cumsum(count) - count
+        out.append(_FrameRows(s.frame_order[keep], rank, np.arange(len(rank)) - first[rank], first, count))
+    return out[0], out[1]
+
+
+def _same_frame_pairs(g: _FrameRows, gx: np.ndarray, p: _FrameRows, px: np.ndarray, radius: float):
+    """(i, j), indices into g.rows and p.rows: every pair of one frame whose
+    dx, px[j] - gx[i] as rounded, is within radius, and some more pairs of
+    one frame.
+
+    One band search runs on the keys 4 * rank + x / 2**e, where per frame
+    2**e exceeds radius and every |x| of the frame: the scaling is exact,
+    and each frame's keys lie in (4 * rank - 1, 4 * rank + 1). Four ulps of
+    the largest key widen the band by more than the rounding of the keys
+    and of dx can move a pair. A frame with a point near +-1e308 thus pairs
+    nearly all its points, but no other frame does.
+    """
+    if not len(g.count):
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    top = np.maximum(np.maximum.reduceat(np.abs(gx), g.first), np.maximum.reduceat(np.abs(px), p.first))
+    e = np.frexp(np.maximum(top, radius))[1]
+    g_e = e[g.rank]
+    g_key, p_key = 4.0 * g.rank + np.ldexp(gx, -g_e), 4.0 * p.rank + np.ldexp(px, -e[p.rank])
+    slack = 4 * np.spacing(4.0 * len(g.count))
+    by_key = np.argsort(g_key)  # searchsorted runs fastest on ascending queries
+    i, j = band_pairs(g_key[by_key], p_key, np.ldexp(radius, -g_e[by_key]) + slack)
+    return by_key[i], j
+
+
 def id_switches(gt: TrajectorySet, pred: TrajectorySet, gate: float = 10.0) -> int:
     """Count identity reassignments of ground-truth objects.
 
     Per frame, GT and predicted points are matched by the same gated
     minimum-cost assignment the tracker uses; a switch is an event where a
     GT id's partner differs from the partner at its most recent previously
-    matched frame.
+    matched frame. gate must be finite and > 0.
+
+    One frame-keyed band search finds the in-gate pairs of all frames, at
+    sqrt(dx * dx + dy * dy) as build_cost_matrix gives them. Every row lies
+    in one frame, so solve_assignment's lone pairs are found over all frames
+    at once; solve_assignment itself runs only on each frame with contested
+    pairs, in that frame's row and column order, and so breaks ties as a
+    solve of the whole frame does.
     """
-    if not gate > 0:  # written so that NaN fails it
-        raise InvalidInputError("gate must be > 0")
-    matched_gt, matched_pred = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for frame in sorted(gt.frame_groups.keys() & pred.frame_groups.keys()):
-        g_rows, p_rows = gt.frame_groups[frame], pred.frame_groups[frame]
-        costs = build_cost_matrix(np.column_stack((gt.x[g_rows], gt.y[g_rows])),
-                                  np.column_stack((pred.x[p_rows], pred.y[p_rows])), gate)
-        matches = solve_assignment(costs, gate).matches
-        matched_gt.append(g_rows[matches[:, 0]])
-        matched_pred.append(p_rows[matches[:, 1]])
-    # each GT id's partners in frame order; a switch is a neighbour pair of
-    # one GT id with different partners
-    gt_id, pred_id = gt.id[np.concatenate(matched_gt)], pred.id[np.concatenate(matched_pred)]
-    order = np.argsort(gt_id, kind="stable")
-    gt_id, pred_id = gt_id[order], pred_id[order]
+    check_gate(gate)
+    g, p = _shared_frame_rows(gt, pred)
+    gx, gy, px, py = gt.x[g.rows], gt.y[g.rows], pred.x[p.rows], pred.y[p.rows]
+    i, j = _same_frame_pairs(g, gx, p, px, gate)
+    with np.errstate(over="ignore"):  # points near +-1e308: +inf, beyond every gate
+        dx, dy = gx[i] - px[j], gy[i] - py[j]
+        costs = np.sqrt(dx * dx + dy * dy)
+    inside = costs < gate
+    i, j, costs = i[inside], j[inside], costs[inside]
+    lone = (np.bincount(i, minlength=len(g.rows))[i] == 1) & (np.bincount(j, minlength=len(p.rows))[j] == 1)
+    matched_gt, matched_pred = [g.rows[i[lone]]], [p.rows[j[lone]]]
+    # the contested pairs frame by frame, each frame's in row-major order
+    i, j, costs = i[~lone], j[~lone], costs[~lone]
+    order = np.lexsort((j, i))
+    i, j, costs = i[order], j[order], costs[order]
+    rank = g.rank[i]
+    bounds = np.flatnonzero(np.diff(rank, prepend=-1, append=-1)).tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        r = rank[a]
+        shape = int(g.count[r]), int(p.count[r])
+        cells = GatedCosts(shape, gate, g.place[i[a:b]], p.place[j[a:b]], costs[a:b])
+        matches = solve_assignment(cells, gate).matches
+        matched_gt.append(g.rows[g.first[r] + matches[:, 0]])
+        matched_pred.append(p.rows[p.first[r] + matches[:, 1]])
+    # the rows are sorted by (id, frame): in row order, each GT id's partners
+    # come in frame order, and a switch is a neighbour pair of one GT id with
+    # different partners
+    matched_gt, matched_pred = np.concatenate(matched_gt), np.concatenate(matched_pred)
+    order = np.argsort(matched_gt)
+    gt_id, pred_id = gt.id[matched_gt[order]], pred.id[matched_pred[order]]
     return int(np.count_nonzero((gt_id[1:] == gt_id[:-1]) & (pred_id[1:] != pred_id[:-1])))
 
 
 def _t_aps(gt: TrajectorySet, pred: TrajectorySet, taus) -> list[float]:
     """T-AP at each threshold of taus (px).
 
-    One pass over the frames counts, for each (pred, GT) pair, the frames
-    both are present in and the hits, hypot(dx, dy) <= tau, at each tau. A
-    pair's match score is its hits over the union of its frames. Counts are
-    int32: the hit table, len(taus) x P x G, is 9 MB for the 25 T-mAP
-    thresholds at 303 x 300 tracklets.
+    For each (pred, GT) pair, the frames both are present in are the
+    product of the two sets' 0/1 frame-presence matrices, exact in float64.
+    One frame-keyed band search finds the same-frame point pairs within the
+    largest tau, and one bincount per tau counts each tracklet pair's hits,
+    hypot(dx, dy) <= tau. A pair's match score is its hits over the union
+    of its frames.
     """
     missing = np.isnan(pred.conf)
     if missing.any():
         raise InvalidInputError(f"predicted track {pred.id[missing][0]} is missing confidences")
-    n_gt = len(gt)
+    n_gt, n_pred = len(gt), len(pred)
     if n_gt == 0:
-        return [1.0 if len(pred) == 0 else 0.0] * len(taus)
+        return [1.0 if n_pred == 0 else 0.0] * len(taus)
 
     taus = np.asarray(taus, dtype=float)
     p_track, g_track = np.searchsorted(pred.ids, pred.id), np.searchsorted(gt.ids, gt.id)
-    common = np.zeros((len(pred), n_gt), dtype=np.int32)
-    hits = np.zeros((len(taus), len(pred), n_gt), dtype=np.int32)
-    for frame in gt.frame_groups.keys() & pred.frame_groups.keys():
-        g_rows, p_rows = gt.frame_groups[frame], pred.frame_groups[frame]
-        common[p_track[p_rows, None], g_track[g_rows]] += 1
-        with np.errstate(over="ignore"):  # points near +-1e308: +inf, beyond every tau
-            dist = np.hypot(pred.x[p_rows, None] - gt.x[g_rows], pred.y[p_rows, None] - gt.y[g_rows])
-        pi, gi = np.nonzero(dist <= taus.max())
-        hits[:, p_track[p_rows[pi]], g_track[g_rows[gi]]] += dist[pi, gi] <= taus[:, None]
+    g, p = _shared_frame_rows(gt, pred)
+    g_present, p_present = np.zeros((n_gt, len(g.count))), np.zeros((n_pred, len(p.count)))
+    g_present[g_track[g.rows], g.rank] = 1.0
+    p_present[p_track[p.rows], p.rank] = 1.0
+    common = p_present @ g_present.T
+    gx, px = gt.x[g.rows], pred.x[p.rows]
+    i, j = _same_frame_pairs(g, gx, p, px, taus.max())
+    with np.errstate(over="ignore"):  # points near +-1e308: +inf, beyond every tau
+        dist = np.hypot(px[j] - gx[i], pred.y[p.rows[j]] - gt.y[g.rows[i]])
+    cell = p_track[p.rows[j]] * n_gt + g_track[g.rows[i]]
+    hits = np.reshape([np.bincount(cell[dist <= tau], minlength=n_pred * n_gt) for tau in taus],
+                      (len(taus), n_pred, n_gt))
     scores = hits / (np.bincount(p_track)[:, None] + np.bincount(g_track) - common)
 
     # predictions by descending mean confidence, then id

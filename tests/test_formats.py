@@ -424,6 +424,29 @@ class TestLoadtxtPass:
         assert same_columns(columns, table.parse_columns(text))
         assert passes[1] is None
 
+    @pytest.mark.parametrize("table,text", CANONICAL.values(), ids=list(CANONICAL))
+    def test_crlf_text_takes_the_loadtxt_pass(self, table, text, monkeypatch):
+        if not formats._LOADTXT_PASS:
+            pytest.skip("this numpy reads a float cell in an int64 column")
+        passes = []
+        loadtxt_columns = Table._loadtxt_columns
+        monkeypatch.setattr(Table, "_loadtxt_columns",
+                            lambda *args: passes.append(loadtxt_columns(*args)) or passes[-1])
+        columns = table.parse_columns(text.replace("\n", "\r\n"))
+        assert len(passes) == 1 and passes[0] is not None
+        assert same_columns(columns, table.parse_columns(text))
+
+    @pytest.mark.parametrize("text", ["frame,id,x,y\r\n0,1,2,3\r\n1,1\r2,3\r\n",
+                                      "frame,id,x,y\n0,1,2,3\n1,1\r2,3\n"], ids=["crlf", "lf"])
+    def test_lone_cr_takes_the_cell_pass(self, text, monkeypatch):
+        passes = []
+        loadtxt_columns = Table._loadtxt_columns
+        monkeypatch.setattr(Table, "_loadtxt_columns",
+                            lambda *args: passes.append(loadtxt_columns(*args)) or passes[-1])
+        with pytest.raises(ParseError, match="expected 4 fields, got 3") as err:
+            GT.parse_columns(text)
+        assert err.value.line == 3 and passes == [None]
+
     def test_pass_only_where_numpy_refuses_float_ints(self, monkeypatch):
         assert formats._LOADTXT_PASS is formats._loadtxt_refuses_float_ints()
 

@@ -170,8 +170,14 @@ def loop_render_overlay(gt: LoopTrajectorySet, pred: LoopTrajectorySet, width=No
     return "\n".join(rows) + "\n"
 
 
-# --- reference: TrajectorySet.from_rows and id_switches as written before
-# the one-pass forms ---
+# --- reference: TrajectorySet.from_rows, id_switches and _t_aps as written
+# before the one-pass forms, over TrajectorySet's former frame_groups ---
+
+def frame_groups(s: TrajectorySet) -> dict[int, np.ndarray]:
+    """Each frame, ascending, to its rows in id order."""
+    groups = np.split(s.frame_order, np.flatnonzero(np.diff(s.frame[s.frame_order])) + 1)
+    return {int(s.frame[g[0]]): g for g in groups if len(g)}
+
 
 def comprehension_from_rows(rows) -> TrajectorySet:
     rows = list(rows)
@@ -184,8 +190,9 @@ def comprehension_from_rows(rows) -> TrajectorySet:
 def partner_walk_id_switches(gt: TrajectorySet, pred: TrajectorySet, gate: float = 10.0) -> int:
     last_partner: dict[int, int] = {}
     switches = 0
-    for frame in sorted(gt.frame_groups.keys() & pred.frame_groups.keys()):
-        g_rows, p_rows = gt.frame_groups[frame], pred.frame_groups[frame]
+    gt_groups, pred_groups = frame_groups(gt), frame_groups(pred)
+    for frame in sorted(gt_groups.keys() & pred_groups.keys()):
+        g_rows, p_rows = gt_groups[frame], pred_groups[frame]
         costs = build_cost_matrix(np.column_stack((gt.x[g_rows], gt.y[g_rows])),
                                   np.column_stack((pred.x[p_rows], pred.y[p_rows])), gate)
         for gi, pj in solve_assignment(costs, gate).matches.tolist():
@@ -194,6 +201,55 @@ def partner_walk_id_switches(gt: TrajectorySet, pred: TrajectorySet, gate: float
                 switches += 1
             last_partner[gt_id] = pred_id
     return switches
+
+
+def per_frame_id_switches(gt: TrajectorySet, pred: TrajectorySet, gate: float = 10.0) -> int:
+    if not gate > 0:
+        raise InvalidInputError("gate must be > 0")
+    gt_groups, pred_groups = frame_groups(gt), frame_groups(pred)
+    matched_gt, matched_pred = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for frame in sorted(gt_groups.keys() & pred_groups.keys()):
+        g_rows, p_rows = gt_groups[frame], pred_groups[frame]
+        costs = build_cost_matrix(np.column_stack((gt.x[g_rows], gt.y[g_rows])),
+                                  np.column_stack((pred.x[p_rows], pred.y[p_rows])), gate)
+        matches = solve_assignment(costs, gate).matches
+        matched_gt.append(g_rows[matches[:, 0]])
+        matched_pred.append(p_rows[matches[:, 1]])
+    gt_id, pred_id = gt.id[np.concatenate(matched_gt)], pred.id[np.concatenate(matched_pred)]
+    order = np.argsort(gt_id, kind="stable")
+    gt_id, pred_id = gt_id[order], pred_id[order]
+    return int(np.count_nonzero((gt_id[1:] == gt_id[:-1]) & (pred_id[1:] != pred_id[:-1])))
+
+
+def per_frame_t_aps(gt: TrajectorySet, pred: TrajectorySet, taus) -> list[float]:
+    n_gt = len(gt)
+    if n_gt == 0:
+        return [1.0 if len(pred) == 0 else 0.0] * len(taus)
+    taus = np.asarray(taus, dtype=float)
+    p_track, g_track = np.searchsorted(pred.ids, pred.id), np.searchsorted(gt.ids, gt.id)
+    common = np.zeros((len(pred), n_gt), dtype=np.int32)
+    hits = np.zeros((len(taus), len(pred), n_gt), dtype=np.int32)
+    gt_groups, pred_groups = frame_groups(gt), frame_groups(pred)
+    for frame in gt_groups.keys() & pred_groups.keys():
+        g_rows, p_rows = gt_groups[frame], pred_groups[frame]
+        common[p_track[p_rows, None], g_track[g_rows]] += 1
+        with np.errstate(over="ignore"):
+            dist = np.hypot(pred.x[p_rows, None] - gt.x[g_rows], pred.y[p_rows, None] - gt.y[g_rows])
+        pi, gi = np.nonzero(dist <= taus.max())
+        hits[:, p_track[p_rows[pi]], g_track[g_rows[gi]]] += dist[pi, gi] <= taus[:, None]
+    scores = hits / (np.bincount(p_track)[:, None] + np.bincount(g_track) - common)
+    order = np.argsort([-np.mean(pred.conf[span]) for span in pred.slices.values()], kind="stable")
+    aps = []
+    for score in scores:
+        ap, tp = 0.0, 0
+        for rank, k in enumerate(order, start=1):
+            best = int(np.argmax(score[k]))
+            if score[k, best] >= 0.5:
+                score[:, best] = -1.0
+                tp += 1
+                ap += tp / rank
+        aps.append(ap / n_gt)
+    return aps
 
 
 CONFS = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])
@@ -251,6 +307,46 @@ def mixed_rows(draw):
     return rows
 
 
+HUGE = [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]
+
+
+@st.composite
+def crowd_pairs(draw):
+    """(gt rows, pred rows) of 1 to 4 frames with 30 to 60 identities each
+    in a 24 px arena, so that most frames are contested. The frames start
+    at 0 or just below 2**63 - 1, and some hold only GT or only
+    predictions. Coordinates are mostly integer, so ties and distances of
+    exactly tau are common; one in twenty is near +-1e308. Predictions
+    follow the GT by up to 3 px, under labels that swap between frames, and
+    a few clutter points join them. The points come from a drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    first = draw(st.sampled_from([0, 2 ** 63 - 4]))
+    label = rng.permutation(80) + 1
+    gt_rows, pred_rows = [], []
+    for frame in range(first, first + draw(st.integers(1, 4))):
+        sides = draw(st.sampled_from(["both", "both", "both", "gt", "pred"]))
+        n = draw(st.integers(30, 60))
+        ids = rng.permutation(80)[:n] + 1
+        xy = rng.integers(0, 25, (n, 2)).astype(float)
+        off_lattice = rng.random(n) < 0.3
+        xy[off_lattice] += rng.random((off_lattice.sum(), 2))
+        huge = rng.random((n, 2)) < 0.05
+        xy[huge] = rng.choice(HUGE, huge.sum())
+        if sides != "pred":
+            gt_rows += [(frame, i, x, y) for i, (x, y) in zip(ids.tolist(), xy.tolist())]
+        if sides != "gt":
+            swap = rng.choice(80, 2, replace=False)
+            label[swap] = label[swap[::-1]]
+            kept = rng.random(n) < 0.9
+            moved = xy[kept] + rng.integers(-3, 4, (kept.sum(), 2))
+            clutter = rng.integers(0, 25, (draw(st.integers(0, 5)), 2)).astype(float)
+            pids = np.concatenate((label[ids[kept] - 1], 81 + np.arange(len(clutter))))
+            confs = rng.choice([0.0, 0.25, 0.5, 0.9, 1.0], len(pids))
+            pred_rows += [(frame, i, x, y, c) for i, (x, y), c in
+                          zip(pids.tolist(), np.concatenate((moved, clutter)).tolist(), confs.tolist())]
+    return gt_rows, pred_rows
+
+
 def line_track(tid, frames, x0=0.0, y0=0.0, vx=1.0, conf=1.0):
     return [(f, tid, x0 + vx * i, y0, conf) for i, f in enumerate(frames)]
 
@@ -262,7 +358,7 @@ class TestTable:
         assert t.ids == [2, 9] and len(t) == 2
         assert np.isnan(t.conf[1:]).all() and t.conf[0] == 0.5
         assert t.frame_order.tolist() == [0, 2, 1]
-        assert {f: g.tolist() for f, g in t.frame_groups.items()} == {1: [0], 3: [2], 5: [1]}
+        assert [c.tolist() for c in t.frame_major()[:2]] == [[1, 3, 5], [2, 9, 2]]
         assert ts([(0, -1, 0.0, 0.0), (1, -1, 1.0, 1.0)]).slices == {-1: slice(0, 2)}
 
     def test_columns_are_read_only_and_tracks_built_once(self):
@@ -350,6 +446,18 @@ class TestMatchesOnePassReference:
         assert id_switches(gt, pred, gate) == partner_walk_id_switches(gt, pred, gate)
 
 
+class TestMatchesPerFrameReference:
+    """id_switches and T-AP against the per-frame forms above on crowded
+    frames."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(rows=crowd_pairs(), gate=st.sampled_from([1.0, 3.0, 10.0]))
+    def test_same_scores(self, rows, gate):
+        gt, pred = ts(rows[0]), ts(rows[1])
+        assert id_switches(gt, pred, gate) == per_frame_id_switches(gt, pred, gate)
+        assert t_map(gt, pred) == dict(zip(T_MAP_THRESHOLDS, per_frame_t_aps(gt, pred, T_MAP_THRESHOLDS)))
+
+
 class TestCountingErrors:
     def test_tr_mae_single(self):
         assert tr_mae([100], [85]) == 15
@@ -414,9 +522,10 @@ class TestIdSwitches:
         pred = ts([(f, 3, float(f), 30.0, 1.0) for f in range(5)])
         assert id_switches(gt, pred, gate=10.0) == 0
 
-    @pytest.mark.parametrize("gate", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("gate", [0.0, -1.0, float("nan"), float("inf")])
     def test_gate_must_be_positive(self, gate):
-        # no shared frame, so a NaN that slipped past the check would give 0
+        # finite too; no shared frame, so a gate that slipped past the check
+        # would give 0
         gt = ts(line_track(1, range(5)))
         pred = ts(line_track(1, range(10, 15)))
         with pytest.raises(InvalidInputError):

@@ -56,12 +56,26 @@ class TestVerdict:
 
 
 def test_digest_lines_mark_each_mismatch():
-    base = {7: "a" * 64, 1000007: "b" * 64}
-    head = {7: "a" * 64, 1000007: "c" * 64}
+    line = "tr_nae 0.1, id_sw 2, t_ap10 1, gt_trajectories 20, pred_trajectories 22"
+    quality = pairs.parse_quality(line)
+    assert quality == {"tr_nae": "0.1", "id_sw": "2", "t_ap10": "1", "gt_trajectories": "20",
+                       "pred_trajectories": "22"}
+    base = {7: ("a" * 64, quality), 1000007: ("b" * 64, quality), 2000007: ("d" * 64, quality)}
+    head = {7: ("a" * 64, quality), 1000007: ("c" * 64, quality),
+            2000007: ("d" * 64, {**quality, "id_sw": "3", "t_map": "0.5", "pred_trajectories": "21"})}
     assert pairs.digest_lines("w seed 7 trace 0", base, head) == [
-        f"w seed 7 trace 0 scenario 7: {'a' * 64} equal",
-        f"w seed 7 trace 0 scenario 1000007: {'c' * 64} DIFFERS from base {'b' * 64}",
+        f"w seed 7 trace 0 scenario 7: {'a' * 64} equal; quality equal",
+        f"w seed 7 trace 0 scenario 1000007: {'c' * 64} DIFFERS from base {'b' * 64}; quality equal",
+        f"w seed 7 trace 0 scenario 2000007: {'d' * 64} equal; quality DIFFERS: id_sw 3 (base 2), "
+        "t_map 0.5 (base None)",
     ]
+
+
+def test_scenario_lines_parse_with_their_quality():
+    text = (f"scenario seed 7: output sha256 {'a' * 64}; quality tr_nae 0, id_sw 5\n"
+            f"scenario seed 23: output sha256 {'b' * 64}\n")
+    assert [(int(s), d, pairs.parse_quality(q)) for s, d, q in pairs.DIGEST_LINE.findall(text)] == [
+        (7, "a" * 64, {"tr_nae": "0", "id_sw": "5"}), (23, "b" * 64, {})]
 
 
 def _tree(dest: Path) -> Path:

@@ -99,10 +99,10 @@ class TestGroundTruth:
 class TestCorruptionModel:
     def test_zero_corruption_detections_equal_gt(self):
         bundle = generate(CLEAN)
+        frame, _, xs, ys, _ = bundle.gt.frame_major()
         for fi in bundle.frames:
-            rows = bundle.gt.frame_groups[fi.frame]
-            gt_here = {(round(x, 9), round(y, 9))
-                       for x, y in zip(bundle.gt.x[rows].tolist(), bundle.gt.y[rows].tolist())}
+            here = frame == fi.frame
+            gt_here = {(round(x, 9), round(y, 9)) for x, y in zip(xs[here].tolist(), ys[here].tolist())}
             det_here = {(round(x, 9), round(y, 9)) for x, y in fi.points.tolist()}
             assert det_here == gt_here
 
@@ -136,11 +136,11 @@ class TestFeatures:
         from dataclasses import replace
         bundle = generate(replace(CLEAN, n_agents=1))
         stride = CLEAN.feature_stride
+        frame, _, xs, ys, _ = bundle.gt.frame_major()
         for fi in bundle.frames[::3]:
             norm = np.linalg.norm(fi.features.data, axis=2)
             floor = np.median(norm)
-            (row,) = bundle.gt.frame_groups[fi.frame]
-            x, y = bundle.gt.x[row], bundle.gt.y[row]
+            (x,), (y,) = xs[frame == fi.frame], ys[frame == fi.frame]
             r0 = int(np.clip(round(y / stride), 3, norm.shape[0] - 4))
             c0 = int(np.clip(round(x / stride), 3, norm.shape[1] - 4))
             window = np.clip(norm[r0 - 3:r0 + 4, c0 - 3:c0 + 4] - floor, 0, None)

@@ -32,8 +32,10 @@ does not count when the head fails more of them.
 With --digests the byte-identity check follows: perfbench/run.py in both
 trees for every workload of BENCHMARK.json, at seeds 7 and 23, with --trace
 0 and --trace 1 (12 runs per tree). It prints each scenario's digest in the
-head tree and marks every one that differs from the base's. A mismatch is
-reported, not an error: a deliberate behaviour change moves digests.
+head tree and marks every one that differs from the base's. It also marks
+each scenario whose quality scores, as run.py prints them (Tr-nAE, ID-SW,
+T-AP@10 and T-mAP), differ from the base's. A mismatch is reported, not an
+error: a deliberate behaviour change moves digests and scores.
 
 The exit status is 1 when a run fails (it exits non-zero, prints no result
 line or reports a failed operation), else 0.
@@ -51,7 +53,9 @@ MIN_PAIRS = 10          # fewer pairs never support a gain
 WIN_SHARE = 0.9         # share of pairs the head must win for a gain
 DIGEST_SEEDS = (7, 23)
 RUN_TIMEOUT_S = 600     # run.py holds itself to 180 s; this only catches a hang
-DIGEST_LINE = re.compile(r"^scenario seed (\d+): output sha256 ([0-9a-f]{64})", re.MULTILINE)
+DIGEST_LINE = re.compile(r"^scenario seed (\d+): output sha256 ([0-9a-f]{64})(?:; quality (.*))?$",
+                         re.MULTILINE)
+QUALITY = ("tr_nae", "id_sw", "t_ap10", "t_map")  # the scores compared between trees
 
 
 class RunError(Exception):
@@ -73,8 +77,14 @@ def run_bench(tree: Path, workload: str, seed: int, trace: int, size: str) -> di
         raise RunError(f"{tree}: {workload} seed {seed} trace {trace} exited {proc.returncode} "
                        f"without a result line: {proc.stderr.strip()[-500:]}") from None
     result["ok"] = proc.returncode == 0 and result.get("correct") is True
-    result["digests"] = {int(s): d for s, d in DIGEST_LINE.findall(proc.stdout)}
+    result["digests"] = {int(s): (d, parse_quality(q)) for s, d, q in DIGEST_LINE.findall(proc.stdout)}
     return result
+
+
+def parse_quality(text: str) -> dict[str, str]:
+    """{score: printed value} of the quality part of a scenario line, such
+    as "tr_nae 0.1, id_sw 2"."""
+    return dict(item.rsplit(" ", 1) for item in text.split(", ")) if text else {}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -122,14 +132,19 @@ def pair_report(bench: dict, base_runs: list[dict], head_runs: list[dict]) -> li
     return lines
 
 
-def digest_lines(label: str, base: dict[int, str], head: dict[int, str]) -> list[str]:
-    """One line per scenario of a run pair: the head's digest, and the base's
-    beside it when the two differ."""
+def digest_lines(label: str, base: dict[int, tuple], head: dict[int, tuple]) -> list[str]:
+    """One line per scenario of a run pair, each side's scenarios given as
+    {seed: (digest, quality)}: the head's digest, and the base's beside it
+    when the two differ; then each QUALITY score that differs, with the
+    base's value beside the head's."""
     lines = []
     for scenario in sorted(set(base) | set(head)):
-        b, h = base.get(scenario), head.get(scenario)
+        (b, b_quality), (h, h_quality) = base.get(scenario, (None, {})), head.get(scenario, (None, {}))
         state = "equal" if b == h else f"DIFFERS from base {b}"
-        lines.append(f"{label} scenario {scenario}: {h} {state}")
+        moved = [f"{k} {h_quality.get(k)} (base {b_quality.get(k)})"
+                 for k in QUALITY if h_quality.get(k) != b_quality.get(k)]
+        quality = "DIFFERS: " + ", ".join(moved) if moved else "equal"
+        lines.append(f"{label} scenario {scenario}: {h} {state}; quality {quality}")
     return lines
 
 
@@ -168,7 +183,7 @@ def main(argv=None) -> int:
             print("\n".join(pair_report(bench, runs["base"], runs["head"])))
         if args.digests:
             print(f"\nper-scenario sha256 of tracks.csv, size {args.size}:")
-            equal = total = 0
+            equal = same_quality = total = 0
             for workload in (w["name"] for w in bench["workloads"]):
                 for seed in DIGEST_SEEDS:
                     for trace in (0, 1):
@@ -179,8 +194,10 @@ def main(argv=None) -> int:
                                              base["digests"], head["digests"])
                         print("\n".join(lines))
                         total += len(lines)
-                        equal += sum(line.endswith(" equal") for line in lines)
-            print(f"{equal} of {total} scenario digests equal")
+                        equal += sum(" equal; quality " in line for line in lines)
+                        same_quality += sum(line.endswith("; quality equal") for line in lines)
+            print(f"{equal} of {total} scenario digests equal, "
+                  f"{same_quality} of {total} scenario qualities equal")
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
