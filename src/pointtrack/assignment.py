@@ -115,8 +115,9 @@ def build_cost_matrix(predicted, detections, gate: float) -> GatedCosts:
     # a closed band: |dx| < gate puts the detection inside it whatever the
     # rounding of x -/+ gate
     rows, cols = band_pairs(p[:, 0], d[:, 0], gate)
-    dx, dy = p[rows, 0] - d[cols, 0], p[rows, 1] - d[cols, 1]
-    costs = np.sqrt(dx * dx + dy * dy)
+    with np.errstate(over="ignore"):  # points near +-1e308: +inf, beyond every gate
+        dx, dy = p[rows, 0] - d[cols, 0], p[rows, 1] - d[cols, 1]
+        costs = np.sqrt(dx * dx + dy * dy)
     inside = np.flatnonzero(costs < gate)
     inside = inside[np.lexsort((cols[inside], rows[inside]))]
     return GatedCosts((n, m), gate, rows[inside], cols[inside], costs[inside])

@@ -392,11 +392,25 @@ parse_tracks, write_tracks = TRACKS.parse, TRACKS.write
 
 # --- binary feature maps ---
 
-def write_feature_map(fmap: FeatureMap) -> bytes:
+def _feature_map_parts(fmap: FeatureMap) -> tuple[bytes, np.ndarray]:
+    """The header bytes and the little-endian f4 payload array of fmap's file."""
     h, w, c = fmap.data.shape
     header = FMAP_MAGIC + struct.pack("<IIIIf", FMAP_VERSION, h, w, c, float(fmap.stride))
-    payload = np.ascontiguousarray(fmap.data, dtype="<f4").tobytes()
-    return header + payload
+    return header, np.ascontiguousarray(fmap.data, dtype="<f4")
+
+
+def write_feature_map(fmap: FeatureMap) -> bytes:
+    header, payload = _feature_map_parts(fmap)
+    return header + payload.tobytes()
+
+
+def save_feature_map(fmap: FeatureMap, path) -> None:
+    """Write the bytes of write_feature_map(fmap) to path: the header, then
+    the payload array straight from memory rather than through a bytes copy."""
+    header, payload = _feature_map_parts(fmap)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_feature_map(blob: bytes) -> FeatureMap:

@@ -287,9 +287,10 @@ def _t_aps(gt: TrajectorySet, pred: TrajectorySet, taus) -> list[float]:
     For each (pred, GT) pair, the frames both are present in are the
     product of the two sets' 0/1 frame-presence matrices, exact in float64.
     One frame-keyed band search finds the same-frame point pairs within the
-    largest tau, and one bincount per tau counts each tracklet pair's hits,
-    hypot(dx, dy) <= tau. A pair's match score is its hits over the union
-    of its frames.
+    largest tau. One bincount counts each point pair once, at the smallest
+    tau with hypot(dx, dy) <= tau, and a cumulative sum over the sorted taus
+    gives each tracklet pair's hits at every tau. A pair's match score is
+    its hits over the union of its frames.
     """
     missing = np.isnan(pred.conf)
     if missing.any():
@@ -310,14 +311,19 @@ def _t_aps(gt: TrajectorySet, pred: TrajectorySet, taus) -> list[float]:
     with np.errstate(over="ignore"):  # points near +-1e308: +inf, beyond every tau
         dist = np.hypot(px[j] - gx[i], pred.y[p.rows[j]] - gt.y[g.rows[i]])
     cell = p_track[p.rows[j]] * n_gt + g_track[g.rows[i]]
-    hits = np.reshape([np.bincount(cell[dist <= tau], minlength=n_pred * n_gt) for tau in taus],
-                      (len(taus), n_pred, n_gt))
+    # a pair counts once, at the first of the sorted taus it is within;
+    # summed over the sorted taus, the counts are each tau's hits
+    by_tau = np.argsort(taus, kind="stable")
+    near = np.flatnonzero(dist <= taus.max())  # one index: cheaper than two boolean masks
+    first = np.searchsorted(taus[by_tau], dist[near], side="left")
+    counts = np.bincount(first * (n_pred * n_gt) + cell[near], minlength=len(taus) * n_pred * n_gt)
+    hits = np.cumsum(counts.reshape(len(taus), n_pred, n_gt), axis=0)
     scores = hits / (np.bincount(p_track)[:, None] + np.bincount(g_track) - common)
 
     # predictions by descending mean confidence, then id
     order = np.argsort([-np.mean(pred.conf[span]) for span in pred.slices.values()], kind="stable")
-    aps = []
-    for score in scores:
+    aps = np.empty(len(taus))
+    for t, score in zip(by_tau, scores):
         ap, tp = 0.0, 0
         for rank, k in enumerate(order, start=1):
             best = int(np.argmax(score[k]))  # the first GT of the highest score
@@ -325,8 +331,8 @@ def _t_aps(gt: TrajectorySet, pred: TrajectorySet, taus) -> list[float]:
                 score[:, best] = -1.0  # taken: below every free GT's score
                 tp += 1
                 ap += tp / rank
-        aps.append(ap / n_gt)
-    return aps
+        aps[t] = ap / n_gt
+    return aps.tolist()
 
 
 def t_ap(gt: TrajectorySet, pred: TrajectorySet, tau: float) -> float:

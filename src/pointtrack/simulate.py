@@ -19,7 +19,7 @@ from .ddcf import FeatureMap
 from .errors import ConfigError
 from .formats import (
     CORRESPONDENCES, CORRESPONDENCES_NAME, DETECTIONS, DETECTIONS_NAME, FEATURES_DIRNAME, GT,
-    GT_NAME, MANIFEST_NAME, METADATA, METADATA_NAME, feature_file_name, write_feature_map,
+    GT_NAME, MANIFEST_NAME, METADATA, METADATA_NAME, feature_file_name, save_feature_map,
     write_kv_text,
 )
 from .metrics import TrajectorySet
@@ -30,6 +30,9 @@ N_BACKGROUND_POINTS = 50       # correspondence keypoints per frame pair
 CORRESPONDENCE_NOISE = 0.2     # px
 FEATURE_NOISE_SIGMA = 0.05
 BLOB_SIGMA_CELLS = 2.0
+# cells of one feature map, rows x columns x channels: a frame's map is
+# painted in float64, 32 MiB at the bound (S20's maps hold 2**17 cells)
+MAX_FEATURE_MAP_CELLS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,16 @@ class ScenarioConfig:
             raise ConfigError("feature_channels must be >= 0")
         if self.feature_stride <= 0:
             raise ConfigError("feature_stride must be > 0")
+        if self.feature_channels:
+            # each extent within the bound before the exact integer count, so
+            # an infinite extent (1e308 / 1e-6) never reaches math.ceil
+            extents = (self.arena_height / self.feature_stride,
+                       self.arena_width / self.feature_stride, self.feature_channels)
+            if not (all(e <= MAX_FEATURE_MAP_CELLS for e in extents)
+                    and math.prod(map(math.ceil, extents)) <= MAX_FEATURE_MAP_CELLS):
+                raise ConfigError(
+                    "a feature map of ceil(arena_height / feature_stride) x ceil(arena_width / "
+                    f"feature_stride) x feature_channels cells must hold at most {MAX_FEATURE_MAP_CELLS}")
         for window in self.occlusion_windows:
             agent, start, end = window
             if not (1 <= agent <= self.n_agents) or start < 0 or end < start:
@@ -128,19 +141,35 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
 
 def _render_features(rng: np.random.Generator, cfg: ScenarioConfig,
                      centers: np.ndarray, signatures: np.ndarray) -> FeatureMap:
-    """Noise plus a Gaussian blob at each row of centers (px), painted with its row of signatures."""
+    """Noise plus a Gaussian blob at each row of centers (px), painted with its row of signatures.
+
+    Each blob spans the square of cells within reach of its centre's cell.
+    One array pass weighs the squares of all blobs that touch the map; each
+    square's in-map part is then painted and added in row order, so
+    overlapping blobs sum as they would one blob at a time."""
     h = int(math.ceil(cfg.arena_height / cfg.feature_stride))
     w = int(math.ceil(cfg.arena_width / cfg.feature_stride))
-    data = rng.normal(0.0, FEATURE_NOISE_SIGMA, size=(h, w, cfg.feature_channels))
+    # the values of normal(0, sigma), which draws 0 + sigma * z: adding 0.0
+    # turns -0.0 into 0.0 as that does
+    data = rng.standard_normal((h, w, cfg.feature_channels))
+    data *= FEATURE_NOISE_SIGMA
+    data += 0.0
     reach = int(math.ceil(4 * BLOB_SIGMA_CELLS))
-    for (cx, cy), sig in zip((centers / cfg.feature_stride).tolist(), signatures):
-        x0, x1 = max(math.floor(cx) - reach, 0), min(math.floor(cx) + reach + 1, w)
-        y0, y1 = max(math.floor(cy) - reach, 0), min(math.floor(cy) + reach + 1, h)
-        if x0 >= x1 or y0 >= y1:
-            continue
-        yy, xx = np.mgrid[y0:y1, x0:x1]
-        blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * BLOB_SIGMA_CELLS ** 2))
-        data[y0:y1, x0:x1, :] += blob[:, :, None] * sig[None, None, :]
+    span = 2 * reach + 1
+    cells = centers / cfg.feature_stride
+    # each square's first column and row; in floats until the blobs off the
+    # map are gone, as a centre far off it may not fit in an int64
+    first = np.floor(cells) - reach
+    on_map = ((first < [w, h]) & (first + span > 0)).all(axis=1)
+    (cx, cy), (x0, y0) = cells[on_map].T, first[on_map].astype(np.int64).T
+    yy, xx = y0[:, None] + np.arange(span), x0[:, None] + np.arange(span)
+    blobs = np.exp(-(((yy - cy[:, None]) ** 2)[:, :, None] + ((xx - cx[:, None]) ** 2)[:, None, :])
+                   / (2.0 * BLOB_SIGMA_CELLS ** 2))
+    # painted on the in-map part only: a map of few cells may have many
+    # channels, and a whole square of them could dwarf the map
+    for blob, sig, top, left in zip(blobs, signatures[on_map], y0.tolist(), x0.tolist()):
+        data[max(top, 0):top + span, max(left, 0):left + span] += (
+            blob[max(-top, 0):h - top, max(-left, 0):w - left, None] * sig)
     # float32 like the on-disk representation, so memory and file agree
     return FeatureMap(data=data.astype(np.float32), stride=cfg.feature_stride)
 
@@ -262,7 +291,7 @@ def write_bundle(bundle: ScenarioBundle, out_dir) -> Path:
         fdir.mkdir(exist_ok=True)
         for fi in bundle.frames:
             if fi.features is not None:
-                (fdir / feature_file_name(fi.frame)).write_bytes(write_feature_map(fi.features))
+                save_feature_map(fi.features, fdir / feature_file_name(fi.frame))
 
     (out / MANIFEST_NAME).write_text(write_kv_text(_manifest(bundle.config)))
     return out

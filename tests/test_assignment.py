@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,22 @@ class TestBuildCostMatrix:
         assert cells.shape == (n, m) and cells.gate == gate
         assert np.array_equal(cells.rows, rows) and np.array_equal(cells.cols, cols)
         assert np.array_equal(cells.costs, expected[rows, cols])
+
+    def test_band_path_overflow_is_beyond_the_gate(self):
+        """On the band path, differences of points near +-1e308 overflow to
+        inf, beyond the gate, with no warning: the cells of cdist's matrix."""
+        rng = np.random.default_rng(3)
+        p, d = rng.uniform(0, 100, (70, 2)), rng.uniform(0, 100, (70, 2))
+        d[:2, 0] = p[:2, 0]  # in each other's x band
+        p[0, 1], d[0, 1] = 1e308, -1e308  # dy overflows
+        p[1, 1], d[1, 1] = 1e200, 0.0     # dy * dy overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = build_cost_matrix(p, d, 10.0)
+            expected = GatedCosts.from_dense(cdist(p, d), 10.0)
+        assert len(p) * len(d) > DENSE_CELLS and cells.shape == expected.shape
+        assert np.array_equal(cells.rows, expected.rows) and np.array_equal(cells.cols, expected.cols)
+        assert np.array_equal(cells.costs, expected.costs)
 
 
 class TestSolveAssignment:

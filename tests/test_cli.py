@@ -221,6 +221,19 @@ class TestBadInput:
         assert "seed must be >= 0" in err
         assert not bundle.exists()
 
+    @pytest.mark.parametrize("extra", ["feature_stride = 0.000001",
+                                       "arena_width = 1e308\nfeature_stride = 0.000001"])
+    def test_oversized_feature_map_exits_one(self, capsys, tmp_path, extra):
+        """A feature map past MAX_FEATURE_MAP_CELLS is a config error, found
+        before any map is allocated."""
+        scen = write_scenario(tmp_path, SCENARIO.replace("arena_width = 300\n", "")
+                              .replace("feature_channels = 0", "feature_channels = 2") + extra + "\n")
+        bundle = tmp_path / "bundle"
+        code, _, err = run(capsys, "simulate", "--config", str(scen), "--out", str(bundle))
+        assert code == 1
+        assert err.startswith("error:") and "feature map" in err
+        assert not bundle.exists()
+
     def test_huge_coordinate_exits_zero(self, capsys, tmp_path):
         """A finite detection far off the feature map is tracked: a confirmed
         track that loses it trains its late filter on edge cells."""

@@ -21,7 +21,7 @@ from pointtrack.formats import (
     CORRESPONDENCES, DETECTIONS, GT, METADATA, TRACK_SOURCES, TRACKS,
     CorrespondenceRow, Table, Detection, GtRow, MetadataRow, TrackRow, _split_lines, format_float,
     parse_correspondences, parse_detections, parse_gt, parse_kv_text, parse_metadata,
-    parse_tracks, read_feature_map, write_correspondences, write_detections,
+    parse_tracks, read_feature_map, save_feature_map, write_correspondences, write_detections,
     write_feature_map, write_gt, write_kv_text, write_metadata, write_tracks,
 )
 from pointtrack.metrics import INTERCHANGE, TrackPoint, TrajectorySet, parse_interchange
@@ -621,6 +621,15 @@ class TestFeatureMapBinary:
         again = read_feature_map(write_feature_map(fmap))
         assert np.array_equal(again.data, fmap.data)
         assert again.stride == 4.0
+
+    @pytest.mark.parametrize("layout", ["float32", "float64", "big-endian", "strided"])
+    def test_saved_file_holds_the_written_bytes(self, tmp_path, layout):
+        data = np.random.default_rng(4).normal(size=(6, 10, 3)).astype(np.float32)
+        data = {"float32": data, "float64": data.astype(float), "big-endian": data.astype(">f4"),
+                "strided": np.swapaxes(data, 0, 1)}[layout]
+        fmap = FeatureMap(data=data, stride=3.0)
+        save_feature_map(fmap, tmp_path / "map.fmap")
+        assert (tmp_path / "map.fmap").read_bytes() == write_feature_map(fmap)
 
     def test_round_trip_larger(self):
         rng = np.random.default_rng(3)

@@ -9,7 +9,7 @@ from pointtrack.assignment import build_cost_matrix, solve_assignment
 from pointtrack.errors import InvalidInputError, ParseError
 from pointtrack.metrics import (
     EXPORT_BOX_HALF_SIZE, INTERCHANGE, T_MAP_THRESHOLDS, InterchangeRow, TrackPoint,
-    TrajectorySet, compute_sequence_metrics, export_interchange, id_switches,
+    TrajectorySet, _t_aps, compute_sequence_metrics, export_interchange, id_switches,
     parse_interchange, pearson, t_ap, t_map, tr_mae, tr_nmae,
 )
 from pointtrack.render import render_overlay
@@ -594,6 +594,39 @@ class TestTrackletAP:
         table = t_map(gt, pred)
         assert sorted(table) == list(range(1, 26))
         assert all(v == 1.0 for v in table.values())
+
+    @staticmethod
+    def crowd(seed: int) -> tuple[TrajectorySet, TrajectorySet]:
+        """300 walking identities over 20 frames, and their predictions, each
+        offset by its own 0 to 30 px and some cut short, under shuffled ids."""
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(0, 2000, (300, 2))
+        step = rng.normal(0, 1.5, (300, 2))
+        heading = rng.normal(size=(300, 2))
+        offset = rng.uniform(0, 30, 300)[:, None] * heading / np.linalg.norm(heading, axis=1, keepdims=True)
+        last = rng.integers(5, 21, 300)
+        labels = rng.permutation(300) + 1
+        gt_rows, pred_rows = [], []
+        for k in range(300):
+            for f in range(20):
+                x, y = (start[k] + f * step[k]).tolist()
+                gt_rows.append((f, k + 1, x, y))
+                if f < last[k]:
+                    px, py = (start[k] + f * step[k] + offset[k] + rng.normal(0, 1, 2)).tolist()
+                    pred_rows.append((f, int(labels[k]), px, py, float(rng.uniform(0.5, 1.0))))
+        return ts(gt_rows), ts(pred_rows)
+
+    def test_t_map_equals_t_ap_at_each_threshold_on_a_crowd(self):
+        gt, pred = self.crowd(4)
+        table = t_map(gt, pred)
+        assert table == {tau: t_ap(gt, pred, float(tau)) for tau in T_MAP_THRESHOLDS}
+        assert len(set(table.values())) > 10  # the offsets spread the scores over the taus
+
+    def test_unsorted_and_repeated_taus(self):
+        gt, pred = self.crowd(5)
+        taus = [10.0, 1.0, 25.0, 10.0, 4.5, 2.0]
+        assert _t_aps(gt, pred, taus) == per_frame_t_aps(gt, pred, taus)
+        assert _t_aps(gt, pred, taus) == [t_ap(gt, pred, tau) for tau in taus]
 
 
 class TestPearson:

@@ -11,7 +11,9 @@ from pointtrack.cmc import warp_points
 from pointtrack.errors import ConfigError
 from pointtrack.formats import SequenceBundlePaths
 from pointtrack.pipeline import frame_inputs_from_bundle
-from pointtrack.simulate import ScenarioConfig, generate, scenario_from_kv, write_bundle
+from pointtrack.simulate import (
+    BLOB_SIGMA_CELLS, MAX_FEATURE_MAP_CELLS, ScenarioConfig, generate, scenario_from_kv, write_bundle,
+)
 
 CLEAN = ScenarioConfig(n_agents=4, frames=60, arena_width=256, arena_height=256,
                        jitter_sigma=0.0, fn_rate=0.0, fp_clutter_rate=0.0,
@@ -72,6 +74,33 @@ class TestDeterminism:
                              feature_channels=0, seed=11)
         assert self.bundle_digest(cfg, tmp_path) == (
             "dc0a220542ab6921690c6cf435424d97b5f3c250f851a371bce2e4c9c4e51681")
+
+    def test_blob_edge_cases_bundle_bytes_pinned(self, tmp_path):
+        """A small map with more blobs than fit apart, and camera drift that
+        carries blobs partly and wholly off it, pinned to its bytes. Without
+        misses, jitter or clutter the detections are the blob centres."""
+        cfg = ScenarioConfig(n_agents=12, frames=40, arena_width=96.0, arena_height=96.0,
+                             camera_rotation_deg=1.0, camera_translation_x=3.0,
+                             camera_translation_y=-2.0, persistent_fp_count=3, feature_channels=3,
+                             feature_stride=4.0, seed=3)
+        reach, size = int(np.ceil(4 * BLOB_SIGMA_CELLS)), 24  # the map is 24 x 24 cells
+        cases = dict.fromkeys(["overlap", "left", "right", "top", "bottom", "off"], 0)
+        for fi in generate(cfg).frames:
+            assert len(fi.points) == 15
+            x0, y0 = (np.floor(fi.points / cfg.feature_stride).astype(int) - reach).T
+            x1, y1 = x0 + 2 * reach + 1, y0 + 2 * reach + 1
+            on = (x0 < size) & (x1 > 0) & (y0 < size) & (y1 > 0)
+            for case, clipped in (("left", x0 < 0), ("right", x1 > size),
+                                  ("top", y0 < 0), ("bottom", y1 > size)):
+                cases[case] += np.count_nonzero(on & clipped)
+            cases["off"] += np.count_nonzero(~on)
+            x0, x1, y0, y1 = (np.clip(a, 0, size) for a in (x0, x1, y0, y1))
+            meet = ((np.maximum.outer(x0, x0) < np.minimum.outer(x1, x1))
+                    & (np.maximum.outer(y0, y0) < np.minimum.outer(y1, y1)) & on[:, None] & on)
+            cases["overlap"] += np.count_nonzero(np.triu(meet, 1))
+        assert all(cases.values()), cases
+        assert self.bundle_digest(cfg, tmp_path) == (
+            "1916f97a55e75fc381b821bc5af9e28990e54acfbf24b254cbb1185b157a2844")
 
 
 class TestGroundTruth:
@@ -154,6 +183,21 @@ class TestFeatures:
         bundle = generate(replace(CLEAN, feature_channels=0))
         assert all(fi.features is None for fi in bundle.frames)
 
+    def test_blobs_painted_on_their_in_map_cells_only(self):
+        """On a one-cell map of 2**16 channels, no blob's whole square of
+        17 x 17 cells (151 MB in float64) is allocated."""
+        import tracemalloc
+        cfg = ScenarioConfig(n_agents=2, frames=1, arena_width=4.0, arena_height=4.0,
+                             feature_channels=2 ** 16, seed=1)
+        tracemalloc.start()
+        try:
+            bundle = generate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bundle.frames[0].features.data.shape == (1, 1, 2 ** 16)
+        assert peak < 16 * 2 ** 20
+
 
 class TestCameraModel:
     def test_composed_affine_matches_background_motion(self):
@@ -216,6 +260,27 @@ class TestConfigParsing:
             ScenarioConfig(occlusion_windows=((9, 0, 5),), n_agents=2)
         with pytest.raises(ConfigError):
             ScenarioConfig(seed=-1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(feature_stride=1e-6),
+        dict(arena_width=1e308, feature_stride=1e-6),  # 1e308 / 1e-6 is inf
+        dict(arena_width=1e308, arena_height=1e308),
+        dict(feature_channels=10 ** 400),
+        dict(arena_width=4.0, arena_height=4.0, feature_stride=1.0,
+             feature_channels=MAX_FEATURE_MAP_CELLS // 16 + 1),
+    ])
+    def test_oversized_feature_map_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="feature map"):
+            ScenarioConfig(**kwargs)
+
+    def test_feature_map_bound_counts_whole_cells(self):
+        # 2048 x 2048 px at stride 4 with 16 channels is exactly the bound;
+        # one more pixel of width adds a column of cells
+        ScenarioConfig(arena_width=2048.0, arena_height=2048.0, feature_channels=16)
+        with pytest.raises(ConfigError, match="feature map"):
+            ScenarioConfig(arena_width=2048.5, arena_height=2048.0, feature_channels=16)
+        # without feature maps, no bound applies
+        ScenarioConfig(arena_width=1e308, feature_stride=1e-6, feature_channels=0)
 
 
 class TestBundleWriting:
