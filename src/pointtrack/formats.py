@@ -225,16 +225,11 @@ def number_column(name: str, dtype, values) -> np.ndarray:
         raise InvalidInputError(f"{name} holds a value that is not {kind}") from None
 
 
-def _write_column(name: str, dtype, values, optional: bool) -> list:
+def _write_column(name: str, dtype, values) -> list:
     """One column's values as the Python scalars its cells show, after
     column_fault: str for text, int for int64 and float for float64. A float
-    None becomes NaN, which an optional column writes as 0."""
-    if dtype is object:
-        column = list(map(str, values))
-    else:
-        column = number_column(name, dtype, values)
-        if optional:
-            column = np.where(np.isnan(column), 0.0, column)
+    None becomes NaN, which column_fault refuses as non-finite."""
+    column = list(map(str, values)) if dtype is object else number_column(name, dtype, values)
     fault = column_fault(name, column)
     if fault:
         raise InvalidInputError(fault[1])
@@ -361,11 +356,11 @@ class Table:
     def write_columns(self, columns: list) -> str:
         """The inverse of parse_columns: the text of one sequence per column
         in header order, None for an absent optional column. Each column gets
-        the parser's checks, and InvalidInputError names one that fails; NaN
-        or None in a written optional column is written as 0."""
+        the parser's checks, and InvalidInputError names one that fails, so
+        a written score column holds a finite score on every row."""
         n = sum(c is not None for c in columns)
-        checked = [_write_column(name, dtype, values, j >= self.required)
-                   for j, (name, dtype, values) in enumerate(zip(self.columns, self._dtypes, columns[:n]))]
+        checked = [_write_column(name, dtype, values)
+                   for name, dtype, values in zip(self.columns, self._dtypes, columns[:n])]
         rows = len(checked[0])
         if len(columns) != len(self.names) or any(len(c) != rows for c in checked):
             raise InvalidInputError(f"expected {len(self.names)} columns of one length")

@@ -5,11 +5,12 @@ affine correction, gated optimal assignment, match bookkeeping with the
 classification gate, correlation-filter recovery of unmatched confirmed
 tracks, births, miss handling, emission.
 
-Every live track is one row of the tracker's ``lifecycle.TrackTable``, its
-only per-track store. Each frame predicts (and carries through the camera
-motion) the table's Kalman columns in one call, applies the match and miss
-rules to row sets, corrects the matched and the recovered rows in one call,
-and then drops the rows the rules ended and appends the births in one step.
+Every live track is one row of the tracker's ``lifecycle.TrackTable``; the
+table, the next id and the last frame are the tracker's whole state, so no
+feature map outlives its frame. Each frame predicts (and carries through the
+camera motion) the table's Kalman columns in one call, applies the match and
+miss rules to row sets, corrects the matched and the recovered rows in one
+call, then drops the ended rows and appends the births in one step.
 """
 
 import logging
@@ -97,7 +98,8 @@ class FrameInput:
                   features: FeatureMap | None = None) -> "FrameInput":
         """A FrameInput from formats.Detection and CorrespondenceRow rows;
         their frame fields are not read. score is None when no row sets
-        one, and NaN for a row without one beside rows with one."""
+        one, and NaN for a row without one beside rows with one, which
+        process_frame rejects as DETECTIONS.write does."""
         _, x, y, conf, score = DETECTIONS.to_columns(list(detections))
         corr = CORRESPONDENCES.to_columns(list(correspondences))[1:]
         return cls(frame, np.column_stack([x, y]), conf, score, altitude, np.column_stack(corr), features)
@@ -135,7 +137,6 @@ class PointTracker:
         self.tracks = TrackTable.born(1, [], [], motion.init_state(np.zeros((0, 2)), self.config.motion))
         self._next_id = 1
         self._last_frame: int | None = None
-        self._prev_features: FeatureMap | None = None
         # every filter is trained with this config, so update_filter blends
         # at the compounded rate
         eta = self.config.dcf.learning_rate
@@ -178,7 +179,6 @@ class PointTracker:
             motion.init_state(points[born], self.config.motion)))
         self._next_id += len(born)
 
-        self._prev_features = frame_input.features
         self._last_frame = frame
         return FrameOutput(frame, records, gate, affine, births=len(born), deaths=int(deleted.sum()),
                            recoveries=int(recovered.sum()), match_distances=result.distances)
@@ -240,11 +240,12 @@ class PointTracker:
                                       self.config.lifecycle)
         features = frame_input.features
         if self.config.use_ddcf and features is not None:
+            # a first filter is fitted wherever the match lies: the patch edge-replicates
             update = frame_input.frame % DCF_UPDATE_INTERVAL == 0
             for k in np.flatnonzero(tracks.confirmed[rows]).tolist():
-                if ((update or tracks.filters[rows[k]] is None)
-                        and self._in_coverage(features, points[dets[k]])):
-                    self._fit_filter(rows[k], features, points[dets[k]])
+                row, point = rows[k], points[dets[k]]
+                if tracks.filters[row] is None or (update and self._in_coverage(features, point)):
+                    self._fit_filter(row, features, point)
         matched = np.zeros(len(tracks), dtype=bool)
         matched[rows] = True
         return matched, rejected
@@ -270,8 +271,8 @@ class PointTracker:
 
     def _recover(self, result: AssignmentResult, frame_input: FrameInput,
                  matched: np.ndarray, gate: float) -> np.ndarray:
-        """Re-localize the unmatched confirmed rows with their filters; returns
-        the mask of recovered rows, whose last_position it sets."""
+        """Re-localize the unmatched confirmed rows that have a filter, training
+        none; returns the mask of recovered rows, whose last_position it sets."""
         tracks, cfg = self.tracks, self.config
         recovered = np.zeros(len(tracks), dtype=bool)
         if not cfg.use_ddcf or frame_input.features is None:
@@ -281,9 +282,6 @@ class PointTracker:
         claimed = tracks.last_position[matched]  # this frame's matched detections
         unmatched = result.unmatched_tracks
         for ti in unmatched[tracks.confirmed[unmatched]].tolist():
-            if tracks.filters[ti] is None and self._prev_features is not None:
-                # no model yet: build it from the last measured position
-                self._fit_filter(ti, self._prev_features, tracks.last_position[ti])
             if tracks.filters[ti] is None:
                 continue
             predicted = tracks.mean[ti, :2]

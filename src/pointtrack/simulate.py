@@ -59,6 +59,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be a finite number")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.frames < 1:

@@ -198,10 +198,7 @@ class TestLibraryInput:
     def test_frame_rule_is_the_detections_table_rule(self, data, n, with_score):
         """process_frame rejects a frame exactly when DETECTIONS.write_columns
         rejects its columns, with the table's message, and a rejected frame
-        leaves the tracker as it was. The one difference: write_columns
-        writes NaN in the optional score column as 0 (a row without a score),
-        while a frame's score column scores every detection, so
-        process_frame, like parse_columns, rejects a NaN score."""
+        leaves the tracker as it was."""
         x, y, conf, *score = (np.array(data.draw(st.lists(self.CELLS, min_size=n, max_size=n)))
                               for _ in range(4 + with_score))
         score = score[0] if score else None
@@ -213,13 +210,12 @@ class TestLibraryInput:
         except InvalidInputError as exc:
             table_error = str(exc)
         frame_input = FrameInput(4, np.column_stack([x, y]).reshape(n, 2), conf, score)
-        if table_error is None and (score is None or not np.isnan(score).any()):
+        if table_error is None:
             tracker.process_frame(frame_input)
             return
         with pytest.raises(InvalidInputError, match=r"^frame 4: detection \d+: ") as raised:
             tracker.process_frame(frame_input)
-        if table_error is not None:
-            assert str(raised.value).endswith(": " + table_error)
+        assert str(raised.value).endswith(": " + table_error)
         for f, column in zip(fields(TrackTable), before):
             assert np.array_equal(getattr(tracker.tracks, f.name), column), f.name
         assert tracker._last_frame == 3
@@ -385,10 +381,14 @@ class TestHostileLibraryInput:
                 FrameInput(0, points, conf, correspondences=correspondences)
 
     def test_missing_score_beside_a_score_is_nan(self):
-        fi = FrameInput.from_rows(0, [Detection(0, 1.0, 2.0, 0.5, 0.9), Detection(0, 3.0, 4.0, 0.5)])
+        rows = [Detection(0, 1.0, 2.0, 0.5, 0.9), Detection(0, 3.0, 4.0, 0.5)]
+        fi = FrameInput.from_rows(0, rows)
         assert np.isnan(fi.score[1])
-        with pytest.raises(InvalidInputError):
+        # the rule of the file path, whose writer refuses the same rows
+        with pytest.raises(InvalidInputError, match="non-finite score$"):
             PointTracker().process_frame(fi)
+        with pytest.raises(InvalidInputError, match="^non-finite score$"):
+            DETECTIONS.write(rows)
         assert FrameInput.from_rows(0, [Detection(0, 1.0, 2.0, 0.5)]).score is None
 
 
@@ -545,6 +545,14 @@ class TestDdcfBranches:
         assert tracker.tracks.filters[0] is None
         assert out.recoveries == 0
 
+    def test_no_model_is_trained_from_an_earlier_map(self):
+        # confirmed without a map, then two frames without the detection,
+        # each with a map: the second finds no model built from the first
+        tracker, _ = self.confirm_then_lose(None, self.blob_features())
+        out = tracker.process_frame(FrameInput(7, features=self.blob_features(seed=1)))
+        assert tracker.tracks.filters[0] is None
+        assert out.recoveries == 0
+
     def test_all_zero_patch_recovers_nothing(self):
         # exact-zero background, as a ReLU map has, gives a flat response
         # whose peak is the patch corner, not the target
@@ -563,9 +571,10 @@ class TestDdcfBranches:
 
 
 class TestSparseFilterUpdates:
-    """A matched confirmed track's filter is trained on its first match in
-    the feature map, on any frame, and then updated only on frames that are
-    multiples of DCF_UPDATE_INTERVAL, at the compounded learning rate."""
+    """A matched confirmed track's filter is trained on its first confirmed
+    match, on any frame and wherever the match lies, and then updated only on
+    frames that are multiples of DCF_UPDATE_INTERVAL, from a match inside the
+    feature map, at the compounded learning rate."""
 
     INTERVAL = pipeline.DCF_UPDATE_INTERVAL
 
@@ -602,6 +611,33 @@ class TestSparseFilterUpdates:
         confirmed = start + 4  # born on start, confirmed by its fifth hit
         assert fits["train"] == [confirmed]
         assert fits["update"] == [f for f in range(confirmed + 1, start + 20) if f % self.INTERVAL == 0]
+
+    def along_the_edge(self, fits, xs):
+        """A track matched at (x, 128) for each x in turn, confirmed on its
+        fifth match, over the 256 px wide blob map; its filter after each
+        frame, and the last frame's output."""
+        features = TestDdcfBranches.blob_features()
+        tracker = PointTracker(replace(TrackerConfig(), lifecycle=LifecycleConfig(min_hits=5)))
+        filters = []
+        for f, x in enumerate(xs):
+            [out] = self.run(fits, tracker, [FrameInput.from_rows(f, [Detection(f, x, 128.0, conf=0.9)],
+                                                                  features=features)])
+            filters.append(tracker.tracks.filters[0])
+        return filters, out
+
+    def test_first_match_outside_the_map_trains(self, fits):
+        # 2 px past the map's right edge: the patch is edge-replicated
+        filters, _ = self.along_the_edge(fits, [258.0] * 5)
+        assert filters[:4] == [None] * 4 and filters[4] is not None
+        assert fits["train"] == [4]
+
+    def test_match_outside_the_map_keeps_the_filter(self, fits):
+        # trained inside on frame 4; frame 8, an update frame, matches at
+        # x = 257, past the edge, so the filter is not refreshed there
+        filters, out = self.along_the_edge(fits, [249.0 + f for f in range(9)])
+        assert [r.source for r in out.records] == ["detection"]
+        assert fits["train"] == [4] and fits["update"] == []
+        assert all(filt is filters[4] for filt in filters[4:])
 
     def test_simulated_scene(self, fits):
         eta = DcfConfig().learning_rate

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import shutil
 from dataclasses import fields
@@ -260,6 +261,15 @@ class TestConfigParsing:
             ScenarioConfig(occlusion_windows=((9, 0, 5),), n_agents=2)
         with pytest.raises(ConfigError):
             ScenarioConfig(seed=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig) if f.type is float])
+    def test_non_finite_float_rejected(self, name, value):
+        """The library refuses what the kv parser refuses, with its message."""
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number$"):
+            ScenarioConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got "):
+            scenario_from_kv({name: str(value)})
 
     @pytest.mark.parametrize("kwargs", [
         dict(feature_stride=1e-6),

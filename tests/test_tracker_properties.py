@@ -11,7 +11,7 @@ from pointtrack import lifecycle
 from pointtrack.formats import SOURCE_DDCF, SOURCE_DETECTION
 from pointtrack.lifecycle import LifecycleConfig, ScoreColumnValidator, TrackTable
 from pointtrack.pipeline import (
-    FrameOutput, PointTracker, SequenceResult, SequenceSummary, TrackerConfig, run_sequence,
+    FrameInput, FrameOutput, PointTracker, SequenceResult, SequenceSummary, TrackerConfig, run_sequence,
 )
 from pointtrack.simulate import ScenarioConfig, generate
 
@@ -117,6 +117,43 @@ def test_tracker_invariants_hold_every_frame(scenario, flags, min_hits):
     rerun = run_sequence(bundle.frames, config, ScoreColumnValidator())
     assert [o.records for o in rerun.outputs] == [o.records for o in outputs]
     assert SequenceResult(outputs).summary == rerun.summary
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(scenario=scenarios(), flags=st.tuples(*[st.booleans()] * 4), cut=st.integers(0, 60),
+       max_age=st.integers(1, 8))
+def test_empty_frame_on_an_empty_table_changes_only_the_frame(scenario, flags, cut, max_age):
+    """Once the table is empty, a frame without detections (with or
+    without altitude, correspondences and a feature map) changes nothing
+    but _last_frame: no record, birth, death or recovery, the same table
+    columns, the same _next_id. No feature map outlives its frame."""
+    use_cmc, use_alt, use_cls, use_ddcf = flags
+    config = replace(TrackerConfig(), use_cmc=use_cmc, use_alt=use_alt, use_cls=use_cls, use_ddcf=use_ddcf,
+                     lifecycle=LifecycleConfig(min_hits=4, max_age=max_age))
+    frames = generate(scenario).frames
+    tracker = PointTracker(config, ScoreColumnValidator())
+    for frame_input in frames[:cut]:
+        tracker.process_frame(frame_input)
+    # frames with nothing in them until every track has ended
+    frame = min(cut, len(frames))
+    while len(tracker.tracks):
+        tracker.process_frame(FrameInput(frame))
+        frame += 1
+
+    def state():
+        return {k: v for k, v in vars(tracker).items() if k not in ("tracks", "_last_frame")}
+
+    table = {f.name: getattr(tracker.tracks, f.name).copy() for f in fields(TrackTable)}
+    before = state()
+    source = frames[cut % len(frames)]
+    out = tracker.process_frame(FrameInput(frame, altitude=source.altitude,
+                                           correspondences=source.correspondences, features=source.features))
+    assert (out.records, out.births, out.deaths, out.recoveries) == ([], 0, 0, 0)
+    assert tracker._last_frame == frame
+    for name, column in table.items():
+        assert np.array_equal(getattr(tracker.tracks, name), column) and \
+            getattr(tracker.tracks, name).dtype == column.dtype, name
+    assert state() == before
 
 
 def test_summary_of_no_outputs_is_zero():
